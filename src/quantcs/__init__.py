@@ -23,6 +23,7 @@ from .harness import (
     fit_slope,
     plan_from_json,
     run_experiment,
+    run_trial,
 )
 from .oracles import CandidateNet, HdmResult, PuvEstimate, enumerate_net, estimate_puv, geodesic_puv, hdm_decode
 from .pgd import (
@@ -53,7 +54,7 @@ from .quantizers import (
     quantize_vec,
 )
 from .rng import derive_seed, stream
-from .sensing import Dither, DitherKind, MatrixKind, SensingInstance, corrupt, hamming, measure, sample_instance
+from .sensing import Dither, MatrixKind, SensingInstance, corrupt, hamming, measure, sample_instance
 from .signals import (
     L1Ball,
     LowRank,

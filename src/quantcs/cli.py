@@ -14,8 +14,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from .harness import (
     DeltaRule,
     ExperimentPlan,
@@ -23,12 +21,10 @@ from .harness import (
     emit_svg_loglog,
     plan_from_json,
     run_experiment,
+    run_trial,
 )
-from .pgd import Family, PgdConfig, RandomInit, ZeroInit, pgd_recover
-from .harness import family_setup
-from .rng import derive_seed
-from .sensing import measure, sample_instance
-from .signals import SignalModel, Sparse, gen_signal
+from .pgd import Family
+from .signals import SignalModel, Sparse
 from .verify import SUITES, run_suite
 
 __all__ = ["main"]
@@ -65,25 +61,11 @@ def _cmd_recover(args) -> int:
         iterations=args.iters,
         master_seed=args.seed,
     )
-    setup = family_setup(plan)
-    seed = derive_seed(plan.master_seed, 0, 0)
-    x = gen_signal(model, seed)
-    inst = sample_instance(setup.matrix_kind, setup.dither, args.m, args.n, seed)
-    y = measure(inst, setup.spec, x)
-    init = RandomInit(seed) if setup.init == "random_in_model" else ZeroInit()
-    res = pgd_recover(
-        PgdConfig(eta=setup.eta, iterations=args.iters, init=init),
-        model,
-        setup.spec,
-        inst,
-        y,
-        truth=x,
-    )
+    record = run_trial(plan, 0, 0)
     print("iter,error")
-    for t, err in enumerate(res.errors, start=1):
+    for t, err in enumerate(record.per_iterate_errors, start=1):
         print(f"{t},{err:.12g}")
-    final = float(np.linalg.norm(res.estimate - x))
-    print(f"final,{final:.12g}")
+    print(f"final,{record.final_error:.12g}")
     return 0
 
 

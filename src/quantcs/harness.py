@@ -32,6 +32,7 @@ __all__ = [
     "ExperimentResult",
     "FamilySetup",
     "family_setup",
+    "run_trial",
     "run_experiment",
     "SlopeFit",
     "fit_slope",
@@ -76,7 +77,6 @@ class ExperimentPlan:
     iterations: int = 100
     master_seed: int = 0
     corruption_zeta: float = 0.0
-    record_trajectory: bool = False
     resource_cap: int = 4_000_000_000
 
     def __post_init__(self):
@@ -132,7 +132,7 @@ class TrialRecord:
     trial_index: int
     seed: int
     final_error: float
-    per_iterate_errors: np.ndarray | None = None
+    per_iterate_errors: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -198,8 +198,15 @@ def _slope_group(family: str, k_or_r: float, levels: int) -> str:
     return f"{family}:k_or_r={k_or_r:.12g}:L={levels}"
 
 
-def _run_trial(plan: ExperimentPlan, setup: FamilySetup, cell: int, m: int, trial: int) -> TrialRecord:
+def run_trial(plan: ExperimentPlan, cell: int, trial: int) -> TrialRecord:
+    """Draw, measure, corrupt and recover trial ``trial`` of grid cell ``cell``.
+
+    Every random object comes from ``derive_seed(plan.master_seed, cell, trial)``,
+    so a trial's record depends only on the plan and its two indices.
+    """
+    setup = family_setup(plan)
     seed = derive_seed(plan.master_seed, cell, trial)
+    m = plan.m_grid[cell]
     n = plan.model.ambient_dim
     x = gen_signal(plan.model, seed)
     inst = sample_instance(setup.matrix_kind, setup.dither, m, n, seed)
@@ -221,7 +228,7 @@ def _run_trial(plan: ExperimentPlan, setup: FamilySetup, cell: int, m: int, tria
         trial_index=trial,
         seed=seed,
         final_error=float(np.linalg.norm(res.estimate - x)),
-        per_iterate_errors=res.errors if plan.record_trajectory else None,
+        per_iterate_errors=res.errors,
     )
 
 
@@ -234,13 +241,12 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> ExperimentResult:
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    setup = family_setup(plan)
-    tasks = [(ci, m, ti) for ci, m in enumerate(plan.m_grid) for ti in range(plan.trials)]
+    tasks = [(ci, ti) for ci in range(len(plan.m_grid)) for ti in range(plan.trials)]
     if threads == 1:
-        records = [_run_trial(plan, setup, ci, m, ti) for ci, m, ti in tasks]
+        records = [run_trial(plan, ci, ti) for ci, ti in tasks]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(lambda t: _run_trial(plan, setup, *t), tasks))
+            records = list(pool.map(lambda t: run_trial(plan, *t), tasks))
     cells = []
     for ci, m in enumerate(plan.m_grid):
         errs = np.array([r.final_error for r in records[ci * plan.trials : (ci + 1) * plan.trials]])
@@ -465,7 +471,6 @@ def plan_from_json(text: str) -> ExperimentPlan:
         "iterations",
         "master_seed",
         "corruption_zeta",
-        "record_trajectory",
         "resource_cap",
     }
     _require_keys(obj, allowed, "plan")
@@ -489,7 +494,6 @@ def plan_from_json(text: str) -> ExperimentPlan:
         ("iterations", "iterations"),
         ("master_seed", "master_seed"),
         ("corruption_zeta", "corruption_zeta"),
-        ("record_trajectory", "record_trajectory"),
         ("resource_cap", "resource_cap"),
     ):
         if src in obj:

@@ -73,7 +73,6 @@ class PgdConfig:
     eta: float
     iterations: int = 100
     init: Init = ZeroInit()
-    record_trajectory: bool = False
 
     def __post_init__(self):
         if not (math.isfinite(self.eta) and self.eta > 0):
@@ -84,15 +83,13 @@ class PgdConfig:
 
 @dataclass(frozen=True, eq=False)
 class PgdResult:
-    """Final iterate plus optional per-iterate history.
+    """Final iterate plus optional per-iterate errors.
 
     ``errors[t-1]`` is ``||x^(t) - truth||_2`` when a ground truth was
-    supplied, one entry per iteration; ``trajectory`` stacks the iterates
-    ``x^(1), ..., x^(T)`` row-wise when recording was requested.
+    supplied, one entry per iteration.
     """
 
     estimate: np.ndarray
-    trajectory: np.ndarray | None = None
     errors: np.ndarray | None = None
 
 
@@ -142,11 +139,11 @@ def one_sided_l1_loss(spec: QuantizerSpec, instance: SensingInstance, y, u) -> f
         count = np.abs(c - idx)
         ssum = spec.delta * (np.minimum(c, idx) + 1 + np.maximum(c, idx)) * count / 2.0
         per_row = np.where(c > idx, count * z - ssum, ssum - count * z)
-        return float(spec.resolution / m * per_row.sum())
+        return float(spec.delta / m * per_row.sum())
     b = spec.thresholds
     yij = np.where(idx[:, None] > np.arange(b.size)[None, :], 1.0, -1.0)
     hinge = np.maximum(-yij * (z[:, None] - b[None, :]), 0.0)
-    return float(spec.resolution / m * hinge.sum())
+    return float(spec.delta / m * hinge.sum())
 
 
 def gradient(spec: QuantizerSpec, instance: SensingInstance, y, u) -> np.ndarray:
@@ -180,11 +177,11 @@ def gradient_from_thresholds(spec: QuantizerSpec, instance: SensingInstance, y, 
         yij = np.where(idx[:, None] > np.arange(b.size)[None, :], 1.0, -1.0)
     sgn = np.where(z[:, None] - b[None, :] >= 0.0, 1.0, -1.0)
     coeff = (sgn - yij).sum(axis=1)
-    return spec.resolution / (2.0 * instance.m) * (instance.matrix.T @ coeff)
+    return spec.delta / (2.0 * instance.m) * (instance.matrix.T @ coeff)
 
 
 def clipped_gradient(spec: QuantizerSpec, instance: SensingInstance, u, v) -> np.ndarray:
-    """Gradient with per-row transfer clipped to a single resolution step.
+    """Gradient with per-row transfer clipped to a single level step.
 
     Rows where ``u`` and ``v`` quantize identically drop out; every other row
     contributes ``Delta * sign(<a_i, u - v>) a_i / m`` regardless of how many
@@ -199,7 +196,7 @@ def clipped_gradient(spec: QuantizerSpec, instance: SensingInstance, u, v) -> np
     zu = instance.matrix @ u - instance.dither
     zv = instance.matrix @ v - instance.dither
     changed = quantize_vec(spec, zu) != quantize_vec(spec, zv)
-    d = spec.resolution * np.sign(zu - zv) * changed
+    d = spec.delta * np.sign(zu - zv) * changed
     return instance.matrix.T @ d / instance.m
 
 
@@ -241,15 +238,12 @@ def pgd_recover(
             raise ValueError(f"init vector norm {nrm} outside [{model.alpha}, {model.beta}]")
         x = x.copy()
 
-    trajectory = np.empty((config.iterations, instance.n)) if config.record_trajectory else None
     errors = np.empty(config.iterations) if truth is not None else None
     for t in range(config.iterations):
         x = project_model(model, x - config.eta * gradient(spec, instance, y, x))
-        if trajectory is not None:
-            trajectory[t] = x
         if errors is not None:
             errors[t] = np.linalg.norm(x - truth)
-    return PgdResult(estimate=x, trajectory=trajectory, errors=errors)
+    return PgdResult(estimate=x, errors=errors)
 
 
 def default_step_size(family: Family, lam: float | None = None) -> float:

@@ -49,12 +49,9 @@ class QuantizerSpec:
     Attributes
     ----------
     kind : QuantizerKind
-    resolution : float
-        Gap between consecutive level values (often written Delta).
-        Equals ``delta`` for the uniform families and 2 for sign.
     delta : float
-        Cell width delta. For the uniform families this is the bin width;
-        for sign it is 2 (the gap between the two levels).
+        Gap between consecutive level values (often written Delta). For the
+        uniform families this is the cell width; for sign it is 2.
     thresholds : np.ndarray | None
         Ascending cell boundaries; ``None`` for the uniform quantizer whose
         threshold grid ``{j * delta}`` is infinite.
@@ -65,15 +62,12 @@ class QuantizerSpec:
     """
 
     kind: QuantizerKind
-    resolution: float
     delta: float
     thresholds: np.ndarray | None
     level_values: np.ndarray | None
     levels: int | None
 
     def __post_init__(self):
-        if not (math.isfinite(self.resolution) and self.resolution > 0):
-            raise ValueError(f"resolution must be a positive finite real, got {self.resolution}")
         if not (math.isfinite(self.delta) and self.delta > 0):
             raise ValueError(f"delta must be a positive finite real, got {self.delta}")
         if self.kind is QuantizerKind.UNIFORM:
@@ -95,8 +89,8 @@ class QuantizerSpec:
         gaps = np.diff(q)
         if np.any(gaps <= 0):
             raise ValueError("level values must be strictly ascending")
-        if np.any(np.abs(gaps - self.resolution) > 1e-9 * max(1.0, self.resolution)):
-            raise ValueError("level values must form an arithmetic ladder with gap = resolution")
+        if np.any(np.abs(gaps - self.delta) > 1e-9 * max(1.0, self.delta)):
+            raise ValueError("level values must form an arithmetic ladder with gap = delta")
         object.__setattr__(self, "thresholds", t)
         object.__setattr__(self, "level_values", q)
 
@@ -105,7 +99,6 @@ def make_sign() -> QuantizerSpec:
     """Two-level sign quantizer: ``-1`` below zero, ``+1`` at and above."""
     return QuantizerSpec(
         kind=QuantizerKind.SIGN,
-        resolution=2.0,
         delta=2.0,
         thresholds=np.array([0.0]),
         level_values=np.array([-1.0, 1.0]),
@@ -117,7 +110,6 @@ def make_uniform(delta: float) -> QuantizerSpec:
     """Unbounded uniform quantizer with cell width ``delta``."""
     return QuantizerSpec(
         kind=QuantizerKind.UNIFORM,
-        resolution=float(delta),
         delta=float(delta),
         thresholds=None,
         level_values=None,
@@ -139,7 +131,6 @@ def make_saturated(delta: float, levels: int) -> QuantizerSpec:
     values = delta * (np.arange(levels) - (levels - 1) / 2.0)
     return QuantizerSpec(
         kind=QuantizerKind.SATURATED_UNIFORM,
-        resolution=delta,
         delta=delta,
         thresholds=delta * js,
         level_values=values,
@@ -152,11 +143,9 @@ def make_general(thresholds, level_values) -> QuantizerSpec:
     q = np.asarray(level_values, dtype=float)
     if q.ndim != 1 or q.size < 2:
         raise ValueError("need at least two level values")
-    resolution = float(q[1] - q[0])
     return QuantizerSpec(
         kind=QuantizerKind.GENERAL_LEVELS,
-        resolution=resolution,
-        delta=resolution,
+        delta=float(q[1] - q[0]),
         thresholds=np.asarray(thresholds, dtype=float),
         level_values=q,
         levels=q.size,
@@ -200,7 +189,7 @@ def quantize_vec(spec: QuantizerSpec, values) -> np.ndarray:
 def level_index(spec: QuantizerSpec, y) -> np.ndarray:
     """Map quantizer outputs back to integer level indices.
 
-    For finite quantizers the index is ``round((y - q_0) / resolution)`` into
+    For finite quantizers the index is ``round((y - q_0) / delta)`` into
     ``level_values``; for the uniform quantizer it is the (unbounded) cell
     integer ``j`` with ``y = delta * (j + 1/2)``. Raises if some entry is not
     a valid output value of ``spec``.
@@ -211,11 +200,11 @@ def level_index(spec: QuantizerSpec, y) -> np.ndarray:
         idx = np.rint(arr / spec.delta - 0.5)
         recon = spec.delta * (idx + 0.5)
     else:
-        idx = np.rint((arr - spec.level_values[0]) / spec.resolution)
+        idx = np.rint((arr - spec.level_values[0]) / spec.delta)
         if np.any(idx < 0) or np.any(idx > spec.levels - 1):
             raise ValueError("value outside the quantizer's level range")
         recon = spec.level_values[idx.astype(int)]
-    tol = 1e-9 * max(1.0, spec.resolution)
+    tol = 1e-9 * max(1.0, spec.delta)
     if np.any(np.abs(recon - arr) > tol):
         raise ValueError("input is not a valid output value of this quantizer")
     return idx.astype(int)

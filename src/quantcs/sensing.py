@@ -7,7 +7,7 @@ vector ``tau``; the measurement of a signal ``x`` under a quantizer ``Q`` is
 
 Matrix and dither come from independent purpose-tagged streams derived from
 one seed, so an instance is exactly reproducible from
-``(matrix_kind, dither_kind, m, n, seed)``.
+``(matrix_kind, dither level, m, n, seed)``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .rng import stream
 
 __all__ = [
     "MatrixKind",
-    "DitherKind",
     "Dither",
     "SensingInstance",
     "sample_instance",
@@ -37,40 +36,29 @@ class MatrixKind(enum.Enum):
     RADEMACHER = "rademacher"
 
 
-class DitherKind(enum.Enum):
-    ZERO = "zero"
-    UNIFORM_SYMMETRIC = "uniform_symmetric"
-
-
 @dataclass(frozen=True)
 class Dither:
-    """Dither law: identically zero, or i.i.d. uniform on ``[-level, level]``."""
+    """Dither law: i.i.d. uniform on ``[-level, level]``; level 0 is no dither."""
 
-    kind: DitherKind
     level: float = 0.0
 
     def __post_init__(self):
-        if self.kind is DitherKind.ZERO and self.level != 0.0:
-            raise ValueError("zero dither has no level parameter")
         if self.level < 0 or not np.isfinite(self.level):
             raise ValueError(f"dither level must be a finite real >= 0, got {self.level}")
 
     @staticmethod
     def zero() -> "Dither":
-        return Dither(DitherKind.ZERO)
+        return Dither()
 
     @staticmethod
     def uniform(level: float) -> "Dither":
-        return Dither(DitherKind.UNIFORM_SYMMETRIC, float(level))
+        return Dither(float(level))
 
 
 @dataclass(frozen=True, eq=False)
 class SensingInstance:
     matrix: np.ndarray
     dither: np.ndarray
-    matrix_kind: MatrixKind
-    dither_kind: Dither
-    seed: int
 
     @property
     def m(self) -> int:
@@ -98,11 +86,11 @@ def sample_instance(matrix_kind: MatrixKind, dither_kind: Dither, m: int, n: int
         A = 2.0 * mat_rng.integers(0, 2, size=(m, n)).astype(float) - 1.0
     else:
         raise ValueError(f"unknown matrix kind {matrix_kind!r}")
-    if dither_kind.kind is DitherKind.ZERO or dither_kind.level == 0.0:
+    if dither_kind.level == 0.0:
         tau = np.zeros(m)
     else:
         tau = stream(seed, "dither").uniform(-dither_kind.level, dither_kind.level, size=m)
-    return SensingInstance(matrix=A, dither=tau, matrix_kind=matrix_kind, dither_kind=dither_kind, seed=int(seed))
+    return SensingInstance(matrix=A, dither=tau)
 
 
 def measure(instance: SensingInstance, spec: QuantizerSpec, x: np.ndarray) -> np.ndarray:
@@ -126,7 +114,7 @@ def corrupt(y: np.ndarray, spec: QuantizerSpec, zeta: float, seed: int) -> np.nd
     """Flip exactly ``floor(zeta * m)`` entries of a measurement vector.
 
     Chosen entries move by one level (sign measurements are negated; finite
-    multi-level outputs step ``+/- resolution`` with the direction clipped at
+    multi-level outputs step ``+/- delta`` with the direction clipped at
     the extreme levels), so every altered entry genuinely differs from the
     original and the Hamming distortion is exactly ``floor(zeta * m)``.
     """

@@ -1,5 +1,7 @@
+import csv
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -98,6 +100,36 @@ class TestRecover:
         assert main(args) == 0
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize(
+        "family, flags, plan_extra",
+        [
+            ("one_bit_gaussian", [], {}),
+            ("dithered_one_bit", ["--lambda", "1.5"], {"lambda": 1.5}),
+            ("dithered_multi_bit", ["--L", "4"], {"L": 4, "delta_rule": {"rule": "five_over_l"}}),
+        ],
+    )
+    def test_matches_one_trial_run(self, tmp_path, capsys, family, flags, plan_extra):
+        # recover is trial (0, 0) of the one-cell, one-trial plan with the same seed
+        n, k, m, iters, seed = 20, 2, 80, 10, 11
+        args = ["--family", family, "--n", str(n), "--k", str(k), "--m", str(m), "--iters", str(iters), "--seed", str(seed)]
+        assert main(["recover", *args, *flags]) == 0
+        final = self._lines(capsys)[-1]
+        plan = {
+            "family": family,
+            "model": {"structure": "sparse", "n": n, "k": k, "alpha": 1.0 if family == "one_bit_gaussian" else 0.0, "beta": 1.0},
+            "m_grid": [m],
+            "trials": 1,
+            "iterations": iters,
+            "master_seed": seed,
+            **plan_extra,
+        }
+        config, out = tmp_path / "plan.json", tmp_path / "cells.csv"
+        config.write_text(json.dumps(plan))
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert final == f"final,{row['mean_err']}"
+
 
 class TestVerify:
     def test_single_suite_passes(self, capsys):
@@ -169,3 +201,14 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "all checks passed" in proc.stdout
+
+
+class TestReadme:
+    def test_plan_example_runs(self, tmp_path):
+        text = (REPO / "README.md").read_text(encoding="utf-8")
+        (block,) = re.findall(r"```json\n(.*?)```", text, flags=re.DOTALL)
+        plan = json.loads(block)
+        plan.update(trials=2, m_grid=plan["m_grid"][:2], iterations=5)
+        config = tmp_path / "plan.json"
+        config.write_text(json.dumps(plan))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "results.csv")]) == 0

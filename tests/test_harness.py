@@ -147,7 +147,7 @@ class TestRunExperiment:
         assert serial.cells == threaded.cells
 
     def test_trajectory_lengths(self):
-        res = run_experiment(tiny_plan(trials=1, record_trajectory=True))
+        res = run_experiment(tiny_plan(trials=1))
         for r in res.records:
             assert r.per_iterate_errors.shape == (10,)
             assert r.per_iterate_errors[-1] == pytest.approx(r.final_error)

@@ -78,7 +78,7 @@ class TestLoss:
         js = np.arange(-200, 201)
         b = spec.delta * js
         yij = np.where(idx[:, None] >= js[None, :], 1.0, -1.0)
-        direct = spec.resolution / inst.m * np.maximum(-yij * (z[:, None] - b[None, :]), 0.0).sum()
+        direct = spec.delta / inst.m * np.maximum(-yij * (z[:, None] - b[None, :]), 0.0).sum()
         got = one_sided_l1_loss(spec, inst, y, u)
         assert got == pytest.approx(direct, rel=1e-12)
 
@@ -191,24 +191,24 @@ class TestPgdRecover:
         np.testing.assert_array_equal(a.estimate, b.estimate)
 
     def test_trajectory_recording(self):
+        # errors[t-1] of a 5-iteration run is the error of the t-iteration run's estimate
         model = SignalModel(Sparse(k=1, n=6), 1.0, 1.0)
         x = gen_signal(model, 9)
         inst = sample_instance(MatrixKind.GAUSSIAN, Dither.zero(), 40, 6, seed=10)
         y = measure(inst, make_sign(), x)
-        config = PgdConfig(eta=1.0, iterations=5, record_trajectory=True)
-        res = pgd_recover(config, model, make_sign(), inst, y, truth=x)
-        assert res.trajectory.shape == (5, 6)
-        np.testing.assert_array_equal(res.trajectory[-1], res.estimate)
-        np.testing.assert_allclose(res.errors, np.linalg.norm(res.trajectory - x, axis=1))
+        res = pgd_recover(PgdConfig(eta=1.0, iterations=5), model, make_sign(), inst, y, truth=x)
+        assert res.errors.shape == (5,)
+        for t in range(1, 6):
+            short = pgd_recover(PgdConfig(eta=1.0, iterations=t), model, make_sign(), inst, y)
+            np.testing.assert_allclose(res.errors[t - 1], np.linalg.norm(short.estimate - x))
 
     def test_iterates_stay_in_model(self):
         model = SignalModel(Sparse(k=2, n=15), 0.5, 1.0)
         x = gen_signal(model, 11)
         inst = sample_instance(MatrixKind.GAUSSIAN, Dither.zero(), 120, 15, seed=12)
         y = measure(inst, make_sign(), x)
-        config = PgdConfig(eta=1.0, iterations=20, record_trajectory=True)
-        res = pgd_recover(config, model, make_sign(), inst, y)
-        for row in res.trajectory:
+        for t in range(1, 21):
+            row = pgd_recover(PgdConfig(eta=1.0, iterations=t), model, make_sign(), inst, y).estimate
             assert np.count_nonzero(row) <= 2
             assert 0.5 - 1e-12 <= np.linalg.norm(row) <= 1.0 + 1e-12
 

@@ -20,7 +20,7 @@ class TestConstructors:
         s = make_sign()
         np.testing.assert_array_equal(s.thresholds, [0.0])
         np.testing.assert_array_equal(s.level_values, [-1.0, 1.0])
-        assert s.resolution == 2.0 and s.levels == 2
+        assert s.delta == 2.0 and s.levels == 2
 
     def test_saturated_four_levels(self):
         s = make_saturated(1.0, 4)
