@@ -43,7 +43,6 @@ from .pgd import (
     raic_residual,
 )
 from .quantizers import (
-    QuantizerKind,
     QuantizerSpec,
     level_index,
     make_general,

@@ -40,9 +40,13 @@ __all__ = [
     "emit_svg_loglog",
     "plan_from_json",
     "CSV_COLUMNS",
+    "PLAN_COST_CAP",
 ]
 
 CSV_COLUMNS = "family,n,k_or_r,m,L,delta,lambda,zeta,trials,mean_err,stderr,slope_group"
+
+# largest admissible plan cost, the sum of m * n * trials * iterations over the grid
+PLAN_COST_CAP = 400_000_000_000
 
 
 @dataclass(frozen=True)
@@ -77,7 +81,6 @@ class ExperimentPlan:
     iterations: int = 100
     master_seed: int = 0
     corruption_zeta: float = 0.0
-    resource_cap: int = 4_000_000_000
 
     def __post_init__(self):
         grid = tuple(int(m) for m in self.m_grid)
@@ -114,22 +117,14 @@ class ExperimentPlan:
                 raise ValueError("dithered_multi_bit expects the unit-ball model: (alpha, beta) = (0, 1)")
         else:
             raise ValueError(f"unknown family {self.family!r}")
-        cost = sum(m * self.model.ambient_dim * self.trials for m in grid)
-        if cost > self.resource_cap:
-            raise ValueError(f"plan cost {cost} (sum of m*n*trials) exceeds resource cap {self.resource_cap}")
+        cost = sum(m * self.model.ambient_dim * self.trials * self.iterations for m in grid)
+        if cost > PLAN_COST_CAP:
+            raise ValueError(f"plan cost {cost} (sum of m*n*trials*iterations) exceeds the cap {PLAN_COST_CAP}")
 
 
 @dataclass(frozen=True, eq=False)
 class TrialRecord:
-    family: str
-    n: int
-    k_or_r: float
     m: int
-    L: int
-    delta: float
-    lam: float
-    zeta: float
-    trial_index: int
     seed: int
     final_error: float
     per_iterate_errors: np.ndarray
@@ -217,15 +212,7 @@ def run_trial(plan: ExperimentPlan, cell: int, trial: int) -> TrialRecord:
     config = PgdConfig(eta=setup.eta, iterations=plan.iterations, init=init)
     res = pgd_recover(config, plan.model, setup.spec, inst, y, truth=x)
     return TrialRecord(
-        family=plan.family.value,
-        n=n,
-        k_or_r=_k_or_r(plan.model),
         m=m,
-        L=setup.spec.levels,
-        delta=setup.spec.delta,
-        lam=setup.dither.level,
-        zeta=plan.corruption_zeta,
-        trial_index=trial,
         seed=seed,
         final_error=float(np.linalg.norm(res.estimate - x)),
         per_iterate_errors=res.errors,
@@ -247,26 +234,28 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> ExperimentResult:
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             records = list(pool.map(lambda t: run_trial(plan, *t), tasks))
+    setup = family_setup(plan)
+    family = plan.family.value
+    k_or_r = _k_or_r(plan.model)
     cells = []
     for ci, m in enumerate(plan.m_grid):
         errs = np.array([r.final_error for r in records[ci * plan.trials : (ci + 1) * plan.trials]])
         mean = float(errs.mean())
         stderr = float(errs.std(ddof=1) / math.sqrt(errs.size)) if errs.size > 1 else 0.0
-        first = records[ci * plan.trials]
         cells.append(
             CellStats(
-                family=first.family,
-                n=first.n,
-                k_or_r=first.k_or_r,
+                family=family,
+                n=plan.model.ambient_dim,
+                k_or_r=k_or_r,
                 m=m,
-                L=first.L,
-                delta=first.delta,
-                lam=first.lam,
-                zeta=first.zeta,
+                L=setup.spec.levels,
+                delta=setup.spec.delta,
+                lam=setup.dither.level,
+                zeta=plan.corruption_zeta,
                 trials=plan.trials,
                 mean_err=mean,
                 stderr=stderr,
-                slope_group=_slope_group(first.family, first.k_or_r, first.L),
+                slope_group=_slope_group(family, k_or_r, setup.spec.levels),
             )
         )
     return ExperimentResult(records=records, cells=cells)
@@ -431,10 +420,27 @@ def emit_svg_loglog(cells: Iterable[CellStats], path: str, title: str = "mean re
         fh.write("\n".join(out) + "\n")
 
 
-def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
+def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
     unknown = set(obj) - allowed
     if unknown:
         raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
+    missing = required - set(obj)
+    if missing:
+        raise ValueError(f"{where} is missing required keys: {sorted(missing)}")
+
+
+def _int(value, what: str) -> int:
+    """``value`` if it is a JSON integer; bools, floats and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _number(value, what: str) -> float:
+    """``value`` as a float if it is a JSON number; bools and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
 
 
 def _model_from_json(obj: dict) -> SignalModel:
@@ -442,21 +448,24 @@ def _model_from_json(obj: dict) -> SignalModel:
         raise ValueError("model must be an object")
     kind = obj.get("structure")
     if kind == "sparse":
-        _require_keys(obj, {"structure", "n", "k", "alpha", "beta"}, "model")
-        structure = Sparse(k=int(obj["k"]), n=int(obj["n"]))
+        keys = {"structure", "n", "k", "alpha", "beta"}
+        _require_keys(obj, keys, keys, "model")
+        structure = Sparse(k=_int(obj["k"], "model k"), n=_int(obj["n"], "model n"))
     elif kind == "low_rank":
-        _require_keys(obj, {"structure", "n1", "n2", "r", "alpha", "beta"}, "model")
-        structure = LowRank(r=int(obj["r"]), n1=int(obj["n1"]), n2=int(obj["n2"]))
+        keys = {"structure", "n1", "n2", "r", "alpha", "beta"}
+        _require_keys(obj, keys, keys, "model")
+        structure = LowRank(r=_int(obj["r"], "model r"), n1=_int(obj["n1"], "model n1"), n2=_int(obj["n2"], "model n2"))
     elif kind == "l1_ball":
-        _require_keys(obj, {"structure", "n", "radius", "alpha", "beta"}, "model")
-        structure = L1Ball(radius=float(obj["radius"]), n=int(obj["n"]))
+        keys = {"structure", "n", "radius", "alpha", "beta"}
+        _require_keys(obj, keys, keys, "model")
+        structure = L1Ball(radius=_number(obj["radius"], "model radius"), n=_int(obj["n"], "model n"))
     else:
         raise ValueError(f"unknown structure {kind!r}")
-    return SignalModel(structure=structure, alpha=float(obj["alpha"]), beta=float(obj["beta"]))
+    return SignalModel(structure=structure, alpha=_number(obj["alpha"], "model alpha"), beta=_number(obj["beta"], "model beta"))
 
 
 def plan_from_json(text: str) -> ExperimentPlan:
-    """Parse a plan from its JSON form, rejecting unknown keys."""
+    """Parse a plan from its JSON form, rejecting unknown keys and mistyped values."""
     obj = json.loads(text)
     if not isinstance(obj, dict):
         raise ValueError("plan must be a JSON object")
@@ -471,39 +480,34 @@ def plan_from_json(text: str) -> ExperimentPlan:
         "iterations",
         "master_seed",
         "corruption_zeta",
-        "resource_cap",
     }
-    _require_keys(obj, allowed, "plan")
-    for key in ("family", "model", "m_grid"):
-        if key not in obj:
-            raise ValueError(f"plan is missing required key {key!r}")
+    _require_keys(obj, allowed, {"family", "model", "m_grid"}, "plan")
     try:
         family = Family(obj["family"])
     except ValueError:
         raise ValueError(f"unknown family {obj['family']!r}") from None
+    if not isinstance(obj["m_grid"], list):
+        raise ValueError(f"m_grid must be a list, got {obj['m_grid']!r}")
     rule = None
     if obj.get("delta_rule") is not None:
         robj = obj["delta_rule"]
         if not isinstance(robj, dict):
             raise ValueError("delta_rule must be an object")
-        _require_keys(robj, {"rule", "delta"}, "delta_rule")
-        rule = DeltaRule(rule=robj.get("rule", ""), delta=robj.get("delta"))
+        _require_keys(robj, {"rule", "delta"}, set(), "delta_rule")
+        delta = _number(robj["delta"], "delta_rule delta") if robj.get("delta") is not None else None
+        rule = DeltaRule(rule=robj.get("rule", ""), delta=delta)
     kwargs = {}
-    for src, dst in (
-        ("trials", "trials"),
-        ("iterations", "iterations"),
-        ("master_seed", "master_seed"),
-        ("corruption_zeta", "corruption_zeta"),
-        ("resource_cap", "resource_cap"),
-    ):
-        if src in obj:
-            kwargs[dst] = obj[src]
+    for key in ("trials", "iterations", "master_seed"):
+        if key in obj:
+            kwargs[key] = _int(obj[key], key)
+    if "corruption_zeta" in obj:
+        kwargs["corruption_zeta"] = _number(obj["corruption_zeta"], "corruption_zeta")
     return ExperimentPlan(
         family=family,
         model=_model_from_json(obj["model"]),
-        m_grid=tuple(obj["m_grid"]),
-        L=int(obj["L"]) if obj.get("L") is not None else None,
+        m_grid=tuple(_int(m, "m_grid entry") for m in obj["m_grid"]),
+        L=_int(obj["L"], "L") if obj.get("L") is not None else None,
         delta_rule=rule,
-        lam=float(obj["lambda"]) if obj.get("lambda") is not None else None,
+        lam=_number(obj["lambda"], "lambda") if obj.get("lambda") is not None else None,
         **kwargs,
     )

@@ -59,7 +59,6 @@ class HdmResult:
 class PuvEstimate:
     p_hat: float
     stderr: float
-    samples: int
 
 
 def enumerate_net(model: SignalModel, r: float, max_points: int = 10000, seed: int = 0) -> CandidateNet:
@@ -145,7 +144,7 @@ def estimate_puv(
     qv = quantize_vec(spec, inst.matrix @ v - inst.dither)
     p_hat = float(np.count_nonzero(qu != qv)) / samples
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / samples)
-    return PuvEstimate(p_hat=p_hat, stderr=stderr, samples=samples)
+    return PuvEstimate(p_hat=p_hat, stderr=stderr)
 
 
 def geodesic_puv(u, v) -> float:

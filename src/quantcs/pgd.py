@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantizers import QuantizerKind, QuantizerSpec, level_index, quantize_vec
+from .quantizers import QuantizerSpec, level_index, quantize_vec
 from .sensing import SensingInstance, measure
 from .signals import SignalModel, project_model, project_structure, random_in_model, restricted_dual_norm
 
@@ -132,7 +132,7 @@ def one_sided_l1_loss(spec: QuantizerSpec, instance: SensingInstance, y, u) -> f
     """
     z, idx = _margins(spec, instance, y, u)
     m = instance.m
-    if spec.kind is QuantizerKind.UNIFORM:
+    if spec.thresholds is None:
         # infinite threshold grid j*delta, but only thresholds strictly
         # between the cell of z and the cell of y contribute
         c = np.floor(z / spec.delta)
@@ -165,7 +165,7 @@ def gradient_from_thresholds(spec: QuantizerSpec, instance: SensingInstance, y, 
     directly; kept as an independent cross-check of ``gradient``.
     """
     z, idx = _margins(spec, instance, y, u)
-    if spec.kind is QuantizerKind.UNIFORM:
+    if spec.thresholds is None:
         # enumerate the finitely many thresholds between the extreme cells
         c = np.floor(z / spec.delta)
         lo = int(min(c.min(), idx.min()))

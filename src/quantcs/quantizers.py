@@ -1,14 +1,16 @@
 """Scalar quantizers applied entrywise to measurements.
 
-Four families share one description:
+A quantizer is its ascending thresholds and its level values:
 
 * ``sign``: two levels ``{-1, +1}`` split at zero, with ``Q(0) = +1``.
-* ``uniform``: the infinite-level map ``Q_d(a) = d * (floor(a / d) + 1/2)``,
-  which returns the midpoint of the width-``d`` cell containing ``a``.
-* ``saturated uniform``: the uniform map clipped to ``L`` levels, so inputs
-  beyond ``+/- L d / 2`` saturate at the extreme levels ``+/- (L - 1) d / 2``.
+* ``saturated uniform``: the uniform map clipped to ``L`` levels, so
+  inputs beyond ``+/- L d / 2`` saturate at the extreme levels
+  ``+/- (L - 1) d / 2``.
 * ``general levels``: explicit ascending thresholds and an arithmetic ladder
   of level values.
+* ``uniform``: the limit of infinitely many levels,
+  ``Q_d(a) = d * (floor(a / d) + 1/2)``, which returns the midpoint of the
+  width-``d`` cell containing ``a``; it has no finite threshold list.
 
 All cells are half open: a value sitting exactly on a threshold maps to the
 upper level, which is what makes ``sign(0) = +1``.
@@ -16,14 +18,12 @@ upper level, which is what makes ``sign(0) = +1``.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "QuantizerKind",
     "QuantizerSpec",
     "make_sign",
     "make_uniform",
@@ -35,20 +35,12 @@ __all__ = [
 ]
 
 
-class QuantizerKind(enum.Enum):
-    SIGN = "sign"
-    UNIFORM = "uniform"
-    SATURATED_UNIFORM = "saturated_uniform"
-    GENERAL_LEVELS = "general_levels"
-
-
 @dataclass(frozen=True)
 class QuantizerSpec:
     """Immutable description of an entrywise quantizer.
 
     Attributes
     ----------
-    kind : QuantizerKind
     delta : float
         Gap between consecutive level values (often written Delta). For the
         uniform families this is the cell width; for sign it is 2.
@@ -56,32 +48,27 @@ class QuantizerSpec:
         Ascending cell boundaries; ``None`` for the uniform quantizer whose
         threshold grid ``{j * delta}`` is infinite.
     level_values : np.ndarray | None
-        Ascending output values, ``levels`` of them; ``None`` for uniform.
-    levels : int | None
-        Number of output levels; ``None`` for uniform (countably many).
+        Ascending output values, one more than the thresholds; ``None`` for
+        uniform.
     """
 
-    kind: QuantizerKind
     delta: float
     thresholds: np.ndarray | None
     level_values: np.ndarray | None
-    levels: int | None
 
     def __post_init__(self):
         if not (math.isfinite(self.delta) and self.delta > 0):
             raise ValueError(f"delta must be a positive finite real, got {self.delta}")
-        if self.kind is QuantizerKind.UNIFORM:
-            if self.thresholds is not None or self.level_values is not None or self.levels is not None:
-                raise ValueError("uniform quantizer carries no finite threshold/level lists")
+        if self.thresholds is None and self.level_values is None:
             return
+        if self.thresholds is None or self.level_values is None:
+            raise ValueError("thresholds and level values are both given or both None (uniform)")
         t = np.asarray(self.thresholds, dtype=float)
         q = np.asarray(self.level_values, dtype=float)
-        if self.levels is None or self.levels < 2:
-            raise ValueError("finite quantizers need at least 2 levels")
-        if q.ndim != 1 or q.size != self.levels:
-            raise ValueError(f"expected {self.levels} level values, got shape {q.shape}")
-        if t.ndim != 1 or t.size != self.levels - 1:
-            raise ValueError(f"expected {self.levels - 1} thresholds, got shape {t.shape}")
+        if q.ndim != 1 or q.size < 2:
+            raise ValueError(f"finite quantizers need at least 2 level values, got shape {q.shape}")
+        if t.ndim != 1 or t.size != q.size - 1:
+            raise ValueError(f"expected {q.size - 1} thresholds, got shape {t.shape}")
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(q))):
             raise ValueError("thresholds and level values must be finite")
         if np.any(np.diff(t) <= 0):
@@ -94,26 +81,27 @@ class QuantizerSpec:
         object.__setattr__(self, "thresholds", t)
         object.__setattr__(self, "level_values", q)
 
+    @property
+    def levels(self) -> int | None:
+        """Number of output levels; ``None`` for uniform (countably many)."""
+        return None if self.level_values is None else self.level_values.size
+
 
 def make_sign() -> QuantizerSpec:
     """Two-level sign quantizer: ``-1`` below zero, ``+1`` at and above."""
     return QuantizerSpec(
-        kind=QuantizerKind.SIGN,
         delta=2.0,
         thresholds=np.array([0.0]),
         level_values=np.array([-1.0, 1.0]),
-        levels=2,
     )
 
 
 def make_uniform(delta: float) -> QuantizerSpec:
     """Unbounded uniform quantizer with cell width ``delta``."""
     return QuantizerSpec(
-        kind=QuantizerKind.UNIFORM,
         delta=float(delta),
         thresholds=None,
         level_values=None,
-        levels=None,
     )
 
 
@@ -130,11 +118,9 @@ def make_saturated(delta: float, levels: int) -> QuantizerSpec:
     js = np.arange(1 - levels // 2, levels // 2)
     values = delta * (np.arange(levels) - (levels - 1) / 2.0)
     return QuantizerSpec(
-        kind=QuantizerKind.SATURATED_UNIFORM,
         delta=delta,
         thresholds=delta * js,
         level_values=values,
-        levels=levels,
     )
 
 
@@ -144,11 +130,9 @@ def make_general(thresholds, level_values) -> QuantizerSpec:
     if q.ndim != 1 or q.size < 2:
         raise ValueError("need at least two level values")
     return QuantizerSpec(
-        kind=QuantizerKind.GENERAL_LEVELS,
         delta=float(q[1] - q[0]),
         thresholds=np.asarray(thresholds, dtype=float),
         level_values=q,
-        levels=q.size,
     )
 
 
@@ -158,14 +142,9 @@ def _check_finite(z: np.ndarray):
 
 
 def _quantize_array(spec: QuantizerSpec, z: np.ndarray) -> np.ndarray:
-    if spec.kind is QuantizerKind.SIGN:
-        return np.where(z >= 0.0, 1.0, -1.0)
-    if spec.kind is QuantizerKind.UNIFORM:
+    if spec.thresholds is None:
         return spec.delta * (np.floor(z / spec.delta) + 0.5)
-    if spec.kind is QuantizerKind.SATURATED_UNIFORM:
-        mid = spec.delta * (np.floor(z / spec.delta) + 0.5)
-        return np.clip(mid, spec.level_values[0], spec.level_values[-1])
-    # general levels: a value equal to a threshold belongs to the upper cell
+    # a value equal to a threshold belongs to the upper cell
     idx = np.searchsorted(spec.thresholds, z, side="right")
     return spec.level_values[idx]
 
@@ -196,7 +175,7 @@ def level_index(spec: QuantizerSpec, y) -> np.ndarray:
     """
     arr = np.asarray(y, dtype=float)
     _check_finite(arr)
-    if spec.kind is QuantizerKind.UNIFORM:
+    if spec.thresholds is None:
         idx = np.rint(arr / spec.delta - 0.5)
         recon = spec.delta * (idx + 0.5)
     else:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantizers import QuantizerKind, QuantizerSpec, level_index, quantize_vec
+from .quantizers import QuantizerSpec, level_index, quantize_vec
 from .rng import stream
 
 __all__ = [
@@ -113,10 +113,11 @@ def hamming(u, v) -> int:
 def corrupt(y: np.ndarray, spec: QuantizerSpec, zeta: float, seed: int) -> np.ndarray:
     """Flip exactly ``floor(zeta * m)`` entries of a measurement vector.
 
-    Chosen entries move by one level (sign measurements are negated; finite
-    multi-level outputs step ``+/- delta`` with the direction clipped at
-    the extreme levels), so every altered entry genuinely differs from the
-    original and the Hamming distortion is exactly ``floor(zeta * m)``.
+    Chosen entries move by one level, ``+/- delta`` with the direction
+    forced inward at the extreme levels of a finite quantizer (so sign
+    measurements are negated), so every altered entry genuinely differs from
+    the original and the Hamming distortion is exactly ``floor(zeta * m)``.
+    Raises if a chosen entry is not an output value of ``spec``.
     """
     if not 0.0 <= zeta <= 1.0:
         raise ValueError(f"zeta must lie in [0, 1], got {zeta}")
@@ -128,12 +129,9 @@ def corrupt(y: np.ndarray, spec: QuantizerSpec, zeta: float, seed: int) -> np.nd
         return out
     rng = stream(seed, "corrupt")
     pos = rng.choice(m, size=count, replace=False)
-    if spec.kind is QuantizerKind.SIGN:
-        out[pos] = -out[pos]
-        return out
     idx = level_index(spec, y[pos])
     step = rng.choice(np.array([-1, 1]), size=count)
-    if spec.kind is QuantizerKind.UNIFORM:
+    if spec.thresholds is None:
         new_idx = idx + step
         out[pos] = spec.delta * (new_idx + 0.5)
         return out

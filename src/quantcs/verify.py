@@ -122,7 +122,7 @@ def fd_gradient(spec, instance, y, u, h: float = 1e-6) -> np.ndarray:
 
 
 def random_quantizer(rng: np.random.Generator):
-    """Draw one of the four quantizer kinds with random parameters."""
+    """Draw from one of the four quantizer constructors with random parameters."""
     kind = rng.integers(0, 4)
     if kind == 0:
         return make_sign()

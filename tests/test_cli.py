@@ -53,6 +53,27 @@ class TestRun:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"trials": 2.5}, "trials must be an integer"),
+            ({"iterations": "7"}, "iterations must be an integer"),
+            ({"model": {"structure": "sparse", "n": 12, "k": 3, "beta": 1.0}}, "missing required keys: ['alpha']"),
+            ({"trials": True}, "trials must be an integer"),
+            ({"m_grid": [40.7]}, "m_grid entry must be an integer"),
+            ({"resource_cap": 1e18}, "unknown plan keys: ['resource_cap']"),
+        ],
+        ids=["float_trials", "string_iterations", "model_without_alpha", "bool_trials", "float_m", "resource_cap"],
+    )
+    def test_malformed_plan_exits_2(self, tmp_path, capsys, edit, message):
+        config = tmp_path / "plan.json"
+        config.write_text(json.dumps({**json.loads(tiny_plan_json()), **edit}))
+        rc = main(["run", "--config", str(config), "--out", str(tmp_path / "x.csv")])
+        (line,) = capsys.readouterr().err.splitlines()
+        assert rc == 2
+        assert line.startswith("error:") and message in line
+        assert not (tmp_path / "x.csv").exists()
+
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         rc = main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x.csv")])
         assert rc == 2

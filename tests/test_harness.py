@@ -21,7 +21,7 @@ from quantcs import (
     plan_from_json,
     run_experiment,
 )
-from quantcs.quantizers import QuantizerKind
+from quantcs.harness import PLAN_COST_CAP
 
 
 def tiny_plan(**overrides):
@@ -74,8 +74,14 @@ class TestPlanValidation:
             tiny_plan(m_grid=())
 
     def test_resource_cap(self):
-        with pytest.raises(ValueError):
-            tiny_plan(resource_cap=100)
+        # the cost is the sum of m * n * trials * iterations; construction
+        # raises, so an over-cap plan never reaches a draw
+        m = PLAN_COST_CAP // (12 * 3 * 10)  # n, trials, iterations of tiny_plan
+        assert tiny_plan(m_grid=(m,)).m_grid == (m,)
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            tiny_plan(m_grid=(m + 1,))
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            tiny_plan(m_grid=(m,), iterations=11)
 
     def test_zeta_range(self):
         with pytest.raises(ValueError):
@@ -85,7 +91,7 @@ class TestPlanValidation:
 class TestFamilySetup:
     def test_one_bit_gaussian(self):
         s = family_setup(tiny_plan())
-        assert s.spec.kind is QuantizerKind.SIGN
+        np.testing.assert_array_equal(s.spec.level_values, [-1.0, 1.0])
         assert s.matrix_kind is MatrixKind.GAUSSIAN
         assert s.dither == Dither.zero()
         assert s.eta == pytest.approx(np.sqrt(np.pi / 2))
@@ -99,7 +105,7 @@ class TestFamilySetup:
             lam=1.5,
         )
         s = family_setup(plan)
-        assert s.spec.kind is QuantizerKind.SIGN
+        np.testing.assert_array_equal(s.spec.level_values, [-1.0, 1.0])
         assert s.matrix_kind is MatrixKind.RADEMACHER
         assert s.dither == Dither.uniform(1.5)
         assert s.eta == 1.5 and s.init == "zero"
@@ -113,7 +119,7 @@ class TestFamilySetup:
             delta_rule=DeltaRule("five_over_l"),
         )
         s = family_setup(plan)
-        assert s.spec.kind is QuantizerKind.SATURATED_UNIFORM
+        np.testing.assert_array_equal(s.spec.thresholds, [-1.25, 0.0, 1.25])
         assert s.spec.levels == 4
         assert s.spec.delta == pytest.approx(1.25)  # 5 / L
         assert s.dither == Dither.uniform(0.625)  # delta / 2
@@ -166,7 +172,7 @@ class TestRunExperiment:
 
     def test_corrupted_runs_record_zeta(self):
         res = run_experiment(tiny_plan(corruption_zeta=0.1))
-        assert all(r.zeta == 0.1 for r in res.records)
+        assert all(c.zeta == 0.1 for c in res.cells)
 
 
 class TestFitSlope:

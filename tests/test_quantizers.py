@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from quantcs import (
-    QuantizerKind,
     level_index,
     make_general,
     make_saturated,
@@ -43,11 +42,31 @@ class TestConstructors:
         with pytest.raises(ValueError):
             make_general(thresholds=[1.0, 0.0], level_values=[0.0, 1.0, 2.0])  # unordered
 
-    def test_general_matches_saturated(self):
-        sat = make_saturated(0.5, 6)
-        gen = make_general(sat.thresholds, sat.level_values)
-        z = rng.uniform(-3, 3, size=1000)
-        np.testing.assert_array_equal(quantize_vec(gen, z), quantize_vec(sat, z))
+    @pytest.mark.parametrize(
+        "delta, L",
+        [(d, L) for L in (2, 4, 8, 32) for d in (0.5, 0.7, 5.0 / L)] + [(None, 2)],
+        ids=lambda v: "sign" if v is None else str(v),
+    )
+    def test_general_matches_saturated(self, delta, L):
+        # every finite quantizer is its thresholds and levels: the named
+        # constructors quantize bit for bit like make_general on the same lists
+        if delta is None:
+            spec, gen = make_sign(), make_general([0.0], [-1.0, 1.0])
+        else:
+            spec = make_saturated(delta, L)
+            gen = make_general(spec.thresholds, spec.level_values)
+        t = spec.thresholds
+        z = np.concatenate([t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf), rng.uniform(-L, L, size=1000)])
+        out = quantize_vec(spec, z)
+        assert out.tobytes() == quantize_vec(gen, z).tobytes()
+        # ties at a threshold map up; the closed forms hold off the thresholds
+        assert out[: t.size].tobytes() == spec.level_values[1:].tobytes()
+        r = z[3 * t.size :]
+        if delta is None:
+            want = np.where(r >= 0.0, 1.0, -1.0)
+        else:
+            want = np.clip(quantize_vec(make_uniform(delta), r), spec.level_values[0], spec.level_values[-1])
+        assert out[3 * t.size :].tobytes() == want.tobytes()
 
 
 class TestQuantize:
@@ -144,7 +163,3 @@ class TestLevelIndex:
             level_index(make_sign(), np.array([0.5]))
         with pytest.raises(ValueError):
             level_index(make_saturated(1.0, 4), np.array([2.5]))  # outside level range
-
-    def test_kind_enum_round_trip(self):
-        assert make_sign().kind is QuantizerKind.SIGN
-        assert make_uniform(1.0).kind is QuantizerKind.UNIFORM

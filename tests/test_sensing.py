@@ -137,6 +137,12 @@ class TestCorrupt:
         changed = y != out
         np.testing.assert_allclose(np.abs(out[changed] - y[changed]), 1.0, atol=1e-12)
 
+    def test_sign_rejects_non_codeword(self):
+        y = np.ones(10)
+        y[3] = 0.5
+        with pytest.raises(ValueError):
+            corrupt(y, make_sign(), 1.0, seed=0)
+
     def test_deterministic_given_seed(self):
         y = np.ones(50)
         a = corrupt(y, make_sign(), 0.3, seed=8)
