@@ -22,7 +22,7 @@ from .pgd import Family, PgdConfig, RandomInit, ZeroInit, default_step_size, pgd
 from .quantizers import QuantizerSpec, make_saturated, make_sign
 from .rng import derive_seed
 from .sensing import Dither, MatrixKind, corrupt, measure, sample_instance
-from .signals import L1Ball, LowRank, SignalModel, Sparse, gen_signal
+from .signals import L1Ball, LowRank, SignalModel, Sparse, check_int, check_real, gen_signal
 
 __all__ = [
     "DeltaRule",
@@ -60,7 +60,7 @@ class DeltaRule:
         if self.rule not in ("fixed", "five_over_l"):
             raise ValueError(f"unknown delta rule {self.rule!r}")
         if self.rule == "fixed":
-            if self.delta is None or not (math.isfinite(self.delta) and self.delta > 0):
+            if self.delta is None or not (math.isfinite(check_real(self.delta, "delta_rule delta")) and self.delta > 0):
                 raise ValueError("fixed delta rule needs a positive delta")
         elif self.delta is not None:
             raise ValueError("five_over_l takes no delta parameter")
@@ -83,15 +83,17 @@ class ExperimentPlan:
     corruption_zeta: float = 0.0
 
     def __post_init__(self):
-        grid = tuple(int(m) for m in self.m_grid)
+        grid = tuple(check_int(m, "m_grid entry") for m in self.m_grid)
         if len(grid) == 0 or any(m < 1 for m in grid):
             raise ValueError("m_grid must be a non-empty list of positive ints")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("m_grid must be strictly increasing")
         object.__setattr__(self, "m_grid", grid)
-        if self.trials < 1 or self.iterations < 1:
+        if check_int(self.trials, "trials") < 1 or check_int(self.iterations, "iterations") < 1:
             raise ValueError("trials and iterations must be >= 1")
-        if not 0.0 <= self.corruption_zeta <= 1.0:
+        if not -(2**127) <= check_int(self.master_seed, "master_seed") < 2**127:
+            raise ValueError(f"master_seed must lie in [-2**127, 2**127), got {self.master_seed}")
+        if not 0.0 <= check_real(self.corruption_zeta, "corruption_zeta") <= 1.0:
             raise ValueError(f"corruption_zeta must lie in [0, 1], got {self.corruption_zeta}")
         a, b = self.model.alpha, self.model.beta
         if self.family is Family.ONE_BIT_GAUSSIAN:
@@ -100,14 +102,14 @@ class ExperimentPlan:
             if not (a == b == 1.0):
                 raise ValueError("one_bit_gaussian recovers directions only: need alpha = beta = 1")
         elif self.family is Family.DITHERED_ONE_BIT:
-            if self.lam is None or not (math.isfinite(self.lam) and self.lam > 0):
+            if self.lam is None or not (math.isfinite(check_real(self.lam, "lambda")) and self.lam > 0):
                 raise ValueError("dithered_one_bit needs a positive dither level lambda")
             if self.L is not None or self.delta_rule is not None:
                 raise ValueError("dithered_one_bit takes no L or delta rule")
             if not (a == 0.0 and b == 1.0):
                 raise ValueError("dithered_one_bit expects the unit-ball model: (alpha, beta) = (0, 1)")
         elif self.family is Family.DITHERED_MULTI_BIT:
-            if self.L is None or self.L < 2 or self.L % 2 != 0:
+            if self.L is None or check_int(self.L, "L") < 2 or self.L % 2 != 0:
                 raise ValueError("dithered_multi_bit needs an even level count L >= 2")
             if self.delta_rule is None:
                 raise ValueError("dithered_multi_bit needs a delta rule")
@@ -429,20 +431,6 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) 
         raise ValueError(f"{where} is missing required keys: {sorted(missing)}")
 
 
-def _int(value, what: str) -> int:
-    """``value`` if it is a JSON integer; bools, floats and strings are rejected."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _number(value, what: str) -> float:
-    """``value`` as a float if it is a JSON number; bools and strings are rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{what} must be a number, got {value!r}")
-    return float(value)
-
-
 def _model_from_json(obj: dict) -> SignalModel:
     if not isinstance(obj, dict):
         raise ValueError("model must be an object")
@@ -450,22 +438,22 @@ def _model_from_json(obj: dict) -> SignalModel:
     if kind == "sparse":
         keys = {"structure", "n", "k", "alpha", "beta"}
         _require_keys(obj, keys, keys, "model")
-        structure = Sparse(k=_int(obj["k"], "model k"), n=_int(obj["n"], "model n"))
+        structure = Sparse(k=obj["k"], n=obj["n"])
     elif kind == "low_rank":
         keys = {"structure", "n1", "n2", "r", "alpha", "beta"}
         _require_keys(obj, keys, keys, "model")
-        structure = LowRank(r=_int(obj["r"], "model r"), n1=_int(obj["n1"], "model n1"), n2=_int(obj["n2"], "model n2"))
+        structure = LowRank(r=obj["r"], n1=obj["n1"], n2=obj["n2"])
     elif kind == "l1_ball":
         keys = {"structure", "n", "radius", "alpha", "beta"}
         _require_keys(obj, keys, keys, "model")
-        structure = L1Ball(radius=_number(obj["radius"], "model radius"), n=_int(obj["n"], "model n"))
+        structure = L1Ball(radius=obj["radius"], n=obj["n"])
     else:
         raise ValueError(f"unknown structure {kind!r}")
-    return SignalModel(structure=structure, alpha=_number(obj["alpha"], "model alpha"), beta=_number(obj["beta"], "model beta"))
+    return SignalModel(structure=structure, alpha=obj["alpha"], beta=obj["beta"])
 
 
 def plan_from_json(text: str) -> ExperimentPlan:
-    """Parse a plan from its JSON form, rejecting unknown keys and mistyped values."""
+    """Parse a plan from its JSON form; the constructors check the values."""
     obj = json.loads(text)
     if not isinstance(obj, dict):
         raise ValueError("plan must be a JSON object")
@@ -494,20 +482,14 @@ def plan_from_json(text: str) -> ExperimentPlan:
         if not isinstance(robj, dict):
             raise ValueError("delta_rule must be an object")
         _require_keys(robj, {"rule", "delta"}, set(), "delta_rule")
-        delta = _number(robj["delta"], "delta_rule delta") if robj.get("delta") is not None else None
-        rule = DeltaRule(rule=robj.get("rule", ""), delta=delta)
-    kwargs = {}
-    for key in ("trials", "iterations", "master_seed"):
-        if key in obj:
-            kwargs[key] = _int(obj[key], key)
-    if "corruption_zeta" in obj:
-        kwargs["corruption_zeta"] = _number(obj["corruption_zeta"], "corruption_zeta")
+        rule = DeltaRule(rule=robj.get("rule", ""), delta=robj.get("delta"))
+    kwargs = {key: obj[key] for key in ("trials", "iterations", "master_seed", "corruption_zeta") if key in obj}
     return ExperimentPlan(
         family=family,
         model=_model_from_json(obj["model"]),
-        m_grid=tuple(_int(m, "m_grid entry") for m in obj["m_grid"]),
-        L=_int(obj["L"], "L") if obj.get("L") is not None else None,
+        m_grid=tuple(obj["m_grid"]),
+        L=obj.get("L"),
         delta_rule=rule,
-        lam=_number(obj["lambda"], "lambda") if obj.get("lambda") is not None else None,
+        lam=obj.get("lambda"),
         **kwargs,
     )

@@ -6,10 +6,12 @@ With measurements ``y_i = Q(<a_i, x> - tau_i)`` the loss at ``u`` is
 
 where ``b_j`` are the quantizer thresholds and ``y_ij`` is the sign of
 ``<a_i, x> - tau_i - b_j`` implied by ``y_i``.  Its subgradient collapses to
-``(1/m) A^T (Q(Au - tau) - y)``, so one iteration costs two matrix-vector
-products; the recovery iteration alternates a gradient step with the
-two-stage model projection.  On the sphere with the sign quantizer this is
-exactly normalized binary iterative hard thresholding.
+``(1/m) A^T d`` with ``d = Q(Au - tau) - y``.  Only the support columns of
+``u`` and the rows where ``d`` is nonzero enter it, so one iteration costs
+``O(m nnz(u) + nnz(d) n)`` when those are few and two dense matrix-vector
+products ``O(mn)`` otherwise; the recovery iteration alternates a gradient
+step with the two-stage model projection.  On the sphere with the sign
+quantizer this is exactly normalized binary iterative hard thresholding.
 """
 
 from __future__ import annotations
@@ -111,6 +113,44 @@ class RaicParams:
             raise ValueError("phi must be > 0")
 
 
+# Gather the support columns of u when at most 1/_SPARSE_U of u is nonzero, and
+# the nonzero rows of d when at most 1/_SPARSE_D of d is; at 4800 x 500 on one
+# BLAS thread the gathers beat the dense products below about 5% and 30%.
+_SPARSE_U = 20
+_SPARSE_D = 4
+# Entries per row block of the adjoint: a 1 MB block is too small for OpenBLAS
+# to split over threads, so the fixed block order makes A^T d bitwise the same
+# for every BLAS thread count.
+_BLOCK_ENTRIES = 2**17
+
+
+def _forward(matrix: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``matrix @ u``, through the support columns alone when ``u`` is sparse."""
+    supp = np.flatnonzero(u)
+    if supp.size * _SPARSE_U > u.size:
+        return matrix @ u
+    return matrix[:, supp] @ u[supp]
+
+
+def _adjoint(matrix: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """``matrix.T @ d`` summed in a fixed order over blocks of rows.
+
+    The blocks cover the nonzero rows of ``d`` alone when they are few, and
+    all rows in contiguous slices otherwise.
+    """
+    m, n = matrix.shape
+    step = max(1, _BLOCK_ENTRIES // n)
+    rows = np.flatnonzero(d)
+    if rows.size * _SPARSE_D > m:
+        blocks = (slice(i, i + step) for i in range(0, m, step))
+    else:
+        blocks = (rows[i : i + step] for i in range(0, rows.size, step))
+    g = np.zeros(n)
+    for b in blocks:
+        g += d[b] @ matrix[b]
+    return g
+
+
 def _margins(spec: QuantizerSpec, instance: SensingInstance, y: np.ndarray, u: np.ndarray):
     """Shared setup: correlations ``z``, per-threshold signs of ``y``."""
     u = np.asarray(u, dtype=float)
@@ -154,8 +194,8 @@ def gradient(spec: QuantizerSpec, instance: SensingInstance, y, u) -> np.ndarray
         raise ValueError(f"iterate shape {u.shape} does not match n={instance.n}")
     if y.shape != (instance.m,):
         raise ValueError(f"measurement shape {y.shape} does not match m={instance.m}")
-    d = quantize_vec(spec, instance.matrix @ u - instance.dither) - y
-    return instance.matrix.T @ d / instance.m
+    d = quantize_vec(spec, _forward(instance.matrix, u) - instance.dither) - y
+    return _adjoint(instance.matrix, d) / instance.m
 
 
 def gradient_from_thresholds(spec: QuantizerSpec, instance: SensingInstance, y, u) -> np.ndarray:
@@ -193,11 +233,11 @@ def clipped_gradient(spec: QuantizerSpec, instance: SensingInstance, u, v) -> np
     v = np.asarray(v, dtype=float)
     if u.shape != (instance.n,) or v.shape != (instance.n,):
         raise ValueError("u and v must both have shape (n,)")
-    zu = instance.matrix @ u - instance.dither
-    zv = instance.matrix @ v - instance.dither
+    zu = _forward(instance.matrix, u) - instance.dither
+    zv = _forward(instance.matrix, v) - instance.dither
     changed = quantize_vec(spec, zu) != quantize_vec(spec, zv)
     d = spec.delta * np.sign(zu - zv) * changed
-    return instance.matrix.T @ d / instance.m
+    return _adjoint(instance.matrix, d) / instance.m
 
 
 def pgd_recover(

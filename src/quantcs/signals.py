@@ -10,6 +10,7 @@ dual norm of the difference set.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,23 @@ class UnsupportedModelError(ValueError):
     """Raised when an operation has no closed form for the given structure."""
 
 
+def check_int(value, what: str) -> int:
+    """``value`` as an ``int`` if it is an integer; bools, floats and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def check_real(value, what: str) -> float:
+    """``value`` as a float if it is a real number in the float range; bools and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} must be a number within the float range") from None
+
+
 @dataclass(frozen=True)
 class Sparse:
     """Vectors with at most ``k`` nonzero entries in dimension ``n``."""
@@ -44,7 +62,7 @@ class Sparse:
     n: int
 
     def __post_init__(self):
-        if self.k < 1 or self.n < 1:
+        if check_int(self.k, "model k") < 1 or check_int(self.n, "model n") < 1:
             raise ValueError(f"need k >= 1 and n >= 1, got k={self.k}, n={self.n}")
 
     @property
@@ -61,7 +79,7 @@ class LowRank:
     n2: int
 
     def __post_init__(self):
-        if self.r < 1 or self.n1 < 1 or self.n2 < 1:
+        if min(check_int(getattr(self, f), f"model {f}") for f in ("r", "n1", "n2")) < 1:
             raise ValueError(f"need r, n1, n2 >= 1, got r={self.r}, n1={self.n1}, n2={self.n2}")
 
     @property
@@ -81,9 +99,9 @@ class L1Ball:
     n: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.radius) and self.radius > 0):
+        if not (math.isfinite(check_real(self.radius, "model radius")) and self.radius > 0):
             raise ValueError(f"radius must be a positive finite real, got {self.radius}")
-        if self.n < 1:
+        if check_int(self.n, "model n") < 1:
             raise ValueError(f"need n >= 1, got n={self.n}")
 
     @property
@@ -103,7 +121,8 @@ class SignalModel:
     beta: float
 
     def __post_init__(self):
-        if not (0.0 <= self.alpha <= self.beta) or not math.isfinite(self.beta) or self.beta <= 0:
+        alpha, beta = check_real(self.alpha, "model alpha"), check_real(self.beta, "model beta")
+        if not (0.0 <= alpha <= beta) or not math.isfinite(beta) or beta <= 0:
             raise ValueError(f"need 0 <= alpha <= beta with beta > 0, got ({self.alpha}, {self.beta})")
 
     @property

@@ -17,6 +17,8 @@ import numpy as np
 
 from .oracles import enumerate_net, estimate_puv, geodesic_puv, hdm_decode
 from .pgd import (
+    _SPARSE_D,
+    _SPARSE_U,
     PgdConfig,
     RaicParams,
     RandomInit,
@@ -355,6 +357,30 @@ def gradient_suite(configs: int = 1000, seed: int = 20260814) -> list[Check]:
             ok = False
             break
     checks.append(Check("sign_clipped_equals_plain", ok, "one-bit clipped gradient is the plain gradient, bitwise"))
+
+    # one instance large enough for every product path of gradient: sparse and
+    # dense u, each with few and with many mismatched rows, and u = 0
+    spec = make_sign()
+    m, n = 1200, 300
+    inst = sample_instance(MatrixKind.GAUSSIAN, Dither.uniform(0.5), m, n, int(rng.integers(0, 2**32)))
+    xs = gen_signal(SignalModel(Sparse(k=3, n=n), alpha=1.0, beta=1.0), int(rng.integers(0, 2**32)))
+    xd = rng.standard_normal(n) / math.sqrt(n)
+    ys, yd = measure(inst, spec, xs), measure(inst, spec, xd)
+    near_s, near_d = xs * (1.0 + 0.05 * rng.standard_normal(n)), xd + 1e-3 * rng.standard_normal(n)
+    cases = [(near_s, ys), (-xs, ys), (near_d, yd), (-xd, yd), (np.zeros(n), ys)]
+    worst, paths = 0.0, set()
+    for u, y in cases:
+        d = quantize_vec(spec, inst.matrix @ u - inst.dither) - y
+        ref = inst.matrix.T @ d / m
+        worst = max(worst, float(np.linalg.norm(gradient(spec, inst, y, u) - ref) / np.linalg.norm(ref)))
+        paths.add((np.count_nonzero(u) * _SPARSE_U <= n, np.count_nonzero(d) * _SPARSE_D <= m))
+    checks.append(
+        Check(
+            "sparse_paths_match_dense",
+            worst <= 1e-12 and len(paths) == 4,
+            f"worst relative gap {worst:.2e} to the dense A^T d over {len(paths)} of 4 product paths",
+        )
+    )
 
     spec = make_saturated(0.5, 8)
     inst = sample_instance(MatrixKind.GAUSSIAN, Dither.uniform(0.25), 60, 8, 7)

@@ -62,8 +62,10 @@ class TestRun:
             ({"trials": True}, "trials must be an integer"),
             ({"m_grid": [40.7]}, "m_grid entry must be an integer"),
             ({"resource_cap": 1e18}, "unknown plan keys: ['resource_cap']"),
+            ({"master_seed": 2**127}, "master_seed must lie in [-2**127, 2**127)"),
+            ({"corruption_zeta": 10**400}, "corruption_zeta must be a number within the float range"),
         ],
-        ids=["float_trials", "string_iterations", "model_without_alpha", "bool_trials", "float_m", "resource_cap"],
+        ids=["float_trials", "string_iterations", "model_without_alpha", "bool_trials", "float_m", "resource_cap", "huge_seed", "huge_zeta"],
     )
     def test_malformed_plan_exits_2(self, tmp_path, capsys, edit, message):
         config = tmp_path / "plan.json"
@@ -113,6 +115,12 @@ class TestRecover:
         )
         assert rc == 0
         assert self._lines(capsys)[-1].startswith("final,")
+
+    def test_huge_seed_exits_2(self, capsys):
+        args = ["recover", "--family", "one_bit_gaussian", "--n", "15", "--k", "1", "--m", "40", "--iters", "5"]
+        assert main(args + ["--seed", str(2**127)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: master_seed must lie in")
 
     def test_deterministic_for_fixed_seed(self, capsys):
         args = ["recover", "--family", "one_bit_gaussian", "--n", "15", "--k", "1", "--m", "40", "--iters", "5", "--seed", "3"]
@@ -222,6 +230,52 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "all checks passed" in proc.stdout
+
+
+# The low_rank_r2 plan of perfbench/workloads.py, and a dithered one-bit plan whose
+# zero start mismatches half of m >= 3200 rows, so that gradient takes its dense
+# adjoint on a matrix big enough for OpenBLAS to split over threads.
+BLAS_THREAD_PLANS = {
+    "low_rank_r2": {
+        "family": "one_bit_gaussian",
+        "model": {"structure": "low_rank", "n1": 25, "n2": 25, "r": 2, "alpha": 1.0, "beta": 1.0},
+        "m_grid": [1200],
+        "trials": 4,
+        "iterations": 100,
+        "master_seed": 0,
+    },
+    "dithered_one_bit": {
+        "family": "dithered_one_bit",
+        "model": {"structure": "sparse", "n": 500, "k": 3, "alpha": 0.0, "beta": 1.0},
+        "m_grid": [3200, 4000],
+        "lambda": 1.5,
+        "trials": 2,
+        "iterations": 100,
+        "master_seed": 0,
+    },
+}
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("name", sorted(BLAS_THREAD_PLANS))
+    def test_csv_identical_at_one_and_two_threads(self, tmp_path, name):
+        config = tmp_path / "plan.json"
+        config.write_text(json.dumps(BLAS_THREAD_PLANS[name]))
+        csv_bytes = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"cells_{threads}.csv"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+            proc = subprocess.run(
+                [sys.executable, "-m", "quantcs", "run", "--config", str(config), "--out", str(out)],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=600,
+            )
+            assert proc.returncode == 0, proc.stderr
+            csv_bytes.append(out.read_bytes())
+        assert csv_bytes[0] == csv_bytes[1]
 
 
 class TestReadme:

@@ -87,6 +87,46 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             tiny_plan(corruption_zeta=1.5)
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"m_grid": (40.7,)}, "m_grid entry must be an integer"),
+            ({"trials": 2.5}, "trials must be an integer"),
+            ({"trials": True}, "trials must be an integer"),
+            ({"iterations": "7"}, "iterations must be an integer"),
+            ({"master_seed": 1.0}, "master_seed must be an integer"),
+            ({"master_seed": 2**127}, "master_seed must lie in"),
+            ({"master_seed": -(2**127) - 1}, "master_seed must lie in"),
+            ({"corruption_zeta": "0.1"}, "corruption_zeta must be a number"),
+        ],
+    )
+    def test_mistyped_fields_rejected_in_code(self, overrides, message):
+        # a plan built in code gets the same checks as one parsed from JSON
+        with pytest.raises(ValueError, match=message):
+            tiny_plan(**overrides)
+
+    def test_mistyped_family_parameters_and_models_rejected(self):
+        with pytest.raises(ValueError, match="lambda must be a number"):
+            ExperimentPlan(Family.DITHERED_ONE_BIT, SignalModel(Sparse(k=1, n=12), 0.0, 1.0), (30,), lam="1.5")
+        with pytest.raises(ValueError, match="L must be an integer"):
+            ExperimentPlan(
+                Family.DITHERED_MULTI_BIT, SignalModel(Sparse(k=1, n=12), 0.0, 1.0), (30,), L=4.0, delta_rule=DeltaRule("five_over_l")
+            )
+        with pytest.raises(ValueError, match="delta_rule delta must be a number"):
+            DeltaRule("fixed", delta="0.5")
+        with pytest.raises(ValueError, match="model alpha must be a number"):
+            SignalModel(Sparse(k=3, n=12), True, 1.0)
+        with pytest.raises(ValueError, match="model k must be an integer"):
+            Sparse(k=2.5, n=12)
+        with pytest.raises(ValueError, match="model n2 must be an integer"):
+            LowRank(r=1, n1=5, n2=5.0)
+        with pytest.raises(ValueError, match="model radius must be a number"):
+            L1Ball(radius="3", n=12)
+
+    def test_numpy_integers_accepted(self):
+        plan = tiny_plan(m_grid=tuple(np.array([30, 60])), trials=np.int64(3), master_seed=2**127 - 1)
+        assert plan.m_grid == (30, 60) and all(type(m) is int for m in plan.m_grid)
+
 
 class TestFamilySetup:
     def test_one_bit_gaussian(self):

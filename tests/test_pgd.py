@@ -23,7 +23,8 @@ from quantcs import (
     raic_residual,
     sample_instance,
 )
-from quantcs.pgd import RaicParams
+from quantcs.pgd import _SPARSE_D, _SPARSE_U, RaicParams
+from quantcs.quantizers import quantize_vec
 from quantcs.sensing import MatrixKind
 
 from test_sensing import _fixed_instance
@@ -31,6 +32,15 @@ from test_sensing import _fixed_instance
 
 def _identity_instance(n):
     return _fixed_instance(np.eye(n), np.zeros(n))
+
+
+def _dense_gradient(spec, inst, y, u):
+    """The literal dense formula (1/m) A^T (Q(Au - tau) - y)."""
+    return inst.matrix.T @ (quantize_vec(spec, inst.matrix @ u - inst.dither) - y) / inst.m
+
+
+def _assert_close_to_dense(g, ref):
+    assert np.linalg.norm(g - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 class TestLoss:
@@ -119,6 +129,41 @@ class TestGradient:
             v = rng.standard_normal(6)
             plain = gradient(spec, inst, measure(inst, spec, v), u)
             np.testing.assert_array_equal(clipped_gradient(spec, inst, u, v), plain)
+
+    def test_zero_iterate(self):
+        # the zero start of the dithered families: no support, about half the rows mismatched
+        inst = sample_instance(MatrixKind.RADEMACHER, Dither.uniform(1.5), 1200, 500, seed=2)
+        x = gen_signal(SignalModel(Sparse(k=3, n=500), 0.0, 1.0), 3)
+        u = np.zeros(500)
+        for spec in (make_sign(), make_saturated(0.625, 8)):
+            y = measure(inst, spec, x)
+            _assert_close_to_dense(gradient(spec, inst, y, u), _dense_gradient(spec, inst, y, u))
+
+    @pytest.mark.parametrize("support", [500 // _SPARSE_U, 500 // _SPARSE_U + 1])
+    @pytest.mark.parametrize("mismatched", [1200 // _SPARSE_D, 1200 // _SPARSE_D + 1])
+    def test_matches_dense_at_crossovers(self, support, mismatched):
+        # exactly at and one past each gather cutoff, for m x n = 1200 x 500
+        spec = make_sign()
+        inst = sample_instance(MatrixKind.GAUSSIAN, Dither.uniform(0.5), 1200, 500, seed=support + mismatched)
+        rng = np.random.default_rng(support * mismatched)
+        u = np.zeros(500)
+        u[rng.choice(500, support, replace=False)] = rng.standard_normal(support)
+        z = inst.matrix @ u - inst.dither
+        y = quantize_vec(spec, z)
+        y[rng.choice(1200, mismatched, replace=False)] *= -1.0
+        assert np.count_nonzero(quantize_vec(spec, z) - y) == mismatched
+        _assert_close_to_dense(gradient(spec, inst, y, u), _dense_gradient(spec, inst, y, u))
+
+    def test_clipped_equals_plain_on_gathered_rows(self):
+        # a 3-sparse u near v leaves few rows mismatched, so both take the row gather
+        spec = make_sign()
+        inst = sample_instance(MatrixKind.GAUSSIAN, Dither.uniform(0.5), 1200, 500, seed=8)
+        v = gen_signal(SignalModel(Sparse(k=3, n=500), 1.0, 1.0), 9)
+        u = v * (1.0 + 0.1 * np.random.default_rng(10).standard_normal(500))
+        y = measure(inst, spec, v)
+        mismatched = np.count_nonzero(quantize_vec(spec, inst.matrix @ u - inst.dither) != y)
+        assert 0 < mismatched and mismatched * _SPARSE_D <= 1200
+        np.testing.assert_array_equal(clipped_gradient(spec, inst, u, v), gradient(spec, inst, y, u))
 
     def test_clipped_caps_multilevel_rows(self):
         # one row, far-apart cells: plain transfer is 3 levels, clipped is 1
