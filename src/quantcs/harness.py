@@ -41,12 +41,17 @@ __all__ = [
     "plan_from_json",
     "CSV_COLUMNS",
     "PLAN_COST_CAP",
+    "LEVELS_CAP",
 ]
 
 CSV_COLUMNS = "family,n,k_or_r,m,L,delta,lambda,zeta,trials,mean_err,stderr,slope_group"
 
 # largest admissible plan cost, the sum of m * n * trials * iterations over the grid
 PLAN_COST_CAP = 400_000_000_000
+# largest admissible multi-bit level count L: a quantizer stores its L - 1
+# thresholds and L levels, so this keeps them under 1 MB (16 bits per
+# measurement; the paper's bit budgets use L <= 32)
+LEVELS_CAP = 2**16
 
 
 @dataclass(frozen=True)
@@ -111,6 +116,8 @@ class ExperimentPlan:
         elif self.family is Family.DITHERED_MULTI_BIT:
             if self.L is None or check_int(self.L, "L") < 2 or self.L % 2 != 0:
                 raise ValueError("dithered_multi_bit needs an even level count L >= 2")
+            if self.L > LEVELS_CAP:
+                raise ValueError(f"level count L = {self.L} exceeds the cap {LEVELS_CAP}")
             if self.delta_rule is None:
                 raise ValueError("dithered_multi_bit needs a delta rule")
             if self.lam is not None:

@@ -12,6 +12,14 @@ where ``b_j`` are the quantizer thresholds and ``y_ij`` is the sign of
 products ``O(mn)`` otherwise; the recovery iteration alternates a gradient
 step with the two-stage model projection.  On the sphere with the sign
 quantizer this is exactly normalized binary iterative hard thresholding.
+
+A step is a fixed function of the iterate's bits, so ``pgd_recover`` stops as
+soon as an iterate repeats an earlier one bit for bit: a consistent iterate
+(``d = 0``, zero gradient) is a fixed point, and renormalization drift or
+multi-bit rows can close cycles of period 2 or more.  The rest of the run is
+then a replay, so the per-iterate errors are copied forward and a few more
+steps land on the final iterate: the outputs are those of the full loop, bit
+for bit, and the check keeps one extra iterate in memory.
 """
 
 from __future__ import annotations
@@ -253,6 +261,13 @@ def pgd_recover(
     Each step moves against the loss subgradient with step size ``eta`` and
     re-projects onto the structure set and then the norm annulus. Pass
     ``truth`` to have per-iterate l2 errors recorded.
+
+    The loop stops once an iterate equals, bit for bit, a checkpoint iterate
+    taken at the last power-of-two iteration (Brent's cycle check), which
+    catches fixed points and cycles of any period.  The remaining errors are
+    copied from the cycle and ``(iterations - t) % period`` more steps reach
+    the last iterate, so ``estimate`` and ``errors`` equal those of all
+    ``config.iterations`` steps bit for bit; the extra memory is one iterate.
     """
     if model.ambient_dim != instance.n:
         raise ValueError(f"model dimension {model.ambient_dim} does not match instance n={instance.n}")
@@ -278,11 +293,26 @@ def pgd_recover(
             raise ValueError(f"init vector norm {nrm} outside [{model.alpha}, {model.beta}]")
         x = x.copy()
 
-    errors = np.empty(config.iterations) if truth is not None else None
-    for t in range(config.iterations):
-        x = project_model(model, x - config.eta * gradient(spec, instance, y, x))
+    def step(u):
+        return project_model(model, u - config.eta * gradient(spec, instance, y, u))
+
+    # the checkpoint is the start, then the iterate of each power-of-two t;
+    # once x_t repeats it, x_mark .. x_t recur until the end
+    total = config.iterations
+    errors = np.empty(total) if truth is not None else None
+    mark, mark_at = x.tobytes(), 0
+    for t in range(1, total + 1):
+        x = step(x)
         if errors is not None:
-            errors[t] = np.linalg.norm(x - truth)
+            errors[t - 1] = np.linalg.norm(x - truth)
+        if x.tobytes() == mark:
+            if errors is not None:
+                errors[t:] = np.resize(errors[mark_at:t], total - t)
+            for _ in range((total - t) % (t - mark_at)):
+                x = step(x)
+            break
+        if t & (t - 1) == 0:
+            mark, mark_at = x.tobytes(), t
     return PgdResult(estimate=x, errors=errors)
 
 

@@ -22,6 +22,7 @@ from .pgd import (
     PgdConfig,
     RaicParams,
     RandomInit,
+    ZeroInit,
     clipped_gradient,
     gradient,
     gradient_from_thresholds,
@@ -32,7 +33,16 @@ from .pgd import (
 from .quantizers import make_general, make_saturated, make_sign, make_uniform, quantize, quantize_vec
 from .rng import derive_seed, stream
 from .sensing import Dither, MatrixKind, measure, sample_instance
-from .signals import L1Ball, SignalModel, Sparse, gen_signal, project_model, project_norm, project_structure
+from .signals import (
+    L1Ball,
+    SignalModel,
+    Sparse,
+    gen_signal,
+    project_model,
+    project_norm,
+    project_structure,
+    random_in_model,
+)
 
 __all__ = [
     "Check",
@@ -42,6 +52,7 @@ __all__ = [
     "nearest_in_sparse_sphere",
     "l1_projection_report",
     "fd_gradient",
+    "pgd_full_loop",
     "random_quantizer",
     "fit_raic_params",
 ]
@@ -121,6 +132,33 @@ def fd_gradient(spec, instance, y, u, h: float = 1e-6) -> np.ndarray:
         dn[i] -= h
         g[i] = (one_sided_l1_loss(spec, instance, y, up) - one_sided_l1_loss(spec, instance, y, dn)) / (2 * h)
     return g
+
+
+def pgd_full_loop(config, model, spec, instance, y, truth):
+    """Every iteration of ``pgd_recover``'s step, with no stopping rule.
+
+    Returns ``(estimate, errors, period)``: the last iterate, the per-iterate
+    errors against ``truth``, and the length of the first bitwise repeat
+    ``x_t == x_s`` (``s < t``), found by keeping every iterate's bytes, or 0
+    when no iterate repeats.
+    """
+    if isinstance(config.init, ZeroInit):
+        x = np.zeros(instance.n)
+    elif isinstance(config.init, RandomInit):
+        x = random_in_model(model, config.init.seed)
+    else:
+        x = np.array(config.init.vector, dtype=float)
+    seen, period = {x.tobytes(): 0}, 0
+    errors = np.empty(config.iterations)
+    for t in range(1, config.iterations + 1):
+        x = project_model(model, x - config.eta * gradient(spec, instance, y, x))
+        errors[t - 1] = np.linalg.norm(x - truth)
+        key = x.tobytes()
+        if not period:
+            if key in seen:
+                period = t - seen[key]
+            seen[key] = t
+    return x, errors, period
 
 
 def random_quantizer(rng: np.random.Generator):
@@ -388,6 +426,42 @@ def gradient_suite(configs: int = 1000, seed: int = 20260814) -> list[Check]:
     y = measure(inst, spec, x)
     at_truth = one_sided_l1_loss(spec, inst, y, x) == 0.0 and not np.any(gradient(spec, inst, y, x))
     checks.append(Check("zero_loss_at_truth", bool(at_truth), "consistent signals have zero loss and zero gradient"))
+
+    # pgd_recover stops once an iterate repeats; it must return what every
+    # iteration of the plain loop returns, on runs that reach a fixed point,
+    # enter a cycle of period >= 2 (sphere drift, 32 levels) and never repeat
+    # (l1 ball); odd and even run lengths make a cycle's replay take steps
+    rng = stream(seed, "verify", "gradient", "stopping")
+    eta = math.sqrt(math.pi / 2)
+    sphere, ball = SignalModel(Sparse(k=2, n=20), 1.0, 1.0), SignalModel(Sparse(k=2, n=20), 0.0, 1.0)
+    l1 = SignalModel(L1Ball(radius=math.sqrt(5), n=100), 1.0, 1.0)
+    fine = make_saturated(5.0 / 32, 32)
+    runs = [
+        (sphere, make_sign(), MatrixKind.GAUSSIAN, Dither.zero(), 200, eta),
+        (ball, fine, MatrixKind.RADEMACHER, Dither.uniform(fine.delta / 2), 60, 1.0),
+        (l1, make_sign(), MatrixKind.GAUSSIAN, Dither.zero(), 200, eta),
+    ]
+    differ, kinds = 0, set()  # kinds: period 0 (no repeat), 1, or 2 for any longer
+    for model, spec, kind, dither, m, step in runs:
+        for iterations in (99, 100):
+            s = int(rng.integers(0, 2**32))
+            inst = sample_instance(kind, dither, m, model.ambient_dim, s)
+            x = gen_signal(model, s)
+            y = measure(inst, spec, x)
+            init = RandomInit(s) if model.alpha > 0 else ZeroInit()
+            config = PgdConfig(eta=step, iterations=iterations, init=init)
+            res = pgd_recover(config, model, spec, inst, y, truth=x)
+            estimate, errors, period = pgd_full_loop(config, model, spec, inst, y, x)
+            differ += res.estimate.tobytes() != estimate.tobytes() or res.errors.tobytes() != errors.tobytes()
+            kinds.add(min(period, 2))
+    checks.append(
+        Check(
+            "stopped_run_matches_full_loop",
+            differ == 0 and kinds == {0, 1, 2},
+            f"{differ} of {2 * len(runs)} stopped runs differ from the full loop, bitwise; "
+            f"fixed point, cycle, no repeat seen: {1 in kinds}, {2 in kinds}, {0 in kinds}",
+        )
+    )
     return checks
 
 

@@ -64,8 +64,27 @@ class TestRun:
             ({"resource_cap": 1e18}, "unknown plan keys: ['resource_cap']"),
             ({"master_seed": 2**127}, "master_seed must lie in [-2**127, 2**127)"),
             ({"corruption_zeta": 10**400}, "corruption_zeta must be a number within the float range"),
+            (
+                {
+                    "family": "dithered_multi_bit",
+                    "model": {"structure": "sparse", "n": 12, "k": 3, "alpha": 0.0, "beta": 1.0},
+                    "L": 10**12,
+                    "delta_rule": {"rule": "five_over_l"},
+                },
+                "level count L = 1000000000000 exceeds the cap",
+            ),
         ],
-        ids=["float_trials", "string_iterations", "model_without_alpha", "bool_trials", "float_m", "resource_cap", "huge_seed", "huge_zeta"],
+        ids=[
+            "float_trials",
+            "string_iterations",
+            "model_without_alpha",
+            "bool_trials",
+            "float_m",
+            "resource_cap",
+            "huge_seed",
+            "huge_zeta",
+            "huge_L",
+        ],
     )
     def test_malformed_plan_exits_2(self, tmp_path, capsys, edit, message):
         config = tmp_path / "plan.json"
@@ -121,6 +140,12 @@ class TestRecover:
         assert main(args + ["--seed", str(2**127)]) == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("error: master_seed must lie in")
+
+    def test_huge_level_count_exits_2(self, capsys):
+        args = ["recover", "--family", "dithered_multi_bit", "--n", "10", "--k", "3", "--m", "5"]
+        assert main(args + ["--L", str(10**12)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: level count L = 1000000000000 exceeds the cap")
 
     def test_deterministic_for_fixed_seed(self, capsys):
         args = ["recover", "--family", "one_bit_gaussian", "--n", "15", "--k", "1", "--m", "40", "--iters", "5", "--seed", "3"]

@@ -21,7 +21,7 @@ from quantcs import (
     plan_from_json,
     run_experiment,
 )
-from quantcs.harness import PLAN_COST_CAP
+from quantcs.harness import LEVELS_CAP, PLAN_COST_CAP
 
 
 def tiny_plan(**overrides):
@@ -82,6 +82,22 @@ class TestPlanValidation:
             tiny_plan(m_grid=(m + 1,))
         with pytest.raises(ValueError, match="exceeds the cap"):
             tiny_plan(m_grid=(m,), iterations=11)
+
+    def test_level_cap(self):
+        # a quantizer stores L levels, so an over-cap L must fail before family_setup builds it
+        def multi_bit(levels):
+            return ExperimentPlan(
+                family=Family.DITHERED_MULTI_BIT,
+                model=SignalModel(Sparse(k=1, n=12), 0.0, 1.0),
+                m_grid=(30,),
+                L=levels,
+                delta_rule=DeltaRule("five_over_l"),
+            )
+
+        assert family_setup(multi_bit(LEVELS_CAP)).spec.levels == LEVELS_CAP
+        for levels in (LEVELS_CAP + 2, 10**12):
+            with pytest.raises(ValueError, match="exceeds the cap"):
+                multi_bit(levels)
 
     def test_zeta_range(self):
         with pytest.raises(ValueError):

@@ -5,10 +5,13 @@ from quantcs import (
     Dither,
     Family,
     GivenInit,
+    L1Ball,
+    LowRank,
     PgdConfig,
     RandomInit,
     SignalModel,
     Sparse,
+    ZeroInit,
     clipped_gradient,
     default_step_size,
     gen_signal,
@@ -23,9 +26,11 @@ from quantcs import (
     raic_residual,
     sample_instance,
 )
+import quantcs.pgd
 from quantcs.pgd import _SPARSE_D, _SPARSE_U, RaicParams
 from quantcs.quantizers import quantize_vec
 from quantcs.sensing import MatrixKind
+from quantcs.verify import pgd_full_loop
 
 from test_sensing import _fixed_instance
 
@@ -276,6 +281,62 @@ class TestPgdRecover:
             PgdConfig(eta=0.0)
         with pytest.raises(ValueError):
             PgdConfig(eta=1.0, iterations=0)
+
+
+def _stopping_case(name, seed, iterations):
+    """A small recovery problem of each family and structure: (config, model, spec, instance, y, truth)."""
+    sign, fine = make_sign(), make_saturated(5.0 / 32, 32)
+    eta = default_step_size(Family.ONE_BIT_GAUSSIAN)
+    sphere, ball = SignalModel(Sparse(k=2, n=20), 1.0, 1.0), SignalModel(Sparse(k=2, n=20), 0.0, 1.0)
+    model, spec, kind, dither, m, step = {
+        "one_bit_gaussian": (sphere, sign, MatrixKind.GAUSSIAN, Dither.zero(), 200, eta),
+        "dithered_one_bit": (ball, sign, MatrixKind.RADEMACHER, Dither.uniform(1.5), 300, 1.5),
+        "dithered_multi_bit": (ball, fine, MatrixKind.RADEMACHER, Dither.uniform(fine.delta / 2), 60, 1.0),
+        "low_rank": (SignalModel(LowRank(r=1, n1=5, n2=5), 1.0, 1.0), sign, MatrixKind.GAUSSIAN, Dither.zero(), 100, eta),
+        "l1_ball": (SignalModel(L1Ball(radius=np.sqrt(5), n=100), 1.0, 1.0), sign, MatrixKind.GAUSSIAN, Dither.zero(), 200, eta),
+    }[name]
+    inst = sample_instance(kind, dither, m, model.ambient_dim, seed=seed)
+    x = gen_signal(model, seed + 1)
+    init = RandomInit(seed=seed + 2) if model.alpha > 0 else ZeroInit()
+    return PgdConfig(eta=step, iterations=iterations, init=init), model, spec, inst, measure(inst, spec, x), x
+
+
+CASES = ["one_bit_gaussian", "dithered_one_bit", "dithered_multi_bit", "low_rank", "l1_ball"]
+
+
+class TestStoppingRule:
+    @pytest.mark.parametrize("iterations", [1, 2, 3, 5, 17, 100])
+    @pytest.mark.parametrize("name", CASES)
+    def test_bitwise_equal_to_full_loop(self, name, iterations):
+        for seed in range(3):
+            config, model, spec, inst, y, x = _stopping_case(name, seed, iterations)
+            estimate, errors, _ = pgd_full_loop(config, model, spec, inst, y, x)
+            res = pgd_recover(config, model, spec, inst, y, truth=x)
+            assert res.estimate.tobytes() == estimate.tobytes()
+            assert res.errors.tobytes() == errors.tobytes()
+            blind = pgd_recover(config, model, spec, inst, y)
+            assert blind.errors is None and blind.estimate.tobytes() == estimate.tobytes()
+
+    def test_cases_cover_every_kind_of_run(self):
+        # the cases above must hold fixed points, cycles of period >= 2 and runs that never repeat
+        periods = {pgd_full_loop(*_stopping_case(name, seed, 100))[2] for name in CASES for seed in range(3)}
+        assert 0 in periods and 1 in periods and max(periods) >= 2
+
+    def test_settled_run_calls_gradient_less(self, monkeypatch):
+        config, model, spec, inst, y, x = _stopping_case("dithered_multi_bit", 0, 100)
+        estimate, errors, period = pgd_full_loop(config, model, spec, inst, y, x)
+        assert period >= 1
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return gradient(*args)
+
+        monkeypatch.setattr(quantcs.pgd, "gradient", counted)
+        res = pgd_recover(config, model, spec, inst, y, truth=x)
+        assert len(calls) < config.iterations
+        assert res.estimate.tobytes() == estimate.tobytes()
+        assert res.errors.tobytes() == errors.tobytes()
 
 
 class TestDefaultStepSize:
