@@ -14,9 +14,11 @@ from .harness import (
     DeltaRule,
     ExperimentPlan,
     ExperimentResult,
+    Family,
     FamilySetup,
     SlopeFit,
     TrialRecord,
+    default_step_size,
     emit_csv,
     emit_svg_loglog,
     family_setup,
@@ -26,22 +28,7 @@ from .harness import (
     run_trial,
 )
 from .oracles import CandidateNet, HdmResult, PuvEstimate, enumerate_net, estimate_puv, geodesic_puv, hdm_decode
-from .pgd import (
-    Family,
-    GivenInit,
-    PgdConfig,
-    PgdResult,
-    RaicParams,
-    RandomInit,
-    ZeroInit,
-    clipped_gradient,
-    default_step_size,
-    gradient,
-    gradient_from_thresholds,
-    one_sided_l1_loss,
-    pgd_recover,
-    raic_residual,
-)
+from .pgd import GivenInit, PgdConfig, PgdResult, RandomInit, ZeroInit, gradient, pgd_recover
 from .quantizers import (
     QuantizerSpec,
     level_index,

@@ -17,13 +17,13 @@ import sys
 from .harness import (
     DeltaRule,
     ExperimentPlan,
+    Family,
     emit_csv,
     emit_svg_loglog,
     plan_from_json,
     run_experiment,
     run_trial,
 )
-from .pgd import Family
 from .signals import SignalModel, Sparse
 from .verify import SUITES, run_suite
 

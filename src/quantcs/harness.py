@@ -10,6 +10,7 @@ stream, so results are bit-identical across reruns and thread counts.
 
 from __future__ import annotations
 
+import enum
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -18,13 +19,15 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .pgd import Family, PgdConfig, RandomInit, ZeroInit, default_step_size, pgd_recover
+from .pgd import PgdConfig, RandomInit, ZeroInit, pgd_recover
 from .quantizers import QuantizerSpec, make_saturated, make_sign
 from .rng import derive_seed
 from .sensing import Dither, MatrixKind, corrupt, measure, sample_instance
 from .signals import L1Ball, LowRank, SignalModel, Sparse, check_int, check_real, gen_signal
 
 __all__ = [
+    "Family",
+    "default_step_size",
     "DeltaRule",
     "ExperimentPlan",
     "TrialRecord",
@@ -41,6 +44,7 @@ __all__ = [
     "plan_from_json",
     "CSV_COLUMNS",
     "PLAN_COST_CAP",
+    "MATRIX_ENTRIES_CAP",
     "LEVELS_CAP",
 ]
 
@@ -48,10 +52,39 @@ CSV_COLUMNS = "family,n,k_or_r,m,L,delta,lambda,zeta,trials,mean_err,stderr,slop
 
 # largest admissible plan cost, the sum of m * n * trials * iterations over the grid
 PLAN_COST_CAP = 400_000_000_000
+# largest admissible sensing matrix m * n over the grid: 1 GiB of float64, 48x
+# the 5600 x 500 matrix of the largest acceptance plan; it also bounds the
+# n-float signal, since m >= 1
+MATRIX_ENTRIES_CAP = 2**27
 # largest admissible multi-bit level count L: a quantizer stores its L - 1
 # thresholds and L levels, so this keeps them under 1 MB (16 bits per
 # measurement; the paper's bit budgets use L <= 32)
 LEVELS_CAP = 2**16
+
+
+class Family(enum.Enum):
+    """The three named measurement configurations."""
+
+    ONE_BIT_GAUSSIAN = "one_bit_gaussian"
+    DITHERED_ONE_BIT = "dithered_one_bit"
+    DITHERED_MULTI_BIT = "dithered_multi_bit"
+
+
+def default_step_size(family: Family, lam: float | None = None) -> float:
+    """Theorem-backed step size per family.
+
+    One-bit Gaussian: ``sqrt(pi/2)``. Dithered one-bit: ``lam`` (the dither
+    level). Dithered multi-bit: ``1``.
+    """
+    if family is Family.ONE_BIT_GAUSSIAN:
+        return math.sqrt(math.pi / 2.0)
+    if family is Family.DITHERED_ONE_BIT:
+        if lam is None or not (math.isfinite(lam) and lam > 0):
+            raise ValueError("dithered one-bit needs a positive dither level lam")
+        return float(lam)
+    if family is Family.DITHERED_MULTI_BIT:
+        return 1.0
+    raise ValueError(f"unknown family {family!r}")
 
 
 @dataclass(frozen=True)
@@ -126,7 +159,10 @@ class ExperimentPlan:
                 raise ValueError("dithered_multi_bit expects the unit-ball model: (alpha, beta) = (0, 1)")
         else:
             raise ValueError(f"unknown family {self.family!r}")
-        cost = sum(m * self.model.ambient_dim * self.trials * self.iterations for m in grid)
+        n = self.model.ambient_dim
+        if grid[-1] * n > MATRIX_ENTRIES_CAP:
+            raise ValueError(f"sensing matrix m x n = {grid[-1]} x {n} exceeds the cap of {MATRIX_ENTRIES_CAP} entries")
+        cost = sum(m * n * self.trials * self.iterations for m in grid)
         if cost > PLAN_COST_CAP:
             raise ValueError(f"plan cost {cost} (sum of m*n*trials*iterations) exceeds the cap {PLAN_COST_CAP}")
 
@@ -135,8 +171,11 @@ class ExperimentPlan:
 class TrialRecord:
     m: int
     seed: int
-    final_error: float
     per_iterate_errors: np.ndarray
+
+    @property
+    def final_error(self) -> float:
+        return float(self.per_iterate_errors[-1])
 
 
 @dataclass(frozen=True)
@@ -162,31 +201,22 @@ class ExperimentResult(NamedTuple):
 
 @dataclass(frozen=True)
 class FamilySetup:
-    """Concrete quantizer, ensemble, dither, and step rule for one family."""
+    """Concrete quantizer, ensemble, dither, and step size for one family."""
 
     spec: QuantizerSpec
     matrix_kind: MatrixKind
     dither: Dither
     eta: float
-    init: str  # "zero" or "random_in_model"
 
 
 def family_setup(plan: ExperimentPlan) -> FamilySetup:
+    eta = default_step_size(plan.family, lam=plan.lam)
     if plan.family is Family.ONE_BIT_GAUSSIAN:
-        eta = default_step_size(plan.family)
-        return FamilySetup(make_sign(), MatrixKind.GAUSSIAN, Dither.zero(), eta, "random_in_model")
+        return FamilySetup(make_sign(), MatrixKind.GAUSSIAN, Dither.zero(), eta)
     if plan.family is Family.DITHERED_ONE_BIT:
-        eta = default_step_size(plan.family, lam=plan.lam)
-        return FamilySetup(make_sign(), MatrixKind.RADEMACHER, Dither.uniform(plan.lam), eta, "zero")
-    eta = default_step_size(plan.family)
+        return FamilySetup(make_sign(), MatrixKind.RADEMACHER, Dither.uniform(plan.lam), eta)
     delta = plan.delta_rule.resolve(plan.L)
-    return FamilySetup(
-        make_saturated(delta, plan.L),
-        MatrixKind.RADEMACHER,
-        Dither.uniform(delta / 2.0),
-        eta,
-        "zero",
-    )
+    return FamilySetup(make_saturated(delta, plan.L), MatrixKind.RADEMACHER, Dither.uniform(delta / 2.0), eta)
 
 
 def _k_or_r(model: SignalModel) -> float:
@@ -206,7 +236,9 @@ def run_trial(plan: ExperimentPlan, cell: int, trial: int) -> TrialRecord:
     """Draw, measure, corrupt and recover trial ``trial`` of grid cell ``cell``.
 
     Every random object comes from ``derive_seed(plan.master_seed, cell, trial)``,
-    so a trial's record depends only on the plan and its two indices.
+    so a trial's record depends only on the plan and its two indices.  PGD
+    starts at a random model member on the sphere (``alpha > 0``, one-bit
+    Gaussian) and at zero on the unit ball (the dithered families).
     """
     setup = family_setup(plan)
     seed = derive_seed(plan.master_seed, cell, trial)
@@ -217,15 +249,10 @@ def run_trial(plan: ExperimentPlan, cell: int, trial: int) -> TrialRecord:
     y = measure(inst, setup.spec, x)
     if plan.corruption_zeta > 0.0:
         y = corrupt(y, setup.spec, plan.corruption_zeta, seed)
-    init = RandomInit(seed) if setup.init == "random_in_model" else ZeroInit()
+    init = RandomInit(seed) if plan.model.alpha > 0 else ZeroInit()
     config = PgdConfig(eta=setup.eta, iterations=plan.iterations, init=init)
     res = pgd_recover(config, plan.model, setup.spec, inst, y, truth=x)
-    return TrialRecord(
-        m=m,
-        seed=seed,
-        final_error=float(np.linalg.norm(res.estimate - x)),
-        per_iterate_errors=res.errors,
-    )
+    return TrialRecord(m=m, seed=seed, per_iterate_errors=res.errors)
 
 
 def run_experiment(plan: ExperimentPlan, threads: int = 1) -> ExperimentResult:

@@ -4,7 +4,13 @@ Each suite pits a fast implementation against an independent reference:
 closed forms against Monte Carlo, analytic gradients against finite
 differences, structured projections against exhaustive enumeration, the
 gradient solver against brute-force Hamming decoding.  The suites power the
-``verify`` command and are reused by the test suite.
+``verify`` command and are reused by the test suite; each takes no argument
+and draws from its own stream of ``SEED``.
+
+The analysis objects that only these cross-checks need live here, beside
+their references, and not in the solver: the one-sided l1 loss value, its
+gradient assembled threshold by threshold, the clipped two-point gradient
+and the RAIC residual.
 """
 
 from __future__ import annotations
@@ -16,21 +22,8 @@ from itertools import combinations
 import numpy as np
 
 from .oracles import enumerate_net, estimate_puv, geodesic_puv, hdm_decode
-from .pgd import (
-    _SPARSE_D,
-    _SPARSE_U,
-    PgdConfig,
-    RaicParams,
-    RandomInit,
-    ZeroInit,
-    clipped_gradient,
-    gradient,
-    gradient_from_thresholds,
-    one_sided_l1_loss,
-    pgd_recover,
-    raic_residual,
-)
-from .quantizers import make_general, make_saturated, make_sign, make_uniform, quantize, quantize_vec
+from .pgd import _SPARSE_D, _SPARSE_U, PgdConfig, RandomInit, ZeroInit, _adjoint, _forward, gradient, pgd_recover
+from .quantizers import level_index, make_general, make_saturated, make_sign, make_uniform, quantize, quantize_vec
 from .rng import derive_seed, stream
 from .sensing import Dither, MatrixKind, measure, sample_instance
 from .signals import (
@@ -42,12 +35,18 @@ from .signals import (
     project_norm,
     project_structure,
     random_in_model,
+    restricted_dual_norm,
 )
 
 __all__ = [
     "Check",
     "SUITES",
+    "SEED",
     "run_suite",
+    "one_sided_l1_loss",
+    "gradient_from_thresholds",
+    "clipped_gradient",
+    "raic_residual",
     "sparse_project_bruteforce",
     "nearest_in_sparse_sphere",
     "l1_projection_report",
@@ -63,6 +62,104 @@ class Check:
     name: str
     passed: bool
     detail: str
+
+
+# seed of every suite's random stream
+SEED = 20260814
+
+
+# ---------------------------------------------------------------------------
+# analysis forms of the loss and its gradient
+
+
+def _margins(spec, instance, y, u):
+    """Shared setup: correlations ``z``, per-threshold signs of ``y``."""
+    u = np.asarray(u, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if u.shape != (instance.n,):
+        raise ValueError(f"iterate shape {u.shape} does not match n={instance.n}")
+    if y.shape != (instance.m,):
+        raise ValueError(f"measurement shape {y.shape} does not match m={instance.m}")
+    z = instance.matrix @ u - instance.dither
+    return z, level_index(spec, y)
+
+
+def one_sided_l1_loss(spec, instance, y, u) -> float:
+    """One-sided l1 consistency loss of the iterate ``u`` against ``y``.
+
+    Zero exactly on the set of signals that reproduce ``y``; each term grows
+    linearly with the distance by which a correlation lands on the wrong
+    side of a threshold it should clear.
+    """
+    z, idx = _margins(spec, instance, y, u)
+    m = instance.m
+    if spec.thresholds is None:
+        # infinite threshold grid j*delta, but only thresholds strictly
+        # between the cell of z and the cell of y contribute
+        c = np.floor(z / spec.delta)
+        count = np.abs(c - idx)
+        ssum = spec.delta * (np.minimum(c, idx) + 1 + np.maximum(c, idx)) * count / 2.0
+        per_row = np.where(c > idx, count * z - ssum, ssum - count * z)
+        return float(spec.delta / m * per_row.sum())
+    b = spec.thresholds
+    yij = np.where(idx[:, None] > np.arange(b.size)[None, :], 1.0, -1.0)
+    hinge = np.maximum(-yij * (z[:, None] - b[None, :]), 0.0)
+    return float(spec.delta / m * hinge.sum())
+
+
+def gradient_from_thresholds(spec, instance, y, u) -> np.ndarray:
+    """The same subgradient assembled threshold by threshold.
+
+    Evaluates ``(Delta / 2m) sum_i sum_j (sign(<a_i,u> - tau_i - b_j) - y_ij) a_i``
+    directly; kept as an independent cross-check of ``gradient``.
+    """
+    z, idx = _margins(spec, instance, y, u)
+    if spec.thresholds is None:
+        # enumerate the finitely many thresholds between the extreme cells
+        c = np.floor(z / spec.delta)
+        lo = int(min(c.min(), idx.min()))
+        hi = int(max(c.max(), idx.max()))
+        b = spec.delta * np.arange(lo + 1, hi + 1, dtype=float)
+        yij = np.where(idx[:, None] >= np.arange(lo + 1, hi + 1)[None, :], 1.0, -1.0)
+    else:
+        b = spec.thresholds
+        yij = np.where(idx[:, None] > np.arange(b.size)[None, :], 1.0, -1.0)
+    sgn = np.where(z[:, None] - b[None, :] >= 0.0, 1.0, -1.0)
+    coeff = (sgn - yij).sum(axis=1)
+    return spec.delta / (2.0 * instance.m) * (instance.matrix.T @ coeff)
+
+
+def clipped_gradient(spec, instance, u, v) -> np.ndarray:
+    """Gradient with per-row transfer clipped to a single level step.
+
+    Rows where ``u`` and ``v`` quantize identically drop out; every other row
+    contributes ``Delta * sign(<a_i, u - v>) a_i / m`` regardless of how many
+    levels apart the two quantized values are. Coincides with the plain
+    two-point gradient whenever no row jumps more than one level (always, for
+    one-bit quantizers).
+    """
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if u.shape != (instance.n,) or v.shape != (instance.n,):
+        raise ValueError("u and v must both have shape (n,)")
+    zu = _forward(instance.matrix, u) - instance.dither
+    zv = _forward(instance.matrix, v) - instance.dither
+    changed = quantize_vec(spec, zu) != quantize_vec(spec, zv)
+    d = spec.delta * np.sign(zu - zv) * changed
+    return _adjoint(instance.matrix, d) / instance.m
+
+
+def raic_residual(model, spec, instance, eta: float, phi: float, u, v) -> float:
+    """Restricted dual norm of ``u - v - eta * h(u, v)``.
+
+    ``h(u, v) = (1/m) A^T (Q(Au - tau) - Q(Av - tau))`` is the two-point
+    gradient; a small residual uniformly over model pairs is exactly the
+    approximate-invertibility property that drives convergence proofs.
+    """
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    h = gradient(spec, instance, measure(instance, spec, v), u)
+    return restricted_dual_norm(model, u - v - eta * h, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -122,9 +219,10 @@ def l1_projection_report(u: np.ndarray, radius: float, p: np.ndarray) -> tuple[f
     return infeas, recon, gap
 
 
-def fd_gradient(spec, instance, y, u, h: float = 1e-6) -> np.ndarray:
-    """Central finite differences of the one-sided l1 loss."""
+def fd_gradient(spec, instance, y, u) -> np.ndarray:
+    """Central finite differences of the one-sided l1 loss, step ``1e-5``."""
     u = np.asarray(u, dtype=float)
+    h = 1e-5
     g = np.zeros_like(u)
     for i in range(u.size):
         up, dn = u.copy(), u.copy()
@@ -186,8 +284,8 @@ def _min_threshold_margin(spec, instance, u) -> float:
     return float(np.min(np.abs(z[:, None] - spec.thresholds[None, :])))
 
 
-def fit_raic_params(dists, residuals, phi: float, mu4: float) -> RaicParams:
-    """Least-squares fit of residual/phi ~ mu1*d + sqrt(mu2*d) + mu3.
+def fit_raic_params(dists, residuals, phi: float) -> tuple[float, float, float]:
+    """Least-squares fit ``(mu1, mu2, mu3)`` of residual/phi ~ mu1*d + sqrt(mu2*d) + mu3.
 
     The model is linear in ``(mu1, sqrt(mu2), mu3)`` over features
     ``(d, sqrt(d), 1)``; negative coefficients clip to zero.
@@ -197,16 +295,17 @@ def fit_raic_params(dists, residuals, phi: float, mu4: float) -> RaicParams:
     X = np.stack([d, np.sqrt(d), np.ones_like(d)], axis=1)
     coef, *_ = np.linalg.lstsq(X, r, rcond=None)
     c1, c2, c3 = (max(0.0, float(c)) for c in coef)
-    return RaicParams(mu1=c1, mu2=c2 * c2, mu3=c3, mu4=mu4, phi=phi)
+    return c1, c2 * c2, c3
 
 
 # ---------------------------------------------------------------------------
 # suites
 
 
-def quantizer_suite(pairs: int = 100_000, seed: int = 20260814) -> list[Check]:
+def quantizer_suite() -> list[Check]:
     checks = []
-    rng = stream(seed, "verify", "quantizer")
+    pairs = 100_000
+    rng = stream(SEED, "verify", "quantizer")
 
     a = rng.uniform(-50, 50, size=pairs)
     deltas = rng.uniform(0.1, 5.0, size=8)
@@ -270,9 +369,10 @@ def quantizer_suite(pairs: int = 100_000, seed: int = 20260814) -> list[Check]:
     return checks
 
 
-def projection_suite(l1_count: int = 10_000, seed: int = 20260814) -> list[Check]:
+def projection_suite() -> list[Check]:
     checks = []
-    rng = stream(seed, "verify", "projection")
+    l1_count = 10_000
+    rng = stream(SEED, "verify", "projection")
 
     ok, detail = True, ""
     for trial in range(300):
@@ -347,9 +447,10 @@ def projection_suite(l1_count: int = 10_000, seed: int = 20260814) -> list[Check
     return checks
 
 
-def gradient_suite(configs: int = 1000, seed: int = 20260814) -> list[Check]:
+def gradient_suite() -> list[Check]:
     checks = []
-    rng = stream(seed, "verify", "gradient")
+    configs = 1000
+    rng = stream(SEED, "verify", "gradient")
 
     worst_id = 0.0
     worst_fd = 0.0
@@ -369,7 +470,7 @@ def gradient_suite(configs: int = 1000, seed: int = 20260814) -> list[Check]:
         scale = max(1.0, float(np.max(np.abs(g1))))
         worst_id = max(worst_id, float(np.max(np.abs(g1 - g2))) / scale)
         if _min_threshold_margin(spec, inst, u) > 1e-3:
-            fd = fd_gradient(spec, inst, y, u, h=1e-5)
+            fd = fd_gradient(spec, inst, y, u)
             denom = max(float(np.linalg.norm(g1)), 1e-9)
             worst_fd = max(worst_fd, float(np.linalg.norm(fd - g1)) / denom)
             done_fd += 1
@@ -431,7 +532,7 @@ def gradient_suite(configs: int = 1000, seed: int = 20260814) -> list[Check]:
     # iteration of the plain loop returns, on runs that reach a fixed point,
     # enter a cycle of period >= 2 (sphere drift, 32 levels) and never repeat
     # (l1 ball); odd and even run lengths make a cycle's replay take steps
-    rng = stream(seed, "verify", "gradient", "stopping")
+    rng = stream(SEED, "verify", "gradient", "stopping")
     eta = math.sqrt(math.pi / 2)
     sphere, ball = SignalModel(Sparse(k=2, n=20), 1.0, 1.0), SignalModel(Sparse(k=2, n=20), 0.0, 1.0)
     l1 = SignalModel(L1Ball(radius=math.sqrt(5), n=100), 1.0, 1.0)
@@ -465,9 +566,10 @@ def gradient_suite(configs: int = 1000, seed: int = 20260814) -> list[Check]:
     return checks
 
 
-def puv_suite(mc_pairs: int = 20, mc_samples: int = 100_000, bound_pairs: int = 10_000, seed: int = 20260814) -> list[Check]:
+def puv_suite() -> list[Check]:
     checks = []
-    rng = stream(seed, "verify", "puv")
+    mc_pairs, mc_samples, bound_pairs = 20, 100_000, 10_000
+    rng = stream(SEED, "verify", "puv")
     sign = make_sign()
 
     hits = 0
@@ -542,9 +644,10 @@ def puv_suite(mc_pairs: int = 20, mc_samples: int = 100_000, bound_pairs: int = 
     return checks
 
 
-def hdm_suite(trials: int = 50, seed: int = 20260814) -> list[Check]:
+def hdm_suite() -> list[Check]:
     checks = []
-    rng = stream(seed, "verify", "hdm")
+    trials = 50
+    rng = stream(SEED, "verify", "hdm")
     sign = make_sign()
     model = SignalModel(Sparse(k=1, n=6), alpha=1.0, beta=1.0)
     net = enumerate_net(model, r=0.05)
@@ -569,7 +672,7 @@ def hdm_suite(trials: int = 50, seed: int = 20260814) -> list[Check]:
 
     good = 0
     for t in range(trials):
-        tseed = derive_seed(seed, "hdm_theorem", t)
+        tseed = derive_seed(SEED, "hdm_theorem", t)
         x = gen_signal(model, tseed)
         inst = sample_instance(MatrixKind.GAUSSIAN, Dither.zero(), 200, 6, tseed)
         y = measure(inst, sign, x)
@@ -592,9 +695,9 @@ def hdm_suite(trials: int = 50, seed: int = 20260814) -> list[Check]:
 RAIC_C_CEILING = 8.0
 
 
-def raic_suite(pairs: int = 1000, seed: int = 20260814) -> list[Check]:
+def raic_suite() -> list[Check]:
     checks = []
-    rng = stream(seed, "verify", "raic")
+    pairs = 1000
     sign = make_sign()
     model = SignalModel(Sparse(k=3, n=100), alpha=1.0, beta=1.0)
     inst = sample_instance(MatrixKind.GAUSSIAN, Dither.zero(), 5000, 100, 17)
@@ -611,20 +714,20 @@ def raic_suite(pairs: int = 1000, seed: int = 20260814) -> list[Check]:
 
     dists, residuals = [], []
     for i in range(pairs):
-        a = gen_signal(model, derive_seed(seed, "pair_a", i))
-        b = gen_signal(model, derive_seed(seed, "pair_b", i))
+        a = gen_signal(model, derive_seed(SEED, "pair_a", i))
+        b = gen_signal(model, derive_seed(SEED, "pair_b", i))
         dists.append(float(np.linalg.norm(a - b)))
         residuals.append(raic_residual(model, sign, inst, eta, r, a, b))
     dists = np.array(dists)
     residuals = np.array(residuals)
     slack = residuals / r - (0.6 * dists + 3.0 * np.sqrt(r * dists) + RAIC_C_CEILING * r)
-    params = fit_raic_params(dists, residuals, phi=r, mu4=float(dists.max()))
+    mu1, mu2, mu3 = fit_raic_params(dists, residuals, phi=r)
     checks.append(
         Check(
             "contraction_envelope",
             float(slack.max()) <= 0.0,
             f"max slack {slack.max():.3f}; fitted (mu1, mu2, mu3) = "
-            f"({params.mu1:.3f}, {params.mu2:.3f}, {params.mu3:.3f}) over {pairs} pairs",
+            f"({mu1:.3f}, {mu2:.3f}, {mu3:.3f}) over {pairs} pairs",
         )
     )
     return checks

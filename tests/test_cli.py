@@ -73,6 +73,15 @@ class TestRun:
                 },
                 "level count L = 1000000000000 exceeds the cap",
             ),
+            (
+                {
+                    "model": {"structure": "sparse", "n": 10**11, "k": 1, "alpha": 1.0, "beta": 1.0},
+                    "m_grid": [1],
+                    "trials": 1,
+                    "iterations": 1,
+                },
+                "sensing matrix m x n = 1 x 100000000000 exceeds the cap",
+            ),
         ],
         ids=[
             "float_trials",
@@ -84,6 +93,7 @@ class TestRun:
             "huge_seed",
             "huge_zeta",
             "huge_L",
+            "huge_n",
         ],
     )
     def test_malformed_plan_exits_2(self, tmp_path, capsys, edit, message):
@@ -146,6 +156,12 @@ class TestRecover:
         assert main(args + ["--L", str(10**12)]) == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("error: level count L = 1000000000000 exceeds the cap")
+
+    def test_huge_dimension_exits_2(self, capsys):
+        args = ["recover", "--family", "one_bit_gaussian", "--n", str(10**11), "--k", "1", "--m", "1", "--iters", "1"]
+        assert main(args) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: sensing matrix m x n = 1 x 100000000000 exceeds the cap")
 
     def test_deterministic_for_fixed_seed(self, capsys):
         args = ["recover", "--family", "one_bit_gaussian", "--n", "15", "--k", "1", "--m", "40", "--iters", "5", "--seed", "3"]

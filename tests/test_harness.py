@@ -12,16 +12,25 @@ from quantcs import (
     L1Ball,
     LowRank,
     MatrixKind,
+    PgdConfig,
+    RandomInit,
     SignalModel,
     Sparse,
+    ZeroInit,
+    derive_seed,
     emit_csv,
     emit_svg_loglog,
     family_setup,
     fit_slope,
+    gen_signal,
+    measure,
+    pgd_recover,
     plan_from_json,
     run_experiment,
+    run_trial,
+    sample_instance,
 )
-from quantcs.harness import LEVELS_CAP, PLAN_COST_CAP
+from quantcs.harness import LEVELS_CAP, MATRIX_ENTRIES_CAP, PLAN_COST_CAP
 
 
 def tiny_plan(**overrides):
@@ -76,12 +85,13 @@ class TestPlanValidation:
     def test_resource_cap(self):
         # the cost is the sum of m * n * trials * iterations; construction
         # raises, so an over-cap plan never reaches a draw
-        m = PLAN_COST_CAP // (12 * 3 * 10)  # n, trials, iterations of tiny_plan
-        assert tiny_plan(m_grid=(m,)).m_grid == (m,)
-        with pytest.raises(ValueError, match="exceeds the cap"):
-            tiny_plan(m_grid=(m + 1,))
-        with pytest.raises(ValueError, match="exceeds the cap"):
-            tiny_plan(m_grid=(m,), iterations=11)
+        m = 1000
+        iterations = PLAN_COST_CAP // (12 * 3 * m)  # n and trials of tiny_plan
+        assert tiny_plan(m_grid=(m,), iterations=iterations).iterations == iterations
+        with pytest.raises(ValueError, match="plan cost .* exceeds the cap"):
+            tiny_plan(m_grid=(m + 1,), iterations=iterations)
+        with pytest.raises(ValueError, match="plan cost .* exceeds the cap"):
+            tiny_plan(m_grid=(m,), iterations=iterations + 1)
 
     def test_level_cap(self):
         # a quantizer stores L levels, so an over-cap L must fail before family_setup builds it
@@ -98,6 +108,17 @@ class TestPlanValidation:
         for levels in (LEVELS_CAP + 2, 10**12):
             with pytest.raises(ValueError, match="exceeds the cap"):
                 multi_bit(levels)
+
+    def test_matrix_cap(self):
+        # the largest sensing matrix m * n must fail at construction, before a draw allocates it
+        def plan(m_grid, n):
+            return tiny_plan(model=SignalModel(Sparse(k=1, n=n), 1.0, 1.0), m_grid=m_grid, trials=1, iterations=1)
+
+        assert plan((1, 2), MATRIX_ENTRIES_CAP // 2).m_grid == (1, 2)
+        with pytest.raises(ValueError, match=f"sensing matrix m x n = 2 x {MATRIX_ENTRIES_CAP // 2 + 1} exceeds the cap"):
+            plan((1, 2), MATRIX_ENTRIES_CAP // 2 + 1)
+        with pytest.raises(ValueError, match="sensing matrix m x n = 1 x 100000000000 exceeds the cap"):
+            plan((1,), 10**11)
 
     def test_zeta_range(self):
         with pytest.raises(ValueError):
@@ -151,7 +172,6 @@ class TestFamilySetup:
         assert s.matrix_kind is MatrixKind.GAUSSIAN
         assert s.dither == Dither.zero()
         assert s.eta == pytest.approx(np.sqrt(np.pi / 2))
-        assert s.init == "random_in_model"
 
     def test_dithered_one_bit(self):
         plan = ExperimentPlan(
@@ -164,7 +184,7 @@ class TestFamilySetup:
         np.testing.assert_array_equal(s.spec.level_values, [-1.0, 1.0])
         assert s.matrix_kind is MatrixKind.RADEMACHER
         assert s.dither == Dither.uniform(1.5)
-        assert s.eta == 1.5 and s.init == "zero"
+        assert s.eta == 1.5
 
     def test_dithered_multi_bit_budget_rule(self):
         plan = ExperimentPlan(
@@ -179,7 +199,35 @@ class TestFamilySetup:
         assert s.spec.levels == 4
         assert s.spec.delta == pytest.approx(1.25)  # 5 / L
         assert s.dither == Dither.uniform(0.625)  # delta / 2
-        assert s.eta == 1.0 and s.init == "zero"
+        assert s.eta == 1.0
+
+    @pytest.mark.parametrize(
+        "plan, start",
+        [
+            (tiny_plan(m_grid=(60,)), "random"),
+            (tiny_plan(family=Family.DITHERED_ONE_BIT, model=SignalModel(Sparse(k=3, n=12), 0.0, 1.0), m_grid=(60,), lam=1.5), "zero"),
+            (
+                tiny_plan(
+                    family=Family.DITHERED_MULTI_BIT,
+                    model=SignalModel(Sparse(k=3, n=12), 0.0, 1.0),
+                    m_grid=(60,),
+                    L=4,
+                    delta_rule=DeltaRule("five_over_l"),
+                ),
+                "zero",
+            ),
+        ],
+        ids=["one_bit_gaussian", "dithered_one_bit", "dithered_multi_bit"],
+    )
+    def test_start(self, plan, start):
+        # a trial starts PGD at a random model member on the sphere and at zero on the ball
+        setup, seed = family_setup(plan), derive_seed(plan.master_seed, 0, 0)
+        x = gen_signal(plan.model, seed)
+        inst = sample_instance(setup.matrix_kind, setup.dither, plan.m_grid[0], plan.model.ambient_dim, seed)
+        init = RandomInit(seed) if start == "random" else ZeroInit()
+        config = PgdConfig(eta=setup.eta, iterations=plan.iterations, init=init)
+        by_hand = pgd_recover(config, plan.model, setup.spec, inst, measure(inst, setup.spec, x), truth=x)
+        assert run_trial(plan, 0, 0).per_iterate_errors.tobytes() == by_hand.errors.tobytes()
 
     def test_delta_rule_validation(self):
         with pytest.raises(ValueError):
@@ -212,7 +260,7 @@ class TestRunExperiment:
         res = run_experiment(tiny_plan(trials=1))
         for r in res.records:
             assert r.per_iterate_errors.shape == (10,)
-            assert r.per_iterate_errors[-1] == pytest.approx(r.final_error)
+            assert r.per_iterate_errors[-1] == r.final_error
 
     def test_l1ball_group_key_uses_squared_radius(self):
         plan = ExperimentPlan(

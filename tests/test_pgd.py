@@ -12,25 +12,21 @@ from quantcs import (
     SignalModel,
     Sparse,
     ZeroInit,
-    clipped_gradient,
     default_step_size,
     gen_signal,
     gradient,
-    gradient_from_thresholds,
     make_saturated,
     make_sign,
     make_uniform,
     measure,
-    one_sided_l1_loss,
     pgd_recover,
-    raic_residual,
     sample_instance,
 )
 import quantcs.pgd
-from quantcs.pgd import _SPARSE_D, _SPARSE_U, RaicParams
+from quantcs.pgd import _SPARSE_D, _SPARSE_U
 from quantcs.quantizers import quantize_vec
 from quantcs.sensing import MatrixKind
-from quantcs.verify import pgd_full_loop
+from quantcs.verify import clipped_gradient, gradient_from_thresholds, one_sided_l1_loss, pgd_full_loop, raic_residual
 
 from test_sensing import _fixed_instance
 
@@ -377,12 +373,6 @@ class TestRaicResidual:
         u, v = gen_signal(model, 20), gen_signal(model, 21)
         res = raic_residual(model, make_sign(), inst, np.sqrt(np.pi / 2), 1.0, u, v)
         assert res < np.linalg.norm(u - v)
-
-    def test_raic_params_validation(self):
-        with pytest.raises(ValueError):
-            RaicParams(mu1=-1.0, mu2=0.0, mu3=0.0, mu4=0.0, phi=1.0)
-        with pytest.raises(ValueError):
-            RaicParams(mu1=0.0, mu2=0.0, mu3=0.0, mu4=0.0, phi=0.0)
 
 
 class TestPgdVsBruteForce:
