@@ -5,48 +5,26 @@ scales like 1/(m L): doubling the number of levels while halving the number
 of measurements should leave the error roughly unchanged, as long as L stays
 moderate. Pushing L very high at a tiny m breaks the balance because too few
 rows remain to pin down the support. Both effects show up in this table.
+Each row is a one-cell ``dithered_multi_bit`` plan with the ``five_over_l``
+rule, run by ``run_experiment``.
 """
 
-import numpy as np
-
-from quantcs import (
-    Dither,
-    Family,
-    PgdConfig,
-    SignalModel,
-    Sparse,
-    default_step_size,
-    gen_signal,
-    make_saturated,
-    measure,
-    pgd_recover,
-    sample_instance,
-)
-from quantcs.rng import derive_seed
-from quantcs.sensing import MatrixKind
+from quantcs import DeltaRule, ExperimentPlan, Family, SignalModel, Sparse, run_experiment
 
 n, k, trials = 500, 3, 30
 
 
 def mean_error(L, m):
-    delta = 5.0 / L
-    spec = make_saturated(delta, L)
-    ball = SignalModel(Sparse(k=k, n=n), alpha=0.0, beta=1.0)
-    eta = default_step_size(Family.DITHERED_MULTI_BIT)
-    errs = []
-    for t in range(trials):
-        x = gen_signal(ball, derive_seed(17, L, m, t, "signal"))
-        inst = sample_instance(
-            MatrixKind.RADEMACHER,
-            Dither.uniform(delta / 2.0),
-            m,
-            n,
-            seed=derive_seed(17, L, m, t, "instance"),
-        )
-        y = measure(inst, spec, x)
-        res = pgd_recover(PgdConfig(eta=eta, iterations=100), ball, spec, inst, y)
-        errs.append(np.linalg.norm(res.estimate - x))
-    return float(np.mean(errs))
+    plan = ExperimentPlan(
+        family=Family.DITHERED_MULTI_BIT,
+        model=SignalModel(Sparse(k=k, n=n), alpha=0.0, beta=1.0),
+        m_grid=(m,),
+        L=L,
+        delta_rule=DeltaRule("five_over_l"),
+        trials=trials,
+        master_seed=17,
+    )
+    return run_experiment(plan).cells[0].mean_err
 
 
 def main():

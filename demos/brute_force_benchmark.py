@@ -11,10 +11,8 @@ truth and how often they pick the same point.
 import numpy as np
 
 from quantcs import (
-    Dither,
     Family,
     PgdConfig,
-    RandomInit,
     SignalModel,
     Sparse,
     default_step_size,
@@ -24,6 +22,7 @@ from quantcs import (
     make_sign,
     measure,
     pgd_recover,
+    random_in_model,
     sample_instance,
 )
 from quantcs.rng import derive_seed
@@ -43,14 +42,12 @@ def main():
     for t in range(trials):
         x = gen_signal(model, derive_seed(23, t, "signal"))
         inst = sample_instance(
-            MatrixKind.GAUSSIAN, Dither.zero(), m, n, seed=derive_seed(23, t, "instance")
+            MatrixKind.GAUSSIAN, 0.0, m, n, seed=derive_seed(23, t, "instance")
         )
         y = measure(inst, spec, x)
         ref = hdm_decode(net, spec, inst, y)
-        res = pgd_recover(
-            PgdConfig(eta=eta, iterations=100, init=RandomInit(seed=derive_seed(23, t, "init"))),
-            model, spec, inst, y,
-        )
+        start = random_in_model(model, seed=derive_seed(23, t, "init"))
+        res = pgd_recover(PgdConfig(eta=eta, iterations=100), model, spec, inst, y, start)
         pgd_errs.append(np.linalg.norm(res.estimate - x))
         hdm_errs.append(np.linalg.norm(ref.point - x))
         agree += int(np.linalg.norm(res.estimate - ref.point) < 0.1)

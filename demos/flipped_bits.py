@@ -4,54 +4,29 @@ Flips a fixed fraction of the one-bit measurements before decoding and
 tracks the mean recovery error as the corruption fraction grows. The
 gradient step treats disagreeing bits the same way whether they come from
 quantization or corruption, so the error degrades smoothly rather than
-collapsing.
+collapsing. Each row is a one-cell ``one_bit_gaussian`` plan with its
+``corruption_zeta``, run by ``run_experiment``.
 """
 
-import numpy as np
-
-from quantcs import (
-    Dither,
-    Family,
-    PgdConfig,
-    RandomInit,
-    SignalModel,
-    Sparse,
-    corrupt,
-    default_step_size,
-    gen_signal,
-    make_sign,
-    measure,
-    pgd_recover,
-    sample_instance,
-)
-from quantcs.rng import derive_seed
-from quantcs.sensing import MatrixKind
+from quantcs import ExperimentPlan, Family, SignalModel, Sparse, run_experiment
 
 n, k, m, trials = 300, 3, 900, 25
 
 
 def main():
     model = SignalModel(Sparse(k=k, n=n), alpha=1.0, beta=1.0)
-    spec = make_sign()
-    eta = default_step_size(Family.ONE_BIT_GAUSSIAN)
 
     print(f"{'flip fraction':>14} {'mean error':>12}")
     for zeta in (0.0, 0.02, 0.05, 0.1, 0.2):
-        errs = []
-        for t in range(trials):
-            x = gen_signal(model, derive_seed(41, t, "signal"))
-            inst = sample_instance(
-                MatrixKind.GAUSSIAN, Dither.zero(), m, n,
-                seed=derive_seed(41, t, "instance"),
-            )
-            y = corrupt(measure(inst, spec, x), spec, zeta, seed=derive_seed(41, t, "flip"))
-            res = pgd_recover(
-                PgdConfig(eta=eta, iterations=100,
-                          init=RandomInit(seed=derive_seed(41, t, "init"))),
-                model, spec, inst, y,
-            )
-            errs.append(np.linalg.norm(res.estimate - x))
-        print(f"{zeta:>14.2f} {np.mean(errs):>12.4f}")
+        plan = ExperimentPlan(
+            family=Family.ONE_BIT_GAUSSIAN,
+            model=model,
+            m_grid=(m,),
+            trials=trials,
+            master_seed=41,
+            corruption_zeta=zeta,
+        )
+        print(f"{zeta:>14.2f} {run_experiment(plan).cells[0].mean_err:>12.4f}")
 
 
 if __name__ == "__main__":

@@ -10,17 +10,16 @@ prints the error alongside the spectrum of the estimate.
 import numpy as np
 
 from quantcs import (
-    Dither,
     Family,
     LowRank,
     PgdConfig,
-    RandomInit,
     SignalModel,
     default_step_size,
     gen_signal,
     make_sign,
     measure,
     pgd_recover,
+    random_in_model,
     sample_instance,
 )
 from quantcs.sensing import MatrixKind
@@ -35,16 +34,12 @@ def main():
     print("true singular values:",
           np.round(np.linalg.svd(x.reshape(n1, n2), compute_uv=False)[:4], 4))
 
-    inst = sample_instance(MatrixKind.GAUSSIAN, Dither.zero(), m, n1 * n2, seed=29)
+    inst = sample_instance(MatrixKind.GAUSSIAN, 0.0, m, n1 * n2, seed=29)
     spec = make_sign()
     y = measure(inst, spec, x)
 
-    config = PgdConfig(
-        eta=default_step_size(Family.ONE_BIT_GAUSSIAN),
-        iterations=100,
-        init=RandomInit(seed=37),
-    )
-    res = pgd_recover(config, model, spec, inst, y, truth=x)
+    config = PgdConfig(eta=default_step_size(Family.ONE_BIT_GAUSSIAN), iterations=100)
+    res = pgd_recover(config, model, spec, inst, y, random_in_model(model, seed=37), truth=x)
     est = res.estimate
     print("estimate singular values:",
           np.round(np.linalg.svd(est.reshape(n1, n2), compute_uv=False)[:4], 4))

@@ -11,7 +11,6 @@ when the dither range fails to cover the signal norm.
 import numpy as np
 
 from quantcs import (
-    Dither,
     Family,
     PgdConfig,
     SignalModel,
@@ -38,18 +37,18 @@ def main():
     for scale in (0.25, 0.5, 0.9):
         x = scale * direction
         norms = []
-        for dither in (Dither.uniform(lam), Dither.zero()):
+        for dither in (lam, 0.0):
             inst = sample_instance(MatrixKind.RADEMACHER, dither, m, n, seed=5)
             y = measure(inst, make_sign(), x)
-            res = pgd_recover(PgdConfig(eta=eta, iterations=100), ball, make_sign(), inst, y)
+            res = pgd_recover(PgdConfig(eta=eta, iterations=100), ball, make_sign(), inst, y, np.zeros(n))
             norms.append(np.linalg.norm(res.estimate))
         print(f"{scale:9.2f}   {norms[0]:22.4f}   {norms[1]:24.4f}")
 
     print("\nwith a dither range too small for the signal (lam = 0.3, norm = 0.9):")
     x = 0.9 * direction
-    inst = sample_instance(MatrixKind.RADEMACHER, Dither.uniform(0.3), m, n, seed=5)
+    inst = sample_instance(MatrixKind.RADEMACHER, 0.3, m, n, seed=5)
     y = measure(inst, make_sign(), x)
-    res = pgd_recover(PgdConfig(eta=0.3, iterations=100), ball, make_sign(), inst, y, truth=x)
+    res = pgd_recover(PgdConfig(eta=0.3, iterations=100), ball, make_sign(), inst, y, np.zeros(n), truth=x)
     print(f"l2 error {res.errors[-1]:.4f} (the norm saturates near the dither range)")
 
 

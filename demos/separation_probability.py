@@ -10,7 +10,7 @@ the angle.
 
 import numpy as np
 
-from quantcs import Dither, estimate_puv, geodesic_puv, make_sign
+from quantcs import estimate_puv, geodesic_puv, make_sign
 from quantcs.sensing import MatrixKind
 
 n, samples = 40, 200_000
@@ -32,7 +32,7 @@ def main():
         u, v = pair_at_angle(theta, rng)
         exact = geodesic_puv(u, v)
         est = estimate_puv(
-            make_sign(), MatrixKind.GAUSSIAN, Dither.zero(), u, v, samples, seed=31
+            make_sign(), MatrixKind.GAUSSIAN, 0.0, u, v, samples, seed=31
         )
         z = (est.p_hat - exact) / est.stderr
         print(f"{theta:8.2f} {exact:12.5f} {est.p_hat:12.5f} {z:8.2f}")
@@ -42,7 +42,7 @@ def main():
     for theta in (0.1, 0.5, 1.0):
         u, v = pair_at_angle(theta, rng)
         est = estimate_puv(
-            make_sign(), MatrixKind.RADEMACHER, Dither.uniform(lam), u, v, samples, seed=37
+            make_sign(), MatrixKind.RADEMACHER, lam, u, v, samples, seed=37
         )
         gap = np.linalg.norm(u - v)
         print(f"gap {gap:.3f}  p_hat {est.p_hat:.5f}  gap/(2 lam) = {gap / (2 * lam):.5f}")

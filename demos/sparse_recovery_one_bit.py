@@ -9,10 +9,8 @@ the eventual plateau at the quantization-limited error floor.
 import numpy as np
 
 from quantcs import (
-    Dither,
     Family,
     PgdConfig,
-    RandomInit,
     SignalModel,
     Sparse,
     default_step_size,
@@ -20,6 +18,7 @@ from quantcs import (
     make_sign,
     measure,
     pgd_recover,
+    random_in_model,
     sample_instance,
 )
 from quantcs.sensing import MatrixKind
@@ -32,17 +31,13 @@ def main():
     x = gen_signal(model, seed=7)
     print("true support:", np.flatnonzero(x), "values:", np.round(x[np.flatnonzero(x)], 4))
 
-    inst = sample_instance(MatrixKind.GAUSSIAN, Dither.zero(), m, n, seed=11)
+    inst = sample_instance(MatrixKind.GAUSSIAN, 0.0, m, n, seed=11)
     spec = make_sign()
     y = measure(inst, spec, x)
     print(f"measured {m} bits, {np.mean(y > 0):.1%} positive")
 
-    config = PgdConfig(
-        eta=default_step_size(Family.ONE_BIT_GAUSSIAN),
-        iterations=60,
-        init=RandomInit(seed=13),
-    )
-    res = pgd_recover(config, model, spec, inst, y, truth=x)
+    config = PgdConfig(eta=default_step_size(Family.ONE_BIT_GAUSSIAN), iterations=60)
+    res = pgd_recover(config, model, spec, inst, y, random_in_model(model, seed=13), truth=x)
     for t in range(0, 60, 6):
         print(f"iter {t + 1:3d}  error {res.errors[t]:.5f}")
 

@@ -28,7 +28,7 @@ from .harness import (
     run_trial,
 )
 from .oracles import CandidateNet, HdmResult, PuvEstimate, enumerate_net, estimate_puv, geodesic_puv, hdm_decode
-from .pgd import GivenInit, PgdConfig, PgdResult, RandomInit, ZeroInit, gradient, pgd_recover
+from .pgd import PgdConfig, PgdResult, gradient, pgd_recover
 from .quantizers import (
     QuantizerSpec,
     level_index,
@@ -36,11 +36,10 @@ from .quantizers import (
     make_saturated,
     make_sign,
     make_uniform,
-    quantize,
     quantize_vec,
 )
 from .rng import derive_seed, stream
-from .sensing import Dither, MatrixKind, SensingInstance, corrupt, hamming, measure, sample_instance
+from .sensing import MatrixKind, SensingInstance, corrupt, hamming, measure, sample_instance
 from .signals import (
     L1Ball,
     LowRank,

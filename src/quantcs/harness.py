@@ -19,11 +19,11 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .pgd import PgdConfig, RandomInit, ZeroInit, pgd_recover
+from .pgd import PgdConfig, pgd_recover
 from .quantizers import QuantizerSpec, make_saturated, make_sign
 from .rng import derive_seed
-from .sensing import Dither, MatrixKind, corrupt, measure, sample_instance
-from .signals import L1Ball, LowRank, SignalModel, Sparse, check_int, check_real, gen_signal
+from .sensing import MatrixKind, corrupt, measure, sample_instance
+from .signals import L1Ball, LowRank, SignalModel, Sparse, check_int, check_real, gen_signal, random_in_model
 
 __all__ = [
     "Family",
@@ -201,22 +201,22 @@ class ExperimentResult(NamedTuple):
 
 @dataclass(frozen=True)
 class FamilySetup:
-    """Concrete quantizer, ensemble, dither, and step size for one family."""
+    """Concrete quantizer, ensemble, dither level, and step size for one family."""
 
     spec: QuantizerSpec
     matrix_kind: MatrixKind
-    dither: Dither
+    dither: float
     eta: float
 
 
 def family_setup(plan: ExperimentPlan) -> FamilySetup:
     eta = default_step_size(plan.family, lam=plan.lam)
     if plan.family is Family.ONE_BIT_GAUSSIAN:
-        return FamilySetup(make_sign(), MatrixKind.GAUSSIAN, Dither.zero(), eta)
+        return FamilySetup(make_sign(), MatrixKind.GAUSSIAN, 0.0, eta)
     if plan.family is Family.DITHERED_ONE_BIT:
-        return FamilySetup(make_sign(), MatrixKind.RADEMACHER, Dither.uniform(plan.lam), eta)
+        return FamilySetup(make_sign(), MatrixKind.RADEMACHER, float(plan.lam), eta)
     delta = plan.delta_rule.resolve(plan.L)
-    return FamilySetup(make_saturated(delta, plan.L), MatrixKind.RADEMACHER, Dither.uniform(delta / 2.0), eta)
+    return FamilySetup(make_saturated(delta, plan.L), MatrixKind.RADEMACHER, delta / 2.0, eta)
 
 
 def _k_or_r(model: SignalModel) -> float:
@@ -249,9 +249,9 @@ def run_trial(plan: ExperimentPlan, cell: int, trial: int) -> TrialRecord:
     y = measure(inst, setup.spec, x)
     if plan.corruption_zeta > 0.0:
         y = corrupt(y, setup.spec, plan.corruption_zeta, seed)
-    init = RandomInit(seed) if plan.model.alpha > 0 else ZeroInit()
-    config = PgdConfig(eta=setup.eta, iterations=plan.iterations, init=init)
-    res = pgd_recover(config, plan.model, setup.spec, inst, y, truth=x)
+    start = random_in_model(plan.model, seed) if plan.model.alpha > 0 else np.zeros(n)
+    config = PgdConfig(eta=setup.eta, iterations=plan.iterations)
+    res = pgd_recover(config, plan.model, setup.spec, inst, y, start, truth=x)
     return TrialRecord(m=m, seed=seed, per_iterate_errors=res.errors)
 
 
@@ -286,7 +286,7 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> ExperimentResult:
                 m=m,
                 L=setup.spec.levels,
                 delta=setup.spec.delta,
-                lam=setup.dither.level,
+                lam=setup.dither,
                 zeta=plan.corruption_zeta,
                 trials=plan.trials,
                 mean_err=mean,

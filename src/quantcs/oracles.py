@@ -16,7 +16,7 @@ import numpy as np
 
 from .quantizers import QuantizerSpec, quantize_vec
 from .rng import derive_seed
-from .sensing import Dither, MatrixKind, SensingInstance, sample_instance
+from .sensing import MatrixKind, SensingInstance, sample_instance
 from .signals import SignalModel, Sparse, gen_signal
 
 __all__ = [
@@ -122,7 +122,7 @@ def hdm_decode(net: CandidateNet, spec: QuantizerSpec, instance: SensingInstance
 def estimate_puv(
     spec: QuantizerSpec,
     matrix_kind: MatrixKind,
-    dither_kind: Dither,
+    dither: float,
     u,
     v,
     samples: int,
@@ -130,8 +130,9 @@ def estimate_puv(
 ) -> PuvEstimate:
     """Monte Carlo estimate of ``P(Q(<a,u> - tau) != Q(<a,v> - tau))``.
 
-    Draws ``samples`` fresh measurement rows and dithers, and reports the
-    disagreement frequency with its binomial standard error.
+    Draws ``samples`` fresh measurement rows and dithers uniform on
+    ``[-dither, dither]``, and reports the disagreement frequency with its
+    binomial standard error.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -139,7 +140,7 @@ def estimate_puv(
         raise ValueError("u and v must be vectors of the same dimension")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    inst = sample_instance(matrix_kind, dither_kind, samples, u.size, seed)
+    inst = sample_instance(matrix_kind, dither, samples, u.size, seed)
     qu = quantize_vec(spec, inst.matrix @ u - inst.dither)
     qv = quantize_vec(spec, inst.matrix @ v - inst.dither)
     p_hat = float(np.count_nonzero(qu != qv)) / samples

@@ -19,7 +19,7 @@ soon as an iterate repeats an earlier one bit for bit: a consistent iterate
 multi-bit rows can close cycles of period 2 or more.  The rest of the run is
 then a replay, so the per-iterate errors are copied forward and a few more
 steps land on the final iterate: the outputs are those of the full loop, bit
-for bit, and the check keeps one extra iterate in memory.
+for bit, and the check keeps two extra iterates in memory.
 
 This module is the solver alone: the loss value and the other forms of its
 gradient that cross-check this one live in ``quantcs.verify``, and each
@@ -35,12 +35,9 @@ import numpy as np
 
 from .quantizers import QuantizerSpec, quantize_vec
 from .sensing import SensingInstance
-from .signals import SignalModel, project_model, project_structure, random_in_model
+from .signals import SignalModel, project_model
 
 __all__ = [
-    "ZeroInit",
-    "GivenInit",
-    "RandomInit",
     "PgdConfig",
     "PgdResult",
     "gradient",
@@ -49,28 +46,9 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ZeroInit:
-    pass
-
-
-@dataclass(frozen=True, eq=False)
-class GivenInit:
-    vector: np.ndarray
-
-
-@dataclass(frozen=True)
-class RandomInit:
-    seed: int
-
-
-Init = ZeroInit | GivenInit | RandomInit
-
-
-@dataclass(frozen=True)
 class PgdConfig:
     eta: float
     iterations: int = 100
-    init: Init = ZeroInit()
 
     def __post_init__(self):
         if not (math.isfinite(self.eta) and self.eta > 0):
@@ -147,20 +125,22 @@ def pgd_recover(
     spec: QuantizerSpec,
     instance: SensingInstance,
     y,
+    start,
     truth=None,
 ) -> PgdResult:
-    """Run the projected gradient iteration from the configured start.
+    """Run the projected gradient iteration from the vector ``start``.
 
     Each step moves against the loss subgradient with step size ``eta`` and
     re-projects onto the structure set and then the norm annulus. Pass
     ``truth`` to have per-iterate l2 errors recorded.
 
-    The loop stops once an iterate equals, bit for bit, a checkpoint iterate
-    taken at the last power-of-two iteration (Brent's cycle check), which
-    catches fixed points and cycles of any period.  The remaining errors are
-    copied from the cycle and ``(iterations - t) % period`` more steps reach
-    the last iterate, so ``estimate`` and ``errors`` equal those of all
-    ``config.iterations`` steps bit for bit; the extra memory is one iterate.
+    The loop stops once an iterate equals, bit for bit, the iterate before it
+    (a fixed point) or a checkpoint iterate taken at the last power-of-two
+    iteration (Brent's cycle check, for cycles of any period).  The remaining
+    errors are copied from the cycle and ``(iterations - t) % period`` more
+    steps reach the last iterate, so ``estimate`` and ``errors`` equal those of
+    all ``config.iterations`` steps bit for bit; the extra memory is two
+    iterates.  ``start`` is copied, and must have shape ``(n,)``.
     """
     if model.ambient_dim != instance.n:
         raise ValueError(f"model dimension {model.ambient_dim} does not match instance n={instance.n}")
@@ -170,40 +150,34 @@ def pgd_recover(
         if truth.shape != (instance.n,):
             raise ValueError(f"truth shape {truth.shape} does not match n={instance.n}")
 
-    if isinstance(config.init, ZeroInit):
-        x = np.zeros(instance.n)
-    elif isinstance(config.init, RandomInit):
-        x = random_in_model(model, config.init.seed)
-    else:
-        x = np.asarray(config.init.vector, dtype=float)
-        if x.shape != (instance.n,):
-            raise ValueError(f"init vector shape {x.shape} does not match n={instance.n}")
-        nrm = np.linalg.norm(x)
-        tol = 1e-9 * max(1.0, nrm)
-        if np.linalg.norm(project_structure(model, x) - x) > tol:
-            raise ValueError("init vector does not lie in the structure set")
-        if not (model.alpha - tol <= nrm <= model.beta + tol):
-            raise ValueError(f"init vector norm {nrm} outside [{model.alpha}, {model.beta}]")
-        x = x.copy()
+    x = np.array(start, dtype=float)
+    if x.shape != (instance.n,):
+        raise ValueError(f"start shape {x.shape} does not match n={instance.n}")
 
     def step(u):
         return project_model(model, u - config.eta * gradient(spec, instance, y, u))
 
     # the checkpoint is the start, then the iterate of each power-of-two t;
-    # once x_t repeats it, x_mark .. x_t recur until the end
+    # once x_t repeats it, x_mark .. x_t recur until the end.  A fixed point
+    # (x_t equal to x_{t-1}) is caught at once by comparing with the last iterate
     total = config.iterations
     errors = np.empty(total) if truth is not None else None
     mark, mark_at = x.tobytes(), 0
+    last = mark
     for t in range(1, total + 1):
         x = step(x)
+        key = x.tobytes()
         if errors is not None:
             errors[t - 1] = np.linalg.norm(x - truth)
-        if x.tobytes() == mark:
+        if key == last:
+            mark, mark_at = key, t - 1
+        if key == mark:
             if errors is not None:
                 errors[t:] = np.resize(errors[mark_at:t], total - t)
             for _ in range((total - t) % (t - mark_at)):
                 x = step(x)
             break
         if t & (t - 1) == 0:
-            mark, mark_at = x.tobytes(), t
+            mark, mark_at = key, t
+        last = key
     return PgdResult(estimate=x, errors=errors)

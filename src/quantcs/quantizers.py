@@ -29,7 +29,6 @@ __all__ = [
     "make_uniform",
     "make_saturated",
     "make_general",
-    "quantize",
     "quantize_vec",
     "level_index",
 ]
@@ -149,17 +148,8 @@ def _quantize_array(spec: QuantizerSpec, z: np.ndarray) -> np.ndarray:
     return spec.level_values[idx]
 
 
-def quantize(spec: QuantizerSpec, value: float) -> float:
-    """Quantize one scalar. Ties at a threshold map to the upper level."""
-    z = np.asarray(value, dtype=float)
-    if z.ndim != 0:
-        raise ValueError("quantize expects a scalar; use quantize_vec for arrays")
-    _check_finite(z)
-    return float(_quantize_array(spec, z))
-
-
 def quantize_vec(spec: QuantizerSpec, values) -> np.ndarray:
-    """Quantize an array entrywise."""
+    """Quantize an array entrywise; a scalar gives a 0-d array."""
     z = np.asarray(values, dtype=float)
     _check_finite(z)
     return _quantize_array(spec, z)

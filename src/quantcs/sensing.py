@@ -22,7 +22,6 @@ from .rng import stream
 
 __all__ = [
     "MatrixKind",
-    "Dither",
     "SensingInstance",
     "sample_instance",
     "measure",
@@ -34,25 +33,6 @@ __all__ = [
 class MatrixKind(enum.Enum):
     GAUSSIAN = "gaussian"
     RADEMACHER = "rademacher"
-
-
-@dataclass(frozen=True)
-class Dither:
-    """Dither law: i.i.d. uniform on ``[-level, level]``; level 0 is no dither."""
-
-    level: float = 0.0
-
-    def __post_init__(self):
-        if self.level < 0 or not np.isfinite(self.level):
-            raise ValueError(f"dither level must be a finite real >= 0, got {self.level}")
-
-    @staticmethod
-    def zero() -> "Dither":
-        return Dither()
-
-    @staticmethod
-    def uniform(level: float) -> "Dither":
-        return Dither(float(level))
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,16 +49,19 @@ class SensingInstance:
         return self.matrix.shape[1]
 
 
-def sample_instance(matrix_kind: MatrixKind, dither_kind: Dither, m: int, n: int, seed: int) -> SensingInstance:
+def sample_instance(matrix_kind: MatrixKind, dither: float, m: int, n: int, seed: int) -> SensingInstance:
     """Draw a fresh matrix/dither pair.
 
     Rows of a Gaussian matrix are standard normal; Rademacher entries are
-    independent signs. The dither is uniform on ``[-level, level]`` (or zero).
-    The "matrix" and "dither" streams are independent, so changing ``m`` or
-    the dither law never reflows the other component's randomness pattern.
+    independent signs. The dither is i.i.d. uniform on ``[-dither, dither]``;
+    level 0 is no dither. The "matrix" and "dither" streams are independent,
+    so changing ``m`` or the dither level never reflows the other component's
+    randomness pattern.
     """
     if m < 1 or n < 1:
         raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
+    if not (np.isfinite(dither) and dither >= 0):
+        raise ValueError(f"dither level must be a finite real >= 0, got {dither}")
     mat_rng = stream(seed, "matrix")
     if matrix_kind is MatrixKind.GAUSSIAN:
         A = mat_rng.standard_normal((m, n))
@@ -86,10 +69,10 @@ def sample_instance(matrix_kind: MatrixKind, dither_kind: Dither, m: int, n: int
         A = 2.0 * mat_rng.integers(0, 2, size=(m, n)).astype(float) - 1.0
     else:
         raise ValueError(f"unknown matrix kind {matrix_kind!r}")
-    if dither_kind.level == 0.0:
+    if dither == 0.0:
         tau = np.zeros(m)
     else:
-        tau = stream(seed, "dither").uniform(-dither_kind.level, dither_kind.level, size=m)
+        tau = stream(seed, "dither").uniform(-dither, dither, size=m)
     return SensingInstance(matrix=A, dither=tau)
 
 

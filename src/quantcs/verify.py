@@ -22,10 +22,10 @@ from itertools import combinations
 import numpy as np
 
 from .oracles import enumerate_net, estimate_puv, geodesic_puv, hdm_decode
-from .pgd import _SPARSE_D, _SPARSE_U, PgdConfig, RandomInit, ZeroInit, _adjoint, _forward, gradient, pgd_recover
-from .quantizers import level_index, make_general, make_saturated, make_sign, make_uniform, quantize, quantize_vec
+from .pgd import _SPARSE_D, _SPARSE_U, PgdConfig, _adjoint, _forward, gradient, pgd_recover
+from .quantizers import level_index, make_general, make_saturated, make_sign, make_uniform, quantize_vec
 from .rng import derive_seed, stream
-from .sensing import Dither, MatrixKind, measure, sample_instance
+from .sensing import MatrixKind, measure, sample_instance
 from .signals import (
     L1Ball,
     SignalModel,
@@ -232,20 +232,15 @@ def fd_gradient(spec, instance, y, u) -> np.ndarray:
     return g
 
 
-def pgd_full_loop(config, model, spec, instance, y, truth):
-    """Every iteration of ``pgd_recover``'s step, with no stopping rule.
+def pgd_full_loop(config, model, spec, instance, y, start, truth):
+    """Every iteration of ``pgd_recover``'s step from ``start``, with no stopping rule.
 
     Returns ``(estimate, errors, period)``: the last iterate, the per-iterate
     errors against ``truth``, and the length of the first bitwise repeat
     ``x_t == x_s`` (``s < t``), found by keeping every iterate's bytes, or 0
     when no iterate repeats.
     """
-    if isinstance(config.init, ZeroInit):
-        x = np.zeros(instance.n)
-    elif isinstance(config.init, RandomInit):
-        x = random_in_model(model, config.init.seed)
-    else:
-        x = np.array(config.init.vector, dtype=float)
+    x = np.array(start, dtype=float)
     seen, period = {x.tobytes(): 0}, 0
     errors = np.empty(config.iterations)
     for t in range(1, config.iterations + 1):
@@ -359,11 +354,11 @@ def quantizer_suite() -> list[Check]:
             ok = False
     checks.append(Check("monotone", ok, "quantization preserves ordering"))
 
-    ties = (
-        quantize(make_sign(), 0.0) == 1.0
-        and quantize(make_uniform(1.0), 1.0) == 1.5
-        and quantize(make_saturated(1.0, 4), 1.0) == 1.5
-        and quantize(make_saturated(1.0, 4), -1.0) == -0.5
+    ties = bool(
+        quantize_vec(make_sign(), 0.0) == 1.0
+        and quantize_vec(make_uniform(1.0), 1.0) == 1.5
+        and quantize_vec(make_saturated(1.0, 4), 1.0) == 1.5
+        and quantize_vec(make_saturated(1.0, 4), -1.0) == -0.5
     )
     checks.append(Check("threshold_ties_map_up", ties, "values on thresholds take the upper level"))
     return checks
@@ -460,7 +455,7 @@ def gradient_suite() -> list[Check]:
         n = int(rng.integers(2, 9))
         m = int(rng.integers(3, 25))
         mk = MatrixKind.GAUSSIAN if rng.random() < 0.5 else MatrixKind.RADEMACHER
-        dither = Dither.uniform(float(rng.uniform(0.0, 2.0))) if rng.random() < 0.5 else Dither.zero()
+        dither = float(rng.uniform(0.0, 2.0)) if rng.random() < 0.5 else 0.0
         inst = sample_instance(mk, dither, m, n, int(rng.integers(0, 2**32)))
         x = rng.standard_normal(n)
         y = measure(inst, spec, x)
@@ -487,7 +482,7 @@ def gradient_suite() -> list[Check]:
     spec = make_sign()
     for _ in range(50):
         n, m = 6, 40
-        inst = sample_instance(MatrixKind.GAUSSIAN, Dither.uniform(0.5), m, n, int(rng.integers(0, 2**32)))
+        inst = sample_instance(MatrixKind.GAUSSIAN, 0.5, m, n, int(rng.integers(0, 2**32)))
         u = rng.standard_normal(n)
         v = rng.standard_normal(n)
         lhs = clipped_gradient(spec, inst, u, v)
@@ -501,7 +496,7 @@ def gradient_suite() -> list[Check]:
     # dense u, each with few and with many mismatched rows, and u = 0
     spec = make_sign()
     m, n = 1200, 300
-    inst = sample_instance(MatrixKind.GAUSSIAN, Dither.uniform(0.5), m, n, int(rng.integers(0, 2**32)))
+    inst = sample_instance(MatrixKind.GAUSSIAN, 0.5, m, n, int(rng.integers(0, 2**32)))
     xs = gen_signal(SignalModel(Sparse(k=3, n=n), alpha=1.0, beta=1.0), int(rng.integers(0, 2**32)))
     xd = rng.standard_normal(n) / math.sqrt(n)
     ys, yd = measure(inst, spec, xs), measure(inst, spec, xd)
@@ -522,7 +517,7 @@ def gradient_suite() -> list[Check]:
     )
 
     spec = make_saturated(0.5, 8)
-    inst = sample_instance(MatrixKind.GAUSSIAN, Dither.uniform(0.25), 60, 8, 7)
+    inst = sample_instance(MatrixKind.GAUSSIAN, 0.25, 60, 8, 7)
     x = gen_signal(SignalModel(Sparse(k=3, n=8), alpha=1.0, beta=1.0), 3)
     y = measure(inst, spec, x)
     at_truth = one_sided_l1_loss(spec, inst, y, x) == 0.0 and not np.any(gradient(spec, inst, y, x))
@@ -538,9 +533,9 @@ def gradient_suite() -> list[Check]:
     l1 = SignalModel(L1Ball(radius=math.sqrt(5), n=100), 1.0, 1.0)
     fine = make_saturated(5.0 / 32, 32)
     runs = [
-        (sphere, make_sign(), MatrixKind.GAUSSIAN, Dither.zero(), 200, eta),
-        (ball, fine, MatrixKind.RADEMACHER, Dither.uniform(fine.delta / 2), 60, 1.0),
-        (l1, make_sign(), MatrixKind.GAUSSIAN, Dither.zero(), 200, eta),
+        (sphere, make_sign(), MatrixKind.GAUSSIAN, 0.0, 200, eta),
+        (ball, fine, MatrixKind.RADEMACHER, fine.delta / 2, 60, 1.0),
+        (l1, make_sign(), MatrixKind.GAUSSIAN, 0.0, 200, eta),
     ]
     differ, kinds = 0, set()  # kinds: period 0 (no repeat), 1, or 2 for any longer
     for model, spec, kind, dither, m, step in runs:
@@ -549,10 +544,10 @@ def gradient_suite() -> list[Check]:
             inst = sample_instance(kind, dither, m, model.ambient_dim, s)
             x = gen_signal(model, s)
             y = measure(inst, spec, x)
-            init = RandomInit(s) if model.alpha > 0 else ZeroInit()
-            config = PgdConfig(eta=step, iterations=iterations, init=init)
-            res = pgd_recover(config, model, spec, inst, y, truth=x)
-            estimate, errors, period = pgd_full_loop(config, model, spec, inst, y, x)
+            start = random_in_model(model, s) if model.alpha > 0 else np.zeros(model.ambient_dim)
+            config = PgdConfig(eta=step, iterations=iterations)
+            res = pgd_recover(config, model, spec, inst, y, start, truth=x)
+            estimate, errors, period = pgd_full_loop(config, model, spec, inst, y, start, x)
             differ += res.estimate.tobytes() != estimate.tobytes() or res.errors.tobytes() != errors.tobytes()
             kinds.add(min(period, 2))
     checks.append(
@@ -580,7 +575,7 @@ def puv_suite() -> list[Check]:
         u /= np.linalg.norm(u)
         v = rng.standard_normal(n)
         v /= np.linalg.norm(v)
-        est = estimate_puv(sign, MatrixKind.GAUSSIAN, Dither.zero(), u, v, mc_samples, int(rng.integers(0, 2**32)))
+        est = estimate_puv(sign, MatrixKind.GAUSSIAN, 0.0, u, v, mc_samples, int(rng.integers(0, 2**32)))
         exact = geodesic_puv(u, v)
         se = max(est.stderr, 1e-12)
         z = abs(est.p_hat - exact) / se
@@ -616,7 +611,7 @@ def puv_suite() -> list[Check]:
         u *= rng.uniform(0, 1) / np.linalg.norm(u)
         v = rng.standard_normal(n)
         v *= rng.uniform(0, 1) / np.linalg.norm(v)
-        est = estimate_puv(sign, MatrixKind.RADEMACHER, Dither.uniform(lam), u, v, 50_000, int(rng.integers(0, 2**32)))
+        est = estimate_puv(sign, MatrixKind.RADEMACHER, lam, u, v, 50_000, int(rng.integers(0, 2**32)))
         slack = est.p_hat - (float(np.linalg.norm(u - v)) / (2 * lam) + 3 * est.stderr)
         worst = max(worst, slack)
         ok = ok and slack <= 0
@@ -631,7 +626,7 @@ def puv_suite() -> list[Check]:
         u *= rng.uniform(0, 1) / np.linalg.norm(u)
         v = rng.standard_normal(n)
         v *= rng.uniform(0, 1) / np.linalg.norm(v)
-        est = estimate_puv(sat, MatrixKind.RADEMACHER, Dither.uniform(delta / 2), u, v, 50_000, int(rng.integers(0, 2**32)))
+        est = estimate_puv(sat, MatrixKind.RADEMACHER, delta / 2, u, v, 50_000, int(rng.integers(0, 2**32)))
         slack = est.p_hat - (float(np.linalg.norm(u - v)) / delta + 3 * est.stderr)
         worst = max(worst, slack)
         ok = ok and slack <= 0
@@ -639,7 +634,7 @@ def puv_suite() -> list[Check]:
 
     u = rng.standard_normal(6)
     u /= np.linalg.norm(u)
-    est = estimate_puv(sign, MatrixKind.GAUSSIAN, Dither.zero(), u, u, 10_000, 5)
+    est = estimate_puv(sign, MatrixKind.GAUSSIAN, 0.0, u, u, 10_000, 5)
     checks.append(Check("identical_signals_never_separate", est.p_hat == 0.0, f"p_hat = {est.p_hat}"))
     return checks
 
@@ -653,7 +648,7 @@ def hdm_suite() -> list[Check]:
     net = enumerate_net(model, r=0.05)
 
     ok = True
-    inst = sample_instance(MatrixKind.GAUSSIAN, Dither.zero(), 25, 6, 11)
+    inst = sample_instance(MatrixKind.GAUSSIAN, 0.0, 25, 6, 11)
     for _ in range(30):
         x = gen_signal(model, int(rng.integers(0, 2**32)))
         y = measure(inst, sign, x)
@@ -674,11 +669,12 @@ def hdm_suite() -> list[Check]:
     for t in range(trials):
         tseed = derive_seed(SEED, "hdm_theorem", t)
         x = gen_signal(model, tseed)
-        inst = sample_instance(MatrixKind.GAUSSIAN, Dither.zero(), 200, 6, tseed)
+        inst = sample_instance(MatrixKind.GAUSSIAN, 0.0, 200, 6, tseed)
         y = measure(inst, sign, x)
         hdm_err = float(np.linalg.norm(hdm_decode(net, sign, inst, y).point - x))
-        cfg = PgdConfig(eta=math.sqrt(math.pi / 2), iterations=100, init=RandomInit(tseed))
-        pgd_err = float(np.linalg.norm(pgd_recover(cfg, model, sign, inst, y, truth=x).estimate - x))
+        cfg = PgdConfig(eta=math.sqrt(math.pi / 2), iterations=100)
+        start = random_in_model(model, tseed)
+        pgd_err = float(np.linalg.norm(pgd_recover(cfg, model, sign, inst, y, start, truth=x).estimate - x))
         good += hdm_err <= 0.1 and pgd_err <= 0.1
     checks.append(
         Check(
@@ -700,7 +696,7 @@ def raic_suite() -> list[Check]:
     pairs = 1000
     sign = make_sign()
     model = SignalModel(Sparse(k=3, n=100), alpha=1.0, beta=1.0)
-    inst = sample_instance(MatrixKind.GAUSSIAN, Dither.zero(), 5000, 100, 17)
+    inst = sample_instance(MatrixKind.GAUSSIAN, 0.0, 5000, 100, 17)
     eta = math.sqrt(math.pi / 2)
     r = 0.05
 

@@ -6,17 +6,14 @@ import pytest
 from quantcs import (
     CSV_COLUMNS,
     DeltaRule,
-    Dither,
     ExperimentPlan,
     Family,
     L1Ball,
     LowRank,
     MatrixKind,
     PgdConfig,
-    RandomInit,
     SignalModel,
     Sparse,
-    ZeroInit,
     derive_seed,
     emit_csv,
     emit_svg_loglog,
@@ -26,6 +23,7 @@ from quantcs import (
     measure,
     pgd_recover,
     plan_from_json,
+    random_in_model,
     run_experiment,
     run_trial,
     sample_instance,
@@ -170,7 +168,7 @@ class TestFamilySetup:
         s = family_setup(tiny_plan())
         np.testing.assert_array_equal(s.spec.level_values, [-1.0, 1.0])
         assert s.matrix_kind is MatrixKind.GAUSSIAN
-        assert s.dither == Dither.zero()
+        assert s.dither == 0.0
         assert s.eta == pytest.approx(np.sqrt(np.pi / 2))
 
     def test_dithered_one_bit(self):
@@ -183,7 +181,7 @@ class TestFamilySetup:
         s = family_setup(plan)
         np.testing.assert_array_equal(s.spec.level_values, [-1.0, 1.0])
         assert s.matrix_kind is MatrixKind.RADEMACHER
-        assert s.dither == Dither.uniform(1.5)
+        assert s.dither == 1.5
         assert s.eta == 1.5
 
     def test_dithered_multi_bit_budget_rule(self):
@@ -198,7 +196,7 @@ class TestFamilySetup:
         np.testing.assert_array_equal(s.spec.thresholds, [-1.25, 0.0, 1.25])
         assert s.spec.levels == 4
         assert s.spec.delta == pytest.approx(1.25)  # 5 / L
-        assert s.dither == Dither.uniform(0.625)  # delta / 2
+        assert s.dither == 0.625  # delta / 2
         assert s.eta == 1.0
 
     @pytest.mark.parametrize(
@@ -224,9 +222,9 @@ class TestFamilySetup:
         setup, seed = family_setup(plan), derive_seed(plan.master_seed, 0, 0)
         x = gen_signal(plan.model, seed)
         inst = sample_instance(setup.matrix_kind, setup.dither, plan.m_grid[0], plan.model.ambient_dim, seed)
-        init = RandomInit(seed) if start == "random" else ZeroInit()
-        config = PgdConfig(eta=setup.eta, iterations=plan.iterations, init=init)
-        by_hand = pgd_recover(config, plan.model, setup.spec, inst, measure(inst, setup.spec, x), truth=x)
+        u = random_in_model(plan.model, seed) if start == "random" else np.zeros(plan.model.ambient_dim)
+        config = PgdConfig(eta=setup.eta, iterations=plan.iterations)
+        by_hand = pgd_recover(config, plan.model, setup.spec, inst, measure(inst, setup.spec, x), u, truth=x)
         assert run_trial(plan, 0, 0).per_iterate_errors.tobytes() == by_hand.errors.tobytes()
 
     def test_delta_rule_validation(self):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from quantcs import (
-    Dither,
     LowRank,
     MatrixKind,
     SignalModel,
@@ -82,7 +81,7 @@ class TestHdmDecode:
         model = sphere_sparse(1, 6)
         net = enumerate_net(model, r=0.05)
         spec = make_sign()
-        inst = sample_instance(MatrixKind.GAUSSIAN, Dither.zero(), 80, 6, seed=1)
+        inst = sample_instance(MatrixKind.GAUSSIAN, 0.0, 80, 6, seed=1)
         x = net.points[7]
         y = measure(inst, spec, x)
         res = hdm_decode(net, spec, inst, y)
@@ -95,7 +94,7 @@ class TestHdmDecode:
         spec = make_sign()
         rng = np.random.default_rng(2)
         for trial in range(20):
-            inst = sample_instance(MatrixKind.GAUSSIAN, Dither.zero(), 15, 4, seed=trial)
+            inst = sample_instance(MatrixKind.GAUSSIAN, 0.0, 15, 4, seed=trial)
             x = gen_signal(model, int(rng.integers(0, 2**32)))
             y = measure(inst, spec, x)
             res = hdm_decode(net, spec, inst, y)
@@ -105,10 +104,10 @@ class TestHdmDecode:
 
     def test_shape_validation(self):
         net = enumerate_net(sphere_sparse(1, 6), r=0.05)
-        inst = sample_instance(MatrixKind.GAUSSIAN, Dither.zero(), 10, 6, seed=3)
+        inst = sample_instance(MatrixKind.GAUSSIAN, 0.0, 10, 6, seed=3)
         with pytest.raises(ValueError):
             hdm_decode(net, make_sign(), inst, np.ones(9))
-        inst5 = sample_instance(MatrixKind.GAUSSIAN, Dither.zero(), 10, 5, seed=3)
+        inst5 = sample_instance(MatrixKind.GAUSSIAN, 0.0, 10, 5, seed=3)
         with pytest.raises(ValueError):
             hdm_decode(net, make_sign(), inst5, np.ones(10))
 
@@ -116,12 +115,12 @@ class TestHdmDecode:
 class TestPuv:
     def test_identical_signals_never_separate(self):
         u = np.array([0.6, -0.8])
-        est = estimate_puv(make_sign(), MatrixKind.GAUSSIAN, Dither.zero(), u, u, 5000, seed=0)
+        est = estimate_puv(make_sign(), MatrixKind.GAUSSIAN, 0.0, u, u, 5000, seed=0)
         assert est.p_hat == 0.0 and est.stderr == 0.0
 
     def test_antipodal_always_separate(self):
         u = np.array([1.0, 0.0, 0.0])
-        est = estimate_puv(make_sign(), MatrixKind.GAUSSIAN, Dither.zero(), u, -u, 5000, seed=1)
+        est = estimate_puv(make_sign(), MatrixKind.GAUSSIAN, 0.0, u, -u, 5000, seed=1)
         assert est.p_hat == 1.0
         assert geodesic_puv(u, -u) == pytest.approx(1.0)
 
@@ -129,7 +128,7 @@ class TestPuv:
         u = np.array([1.0, 0.0])
         v = np.array([0.0, 1.0])
         assert geodesic_puv(u, v) == pytest.approx(0.5)
-        est = estimate_puv(make_sign(), MatrixKind.GAUSSIAN, Dither.zero(), u, v, 100_000, seed=2)
+        est = estimate_puv(make_sign(), MatrixKind.GAUSSIAN, 0.0, u, v, 100_000, seed=2)
         assert est.p_hat == pytest.approx(0.5, abs=4 * est.stderr)
 
     def test_monte_carlo_matches_geodesic(self):
@@ -140,14 +139,14 @@ class TestPuv:
             u /= np.linalg.norm(u)
             v = rng.standard_normal(n)
             v /= np.linalg.norm(v)
-            est = estimate_puv(make_sign(), MatrixKind.GAUSSIAN, Dither.zero(), u, v, 100_000, seed=trial)
+            est = estimate_puv(make_sign(), MatrixKind.GAUSSIAN, 0.0, u, v, 100_000, seed=trial)
             assert abs(est.p_hat - geodesic_puv(u, v)) <= 4 * max(est.stderr, 1e-12)
 
     def test_deterministic(self):
         u = np.array([1.0, 0.0])
         v = np.array([0.0, 1.0])
-        a = estimate_puv(make_sign(), MatrixKind.GAUSSIAN, Dither.zero(), u, v, 1000, seed=7)
-        b = estimate_puv(make_sign(), MatrixKind.GAUSSIAN, Dither.zero(), u, v, 1000, seed=7)
+        a = estimate_puv(make_sign(), MatrixKind.GAUSSIAN, 0.0, u, v, 1000, seed=7)
+        b = estimate_puv(make_sign(), MatrixKind.GAUSSIAN, 0.0, u, v, 1000, seed=7)
         assert a == b
 
     def test_geodesic_requires_unit_vectors(self):
@@ -156,6 +155,6 @@ class TestPuv:
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            estimate_puv(make_sign(), MatrixKind.GAUSSIAN, Dither.zero(), np.ones(2), np.ones(3), 10, 0)
+            estimate_puv(make_sign(), MatrixKind.GAUSSIAN, 0.0, np.ones(2), np.ones(3), 10, 0)
         with pytest.raises(ValueError):
-            estimate_puv(make_sign(), MatrixKind.GAUSSIAN, Dither.zero(), np.ones(2), np.ones(2), 0, 0)
+            estimate_puv(make_sign(), MatrixKind.GAUSSIAN, 0.0, np.ones(2), np.ones(2), 0, 0)

@@ -2,16 +2,12 @@ import numpy as np
 import pytest
 
 from quantcs import (
-    Dither,
     Family,
-    GivenInit,
     L1Ball,
     LowRank,
     PgdConfig,
-    RandomInit,
     SignalModel,
     Sparse,
-    ZeroInit,
     default_step_size,
     gen_signal,
     gradient,
@@ -20,6 +16,7 @@ from quantcs import (
     make_uniform,
     measure,
     pgd_recover,
+    random_in_model,
     sample_instance,
 )
 import quantcs.pgd
@@ -62,7 +59,7 @@ class TestLoss:
 
     def test_zero_exactly_on_consistent_points(self):
         rng = np.random.default_rng(0)
-        inst = sample_instance(MatrixKind.GAUSSIAN, Dither.uniform(0.5), 40, 6, seed=1)
+        inst = sample_instance(MatrixKind.GAUSSIAN, 0.5, 40, 6, seed=1)
         x = gen_signal(SignalModel(Sparse(k=2, n=6), 1.0, 1.0), 2)
         for spec in (make_sign(), make_uniform(0.5), make_saturated(0.5, 8)):
             y = measure(inst, spec, x)
@@ -101,7 +98,7 @@ class TestGradient:
         np.testing.assert_array_equal(g, [-1.0, 1.0])
 
     def test_zero_at_truth(self):
-        inst = sample_instance(MatrixKind.RADEMACHER, Dither.uniform(1.0), 60, 8, seed=4)
+        inst = sample_instance(MatrixKind.RADEMACHER, 1.0, 60, 8, seed=4)
         x = gen_signal(SignalModel(Sparse(k=3, n=8), 0.0, 1.0), 5)
         for spec in (make_sign(), make_uniform(0.4), make_saturated(0.4, 6)):
             y = measure(inst, spec, x)
@@ -111,7 +108,7 @@ class TestGradient:
         rng = np.random.default_rng(7)
         for spec in (make_sign(), make_uniform(0.3), make_saturated(0.5, 4), make_saturated(0.25, 16)):
             for trial in range(20):
-                inst = sample_instance(MatrixKind.GAUSSIAN, Dither.uniform(0.8), 25, 5, seed=trial)
+                inst = sample_instance(MatrixKind.GAUSSIAN, 0.8, 25, 5, seed=trial)
                 x = gen_signal(SignalModel(Sparse(k=2, n=5), 1.0, 1.0), trial + 100)
                 y = measure(inst, spec, x)
                 u = 2.0 * rng.standard_normal(5)
@@ -124,7 +121,7 @@ class TestGradient:
     def test_clipped_equals_plain_for_sign(self):
         spec = make_sign()
         for seed in range(10):
-            inst = sample_instance(MatrixKind.GAUSSIAN, Dither.zero(), 30, 6, seed=seed)
+            inst = sample_instance(MatrixKind.GAUSSIAN, 0.0, 30, 6, seed=seed)
             rng = np.random.default_rng(seed + 50)
             u = rng.standard_normal(6)
             v = rng.standard_normal(6)
@@ -133,7 +130,7 @@ class TestGradient:
 
     def test_zero_iterate(self):
         # the zero start of the dithered families: no support, about half the rows mismatched
-        inst = sample_instance(MatrixKind.RADEMACHER, Dither.uniform(1.5), 1200, 500, seed=2)
+        inst = sample_instance(MatrixKind.RADEMACHER, 1.5, 1200, 500, seed=2)
         x = gen_signal(SignalModel(Sparse(k=3, n=500), 0.0, 1.0), 3)
         u = np.zeros(500)
         for spec in (make_sign(), make_saturated(0.625, 8)):
@@ -145,7 +142,7 @@ class TestGradient:
     def test_matches_dense_at_crossovers(self, support, mismatched):
         # exactly at and one past each gather cutoff, for m x n = 1200 x 500
         spec = make_sign()
-        inst = sample_instance(MatrixKind.GAUSSIAN, Dither.uniform(0.5), 1200, 500, seed=support + mismatched)
+        inst = sample_instance(MatrixKind.GAUSSIAN, 0.5, 1200, 500, seed=support + mismatched)
         rng = np.random.default_rng(support * mismatched)
         u = np.zeros(500)
         u[rng.choice(500, support, replace=False)] = rng.standard_normal(support)
@@ -158,7 +155,7 @@ class TestGradient:
     def test_clipped_equals_plain_on_gathered_rows(self):
         # a 3-sparse u near v leaves few rows mismatched, so both take the row gather
         spec = make_sign()
-        inst = sample_instance(MatrixKind.GAUSSIAN, Dither.uniform(0.5), 1200, 500, seed=8)
+        inst = sample_instance(MatrixKind.GAUSSIAN, 0.5, 1200, 500, seed=8)
         v = gen_signal(SignalModel(Sparse(k=3, n=500), 1.0, 1.0), 9)
         u = v * (1.0 + 0.1 * np.random.default_rng(10).standard_normal(500))
         y = measure(inst, spec, v)
@@ -178,7 +175,7 @@ class TestGradient:
 
     def test_matches_finite_differences_away_from_thresholds(self):
         spec = make_sign()
-        inst = sample_instance(MatrixKind.GAUSSIAN, Dither.zero(), 50, 8, seed=9)
+        inst = sample_instance(MatrixKind.GAUSSIAN, 0.0, 50, 8, seed=9)
         x = gen_signal(SignalModel(Sparse(k=3, n=8), 1.0, 1.0), 10)
         y = measure(inst, spec, x)
         rng = np.random.default_rng(11)
@@ -207,11 +204,11 @@ class TestPgdRecover:
     def test_one_bit_gaussian_converges(self):
         model = SignalModel(Sparse(k=2, n=20), 1.0, 1.0)
         x = gen_signal(model, 1)
-        inst = sample_instance(MatrixKind.GAUSSIAN, Dither.zero(), 300, 20, seed=2)
+        inst = sample_instance(MatrixKind.GAUSSIAN, 0.0, 300, 20, seed=2)
         y = measure(inst, make_sign(), x)
         eta = default_step_size(Family.ONE_BIT_GAUSSIAN)
-        config = PgdConfig(eta=eta, iterations=100, init=RandomInit(seed=3))
-        res = pgd_recover(config, model, make_sign(), inst, y, truth=x)
+        config = PgdConfig(eta=eta, iterations=100)
+        res = pgd_recover(config, model, make_sign(), inst, y, random_in_model(model, seed=3), truth=x)
         assert np.linalg.norm(res.estimate - x) < 0.35
         assert res.errors.shape == (100,)
         assert res.errors[-1] == pytest.approx(np.linalg.norm(res.estimate - x))
@@ -220,57 +217,61 @@ class TestPgdRecover:
         lam = 1.5
         model = SignalModel(Sparse(k=2, n=20), 0.0, 1.0)
         x = gen_signal(model, 4)
-        inst = sample_instance(MatrixKind.RADEMACHER, Dither.uniform(lam), 400, 20, seed=5)
+        inst = sample_instance(MatrixKind.RADEMACHER, lam, 400, 20, seed=5)
         y = measure(inst, make_sign(), x)
         eta = default_step_size(Family.DITHERED_ONE_BIT, lam=lam)
-        res = pgd_recover(PgdConfig(eta=eta, iterations=100), model, make_sign(), inst, y, truth=x)
+        res = pgd_recover(PgdConfig(eta=eta, iterations=100), model, make_sign(), inst, y, np.zeros(20), truth=x)
         assert np.linalg.norm(res.estimate - x) < 0.35
 
     def test_deterministic(self):
         model = SignalModel(Sparse(k=2, n=12), 1.0, 1.0)
         x = gen_signal(model, 6)
-        inst = sample_instance(MatrixKind.GAUSSIAN, Dither.zero(), 100, 12, seed=7)
+        inst = sample_instance(MatrixKind.GAUSSIAN, 0.0, 100, 12, seed=7)
         y = measure(inst, make_sign(), x)
-        config = PgdConfig(eta=1.2, iterations=30, init=RandomInit(seed=8))
-        a = pgd_recover(config, model, make_sign(), inst, y)
-        b = pgd_recover(config, model, make_sign(), inst, y)
+        config = PgdConfig(eta=1.2, iterations=30)
+        a = pgd_recover(config, model, make_sign(), inst, y, random_in_model(model, seed=8))
+        b = pgd_recover(config, model, make_sign(), inst, y, random_in_model(model, seed=8))
         np.testing.assert_array_equal(a.estimate, b.estimate)
 
     def test_trajectory_recording(self):
         # errors[t-1] of a 5-iteration run is the error of the t-iteration run's estimate
         model = SignalModel(Sparse(k=1, n=6), 1.0, 1.0)
         x = gen_signal(model, 9)
-        inst = sample_instance(MatrixKind.GAUSSIAN, Dither.zero(), 40, 6, seed=10)
+        inst = sample_instance(MatrixKind.GAUSSIAN, 0.0, 40, 6, seed=10)
         y = measure(inst, make_sign(), x)
-        res = pgd_recover(PgdConfig(eta=1.0, iterations=5), model, make_sign(), inst, y, truth=x)
+        res = pgd_recover(PgdConfig(eta=1.0, iterations=5), model, make_sign(), inst, y, np.zeros(6), truth=x)
         assert res.errors.shape == (5,)
         for t in range(1, 6):
-            short = pgd_recover(PgdConfig(eta=1.0, iterations=t), model, make_sign(), inst, y)
+            short = pgd_recover(PgdConfig(eta=1.0, iterations=t), model, make_sign(), inst, y, np.zeros(6))
             np.testing.assert_allclose(res.errors[t - 1], np.linalg.norm(short.estimate - x))
 
     def test_iterates_stay_in_model(self):
         model = SignalModel(Sparse(k=2, n=15), 0.5, 1.0)
         x = gen_signal(model, 11)
-        inst = sample_instance(MatrixKind.GAUSSIAN, Dither.zero(), 120, 15, seed=12)
+        inst = sample_instance(MatrixKind.GAUSSIAN, 0.0, 120, 15, seed=12)
         y = measure(inst, make_sign(), x)
         for t in range(1, 21):
-            row = pgd_recover(PgdConfig(eta=1.0, iterations=t), model, make_sign(), inst, y).estimate
+            row = pgd_recover(PgdConfig(eta=1.0, iterations=t), model, make_sign(), inst, y, np.zeros(15)).estimate
             assert np.count_nonzero(row) <= 2
             assert 0.5 - 1e-12 <= np.linalg.norm(row) <= 1.0 + 1e-12
 
     def test_given_init_validation(self):
+        # a start of shape (n,) is taken as given, in the model or not: the
+        # first iterate is projected into the model and the start is left
+        # unchanged; any other shape is rejected
         model = SignalModel(Sparse(k=1, n=4), 1.0, 1.0)
-        inst = sample_instance(MatrixKind.GAUSSIAN, Dither.zero(), 10, 4, seed=13)
+        inst = sample_instance(MatrixKind.GAUSSIAN, 0.0, 10, 4, seed=13)
         y = np.ones(10)
-        ok = np.array([0.0, 1.0, 0.0, 0.0])
-        res = pgd_recover(PgdConfig(eta=1.0, iterations=1, init=GivenInit(ok)), model, make_sign(), inst, y)
-        assert res.estimate.shape == (4,)
-        with pytest.raises(ValueError):
-            pgd_recover(PgdConfig(eta=1.0, iterations=1, init=GivenInit(np.ones(4))), model, make_sign(), inst, y)
-        with pytest.raises(ValueError):
-            pgd_recover(PgdConfig(eta=1.0, iterations=1, init=GivenInit(2 * ok)), model, make_sign(), inst, y)
-        with pytest.raises(ValueError):
-            pgd_recover(PgdConfig(eta=1.0, iterations=1, init=GivenInit(np.ones(3))), model, make_sign(), inst, y)
+        for start in (np.array([0.0, 1.0, 0.0, 0.0]), np.ones(4), np.array([0.0, 2.0, 0.0, 0.0])):
+            given = start.copy()
+            res = pgd_recover(PgdConfig(eta=1.0, iterations=1), model, make_sign(), inst, y, start)
+            assert res.estimate.shape == (4,)
+            assert np.count_nonzero(res.estimate) <= 1
+            assert np.linalg.norm(res.estimate) == pytest.approx(1.0)
+            assert start.tobytes() == given.tobytes()
+        for bad in (np.ones(3), np.ones((4, 1)), 1.0):
+            with pytest.raises(ValueError, match=r"start shape .* does not match n=4"):
+                pgd_recover(PgdConfig(eta=1.0, iterations=1), model, make_sign(), inst, y, bad)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -280,21 +281,21 @@ class TestPgdRecover:
 
 
 def _stopping_case(name, seed, iterations):
-    """A small recovery problem of each family and structure: (config, model, spec, instance, y, truth)."""
+    """A small recovery problem of each family and structure: (config, model, spec, instance, y, start, truth)."""
     sign, fine = make_sign(), make_saturated(5.0 / 32, 32)
     eta = default_step_size(Family.ONE_BIT_GAUSSIAN)
     sphere, ball = SignalModel(Sparse(k=2, n=20), 1.0, 1.0), SignalModel(Sparse(k=2, n=20), 0.0, 1.0)
     model, spec, kind, dither, m, step = {
-        "one_bit_gaussian": (sphere, sign, MatrixKind.GAUSSIAN, Dither.zero(), 200, eta),
-        "dithered_one_bit": (ball, sign, MatrixKind.RADEMACHER, Dither.uniform(1.5), 300, 1.5),
-        "dithered_multi_bit": (ball, fine, MatrixKind.RADEMACHER, Dither.uniform(fine.delta / 2), 60, 1.0),
-        "low_rank": (SignalModel(LowRank(r=1, n1=5, n2=5), 1.0, 1.0), sign, MatrixKind.GAUSSIAN, Dither.zero(), 100, eta),
-        "l1_ball": (SignalModel(L1Ball(radius=np.sqrt(5), n=100), 1.0, 1.0), sign, MatrixKind.GAUSSIAN, Dither.zero(), 200, eta),
+        "one_bit_gaussian": (sphere, sign, MatrixKind.GAUSSIAN, 0.0, 200, eta),
+        "dithered_one_bit": (ball, sign, MatrixKind.RADEMACHER, 1.5, 300, 1.5),
+        "dithered_multi_bit": (ball, fine, MatrixKind.RADEMACHER, fine.delta / 2, 60, 1.0),
+        "low_rank": (SignalModel(LowRank(r=1, n1=5, n2=5), 1.0, 1.0), sign, MatrixKind.GAUSSIAN, 0.0, 100, eta),
+        "l1_ball": (SignalModel(L1Ball(radius=np.sqrt(5), n=100), 1.0, 1.0), sign, MatrixKind.GAUSSIAN, 0.0, 200, eta),
     }[name]
     inst = sample_instance(kind, dither, m, model.ambient_dim, seed=seed)
     x = gen_signal(model, seed + 1)
-    init = RandomInit(seed=seed + 2) if model.alpha > 0 else ZeroInit()
-    return PgdConfig(eta=step, iterations=iterations, init=init), model, spec, inst, measure(inst, spec, x), x
+    start = random_in_model(model, seed=seed + 2) if model.alpha > 0 else np.zeros(model.ambient_dim)
+    return PgdConfig(eta=step, iterations=iterations), model, spec, inst, measure(inst, spec, x), start, x
 
 
 CASES = ["one_bit_gaussian", "dithered_one_bit", "dithered_multi_bit", "low_rank", "l1_ball"]
@@ -305,12 +306,12 @@ class TestStoppingRule:
     @pytest.mark.parametrize("name", CASES)
     def test_bitwise_equal_to_full_loop(self, name, iterations):
         for seed in range(3):
-            config, model, spec, inst, y, x = _stopping_case(name, seed, iterations)
-            estimate, errors, _ = pgd_full_loop(config, model, spec, inst, y, x)
-            res = pgd_recover(config, model, spec, inst, y, truth=x)
+            config, model, spec, inst, y, start, x = _stopping_case(name, seed, iterations)
+            estimate, errors, _ = pgd_full_loop(config, model, spec, inst, y, start, x)
+            res = pgd_recover(config, model, spec, inst, y, start, truth=x)
             assert res.estimate.tobytes() == estimate.tobytes()
             assert res.errors.tobytes() == errors.tobytes()
-            blind = pgd_recover(config, model, spec, inst, y)
+            blind = pgd_recover(config, model, spec, inst, y, start)
             assert blind.errors is None and blind.estimate.tobytes() == estimate.tobytes()
 
     def test_cases_cover_every_kind_of_run(self):
@@ -319,8 +320,8 @@ class TestStoppingRule:
         assert 0 in periods and 1 in periods and max(periods) >= 2
 
     def test_settled_run_calls_gradient_less(self, monkeypatch):
-        config, model, spec, inst, y, x = _stopping_case("dithered_multi_bit", 0, 100)
-        estimate, errors, period = pgd_full_loop(config, model, spec, inst, y, x)
+        config, model, spec, inst, y, start, x = _stopping_case("dithered_multi_bit", 0, 100)
+        estimate, errors, period = pgd_full_loop(config, model, spec, inst, y, start, x)
         assert period >= 1
         calls = []
 
@@ -329,8 +330,29 @@ class TestStoppingRule:
             return gradient(*args)
 
         monkeypatch.setattr(quantcs.pgd, "gradient", counted)
-        res = pgd_recover(config, model, spec, inst, y, truth=x)
+        res = pgd_recover(config, model, spec, inst, y, start, truth=x)
         assert len(calls) < config.iterations
+        assert res.estimate.tobytes() == estimate.tobytes()
+        assert res.errors.tobytes() == errors.tobytes()
+
+    def test_fixed_point_stops_when_reached(self, monkeypatch):
+        # this run first repeats at t = 13 with x_13 == x_12, between the
+        # power-of-two checkpoints 8 and 16; it takes exactly 13 gradient calls
+        config, model, spec, inst, y, start, x = _stopping_case("low_rank", 12, 100)
+        first = 13
+        for iterations, period in ((first - 1, 0), (first, 1)):
+            short = PgdConfig(eta=config.eta, iterations=iterations)
+            assert pgd_full_loop(short, model, spec, inst, y, start, x)[2] == period
+        estimate, errors, _ = pgd_full_loop(config, model, spec, inst, y, start, x)
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return gradient(*args)
+
+        monkeypatch.setattr(quantcs.pgd, "gradient", counted)
+        res = pgd_recover(config, model, spec, inst, y, start, truth=x)
+        assert len(calls) == first
         assert res.estimate.tobytes() == estimate.tobytes()
         assert res.errors.tobytes() == errors.tobytes()
 
@@ -351,7 +373,7 @@ class TestDefaultStepSize:
 class TestRaicResidual:
     def test_zero_when_points_coincide(self):
         model = SignalModel(Sparse(k=2, n=10), 1.0, 1.0)
-        inst = sample_instance(MatrixKind.GAUSSIAN, Dither.zero(), 80, 10, seed=14)
+        inst = sample_instance(MatrixKind.GAUSSIAN, 0.0, 80, 10, seed=14)
         u = gen_signal(model, 15)
         assert raic_residual(model, make_sign(), inst, 1.0, 1.0, u, u) == 0.0
 
@@ -359,7 +381,7 @@ class TestRaicResidual:
         from quantcs import restricted_dual_norm
 
         model = SignalModel(Sparse(k=2, n=10), 1.0, 1.0)
-        inst = sample_instance(MatrixKind.GAUSSIAN, Dither.zero(), 80, 10, seed=16)
+        inst = sample_instance(MatrixKind.GAUSSIAN, 0.0, 80, 10, seed=16)
         u, v = gen_signal(model, 17), gen_signal(model, 18)
         got = raic_residual(model, make_sign(), inst, 1e-300, 2.0, u, v)
         want = restricted_dual_norm(model, u - v, 2.0)
@@ -369,7 +391,7 @@ class TestRaicResidual:
         # with eta = sqrt(pi/2) and plenty of measurements the residual is
         # well below ||u - v|| for typical sphere pairs
         model = SignalModel(Sparse(k=2, n=30), 1.0, 1.0)
-        inst = sample_instance(MatrixKind.GAUSSIAN, Dither.zero(), 2000, 30, seed=19)
+        inst = sample_instance(MatrixKind.GAUSSIAN, 0.0, 2000, 30, seed=19)
         u, v = gen_signal(model, 20), gen_signal(model, 21)
         res = raic_residual(model, make_sign(), inst, np.sqrt(np.pi / 2), 1.0, u, v)
         assert res < np.linalg.norm(u - v)
@@ -392,13 +414,12 @@ class TestPgdVsBruteForce:
         for t in range(trials):
             x = gen_signal(model, derive_seed(2026, "net-vs-pgd", t, "signal"))
             inst = sample_instance(
-                MatrixKind.GAUSSIAN, Dither.zero(), m, n,
+                MatrixKind.GAUSSIAN, 0.0, m, n,
                 seed=derive_seed(2026, "net-vs-pgd", t, "matrix"),
             )
             y = measure(inst, spec, x)
-            cfg = PgdConfig(eta=eta, iterations=100,
-                            init=RandomInit(seed=derive_seed(2026, "net-vs-pgd", t, "init")))
-            est = pgd_recover(cfg, model, spec, inst, y).estimate
+            start = random_in_model(model, seed=derive_seed(2026, "net-vs-pgd", t, "init"))
+            est = pgd_recover(PgdConfig(eta=eta, iterations=100), model, spec, inst, y, start).estimate
             ref = hdm_decode(net, spec, inst, y).point
             if np.linalg.norm(est - x) <= 2.0 * np.linalg.norm(ref - x):
                 wins += 1

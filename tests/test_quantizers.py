@@ -7,7 +7,6 @@ from quantcs import (
     make_saturated,
     make_sign,
     make_uniform,
-    quantize,
     quantize_vec,
 )
 
@@ -71,16 +70,16 @@ class TestConstructors:
 
 class TestQuantize:
     def test_frozen_examples(self):
-        assert quantize(make_uniform(1.0), 0.3) == 0.5
-        assert quantize(make_saturated(1.0, 4), 2.7) == 1.5
-        assert quantize(make_sign(), 0.0) == 1.0
+        assert quantize_vec(make_uniform(1.0), 0.3) == 0.5
+        assert quantize_vec(make_saturated(1.0, 4), 2.7) == 1.5
+        assert quantize_vec(make_sign(), 0.0) == 1.0
 
     def test_ties_map_up(self):
         # values sitting exactly on a threshold belong to the upper cell
-        assert quantize(make_uniform(1.0), 1.0) == 1.5
-        assert quantize(make_uniform(1.0), -1.0) == -0.5
-        assert quantize(make_saturated(1.0, 4), 0.0) == 0.5
-        assert quantize(make_saturated(1.0, 4), -1.0) == -0.5
+        assert quantize_vec(make_uniform(1.0), 1.0) == 1.5
+        assert quantize_vec(make_uniform(1.0), -1.0) == -0.5
+        assert quantize_vec(make_saturated(1.0, 4), 0.0) == 0.5
+        assert quantize_vec(make_saturated(1.0, 4), -1.0) == -0.5
 
     def test_uniform_within_half_cell(self):
         for delta in (0.25, 1.0, 2.5):
@@ -99,9 +98,9 @@ class TestQuantize:
 
     def test_saturation_clamps(self):
         sat = make_saturated(1.0, 4)
-        assert quantize(sat, 100.0) == 1.5
-        assert quantize(sat, -100.0) == -1.5
-        assert quantize(sat, 2.0) == 1.5  # exact saturation boundary
+        assert quantize_vec(sat, 100.0) == 1.5
+        assert quantize_vec(sat, -100.0) == -1.5
+        assert quantize_vec(sat, 2.0) == 1.5  # exact saturation boundary
 
     def test_exactly_l_distinct_outputs(self):
         for L in (2, 4, 10):
@@ -118,7 +117,7 @@ class TestQuantize:
     def test_nonfinite_rejected(self):
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError):
-                quantize(make_sign(), bad)
+                quantize_vec(make_sign(), bad)
         with pytest.raises(ValueError):
             quantize_vec(make_uniform(1.0), np.array([0.1, np.nan]))
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from quantcs import (
-    Dither,
     MatrixKind,
     SensingInstance,
     corrupt,
@@ -37,26 +36,26 @@ class TestStreams:
 
 class TestSampleInstance:
     def test_deterministic(self):
-        a = sample_instance(MatrixKind.GAUSSIAN, Dither.uniform(1.0), 20, 5, 3)
-        b = sample_instance(MatrixKind.GAUSSIAN, Dither.uniform(1.0), 20, 5, 3)
+        a = sample_instance(MatrixKind.GAUSSIAN, 1.0, 20, 5, 3)
+        b = sample_instance(MatrixKind.GAUSSIAN, 1.0, 20, 5, 3)
         np.testing.assert_array_equal(a.matrix, b.matrix)
         np.testing.assert_array_equal(a.dither, b.dither)
 
     def test_matrix_and_dither_streams_independent(self):
         # same seed, different dither law: the matrix must not reflow
-        a = sample_instance(MatrixKind.GAUSSIAN, Dither.zero(), 20, 5, 3)
-        b = sample_instance(MatrixKind.GAUSSIAN, Dither.uniform(2.0), 20, 5, 3)
+        a = sample_instance(MatrixKind.GAUSSIAN, 0.0, 20, 5, 3)
+        b = sample_instance(MatrixKind.GAUSSIAN, 2.0, 20, 5, 3)
         np.testing.assert_array_equal(a.matrix, b.matrix)
         assert np.all(a.dither == 0)
         assert np.any(b.dither != 0)
 
     def test_rademacher_entries(self):
-        inst = sample_instance(MatrixKind.RADEMACHER, Dither.zero(), 50, 7, 1)
+        inst = sample_instance(MatrixKind.RADEMACHER, 0.0, 50, 7, 1)
         assert set(np.unique(inst.matrix)) == {-1.0, 1.0}
 
     def test_gaussian_isotropy(self):
         # empirical second moment of <a_i, u> over many rows is 1 +- 3 se
-        inst = sample_instance(MatrixKind.GAUSSIAN, Dither.zero(), 100_000, 8, 11)
+        inst = sample_instance(MatrixKind.GAUSSIAN, 0.0, 100_000, 8, 11)
         u = np.array([0.5, -0.5, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0])
         z = inst.matrix @ u
         second = np.mean(z**2)
@@ -65,18 +64,19 @@ class TestSampleInstance:
 
     def test_dither_law(self):
         lam = 1.5
-        inst = sample_instance(MatrixKind.GAUSSIAN, Dither.uniform(lam), 100_000, 2, 5)
+        inst = sample_instance(MatrixKind.GAUSSIAN, lam, 100_000, 2, 5)
         assert np.all(np.abs(inst.dither) <= lam)
         se = lam / np.sqrt(3.0 * inst.m)
         assert abs(inst.dither.mean()) <= 3 * se
 
     def test_dither_level_validation(self):
-        with pytest.raises(ValueError):
-            Dither.uniform(-1.0)
+        for bad in (-1.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="dither level"):
+                sample_instance(MatrixKind.GAUSSIAN, bad, 20, 5, 3)
 
     def test_bad_shape(self):
         with pytest.raises(ValueError):
-            sample_instance(MatrixKind.GAUSSIAN, Dither.zero(), 0, 5, 1)
+            sample_instance(MatrixKind.GAUSSIAN, 0.0, 0, 5, 1)
 
 
 def _fixed_instance(matrix, dither):
@@ -99,7 +99,7 @@ class TestMeasure:
         np.testing.assert_array_equal(y, [0.5, 2.5])
 
     def test_shape_mismatch(self):
-        inst = sample_instance(MatrixKind.GAUSSIAN, Dither.zero(), 4, 3, 0)
+        inst = sample_instance(MatrixKind.GAUSSIAN, 0.0, 4, 3, 0)
         with pytest.raises(ValueError):
             measure(inst, make_sign(), np.zeros(5))
 
