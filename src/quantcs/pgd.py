@@ -35,7 +35,7 @@ import numpy as np
 
 from .quantizers import QuantizerSpec, quantize_vec
 from .sensing import SensingInstance
-from .signals import SignalModel, project_model
+from .signals import SignalModel, check_int, check_real, project_model
 
 __all__ = [
     "PgdConfig",
@@ -51,9 +51,9 @@ class PgdConfig:
     iterations: int = 100
 
     def __post_init__(self):
-        if not (math.isfinite(self.eta) and self.eta > 0):
+        if not (math.isfinite(check_real(self.eta, "step size eta")) and self.eta > 0):
             raise ValueError(f"step size eta must be a positive finite real, got {self.eta}")
-        if self.iterations < 1:
+        if check_int(self.iterations, "iterations") < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
 
 

@@ -8,6 +8,13 @@ vector ``tau``; the measurement of a signal ``x`` under a quantizer ``Q`` is
 Matrix and dither come from independent purpose-tagged streams derived from
 one seed, so an instance is exactly reproducible from
 ``(matrix_kind, dither level, m, n, seed)``.
+
+A Rademacher matrix is the stream of ``2 * integers(0, 2, (m, n)) - 1`` bit
+for bit, read straight off the PCG64 words: for a range of 2,
+``Generator.integers`` takes one 32-bit half word per entry (low half first)
+and returns its top bit, so the entry is minus the sign of that half read as
+an ``int32``.  The signs are written chunk by chunk into the one ``m x n``
+float buffer, so the draw allocates no ``m x n`` temporary.
 """
 
 from __future__ import annotations
@@ -19,6 +26,10 @@ import numpy as np
 
 from .quantizers import QuantizerSpec, level_index, quantize_vec
 from .rng import stream
+
+# Entries per chunk of the Rademacher draw: even, so that no chunk leaves a
+# half word behind in the stream.
+_CHUNK = 2**14
 
 __all__ = [
     "MatrixKind",
@@ -66,7 +77,7 @@ def sample_instance(matrix_kind: MatrixKind, dither: float, m: int, n: int, seed
     if matrix_kind is MatrixKind.GAUSSIAN:
         A = mat_rng.standard_normal((m, n))
     elif matrix_kind is MatrixKind.RADEMACHER:
-        A = 2.0 * mat_rng.integers(0, 2, size=(m, n)).astype(float) - 1.0
+        A = _rademacher(mat_rng, m * n).reshape(m, n)
     else:
         raise ValueError(f"unknown matrix kind {matrix_kind!r}")
     if dither == 0.0:
@@ -74,6 +85,16 @@ def sample_instance(matrix_kind: MatrixKind, dither: float, m: int, n: int, seed
     else:
         tau = stream(seed, "dither").uniform(-dither, dither, size=m)
     return SensingInstance(matrix=A, dither=tau)
+
+
+def _rademacher(rng: np.random.Generator, size: int) -> np.ndarray:
+    """``2 * rng.integers(0, 2, size) - 1`` as floats, bit for bit, from a fresh ``rng``."""
+    out = np.empty(size)
+    for start in range(0, size, _CHUNK):
+        chunk = out[start : start + _CHUNK]
+        words = rng.bit_generator.random_raw((chunk.size + 1) // 2)
+        np.copysign(1.0, words.astype("<u8", copy=False).view("<i4")[: chunk.size], out=chunk)
+    return np.negative(out, out=out)
 
 
 def measure(instance: SensingInstance, spec: QuantizerSpec, x: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ from .oracles import enumerate_net, estimate_puv, geodesic_puv, hdm_decode
 from .pgd import _SPARSE_D, _SPARSE_U, PgdConfig, _adjoint, _forward, gradient, pgd_recover
 from .quantizers import level_index, make_general, make_saturated, make_sign, make_uniform, quantize_vec
 from .rng import derive_seed, stream
-from .sensing import MatrixKind, measure, sample_instance
+from .sensing import _CHUNK, MatrixKind, measure, sample_instance
 from .signals import (
     L1Ball,
     SignalModel,
@@ -636,6 +636,25 @@ def puv_suite() -> list[Check]:
     u /= np.linalg.norm(u)
     est = estimate_puv(sign, MatrixKind.GAUSSIAN, 0.0, u, u, 10_000, 5)
     checks.append(Check("identical_signals_never_separate", est.p_hat == 0.0, f"p_hat = {est.p_hat}"))
+
+    shapes = [(1, 1), (3, 5), (1, _CHUNK - 1), (_CHUNK + 1, 1), (317, 161)]
+    seeds = [int(s) for s in stream(SEED, "verify", "rademacher").integers(0, 2**32, size=3)]
+    bad = [
+        (m, n, seed)
+        for m, n in shapes
+        for seed in seeds
+        if not np.array_equal(
+            sample_instance(MatrixKind.RADEMACHER, 0.0, m, n, seed).matrix,
+            2.0 * stream(seed, "matrix").integers(0, 2, size=(m, n)).astype(float) - 1.0,
+        )
+    ]
+    checks.append(
+        Check(
+            "rademacher_draw_matches_integers",
+            not bad,
+            f"first mismatch at (m, n, seed) = {bad[0]}" if bad else f"bitwise equal on {len(shapes)} shapes x {len(seeds)} seeds",
+        )
+    )
     return checks
 
 

@@ -209,3 +209,41 @@ def test_benchmark_verify_checks_pass(suite_results):
     passed = {f"{name}.{c.name}": c.passed for name, cs in suite_results.items() for c in cs}
     wanted = reference["workloads"]["small_instances"]["verify"]
     assert [key for key in wanted if not passed.get(key)] == []
+
+
+# Every check `quantcs verify` prints, in order; the benchmark's reference lists
+# only some of them, so this pin is what fails when a check is dropped or renamed.
+VERIFY_CHECKS = [
+    "quantizer.uniform_error_within_half_cell",
+    "quantizer.saturated_equals_uniform_in_range",
+    "quantizer.level_step_bound",
+    "quantizer.monotone",
+    "quantizer.threshold_ties_map_up",
+    "projection.sparse_matches_enumeration",
+    "projection.l1_ball_kkt",
+    "projection.norm_annulus",
+    "projection.cone_composition",
+    "projection.idempotent",
+    "gradient.gradient_forms_agree",
+    "gradient.finite_difference_match",
+    "gradient.sign_clipped_equals_plain",
+    "gradient.sparse_paths_match_dense",
+    "gradient.zero_loss_at_truth",
+    "gradient.stopped_run_matches_full_loop",
+    "puv.geodesic_matches_monte_carlo",
+    "puv.two_sided_norm_bound",
+    "puv.dithered_one_bit_bound",
+    "puv.multi_bit_bound",
+    "puv.identical_signals_never_separate",
+    "puv.rademacher_draw_matches_integers",
+    "hdm.exhaustive_argmin_with_first_tie",
+    "hdm.net_points_lie_in_model",
+    "hdm.both_decoders_near_truth",
+    "raic.zero_residual_at_equal_points",
+    "raic.residual_linear_in_phi",
+    "raic.contraction_envelope",
+]
+
+
+def test_verify_check_list_is_pinned(suite_results):
+    assert [f"{name}.{c.name}" for name, cs in suite_results.items() for c in cs] == VERIFY_CHECKS

@@ -279,6 +279,15 @@ class TestPgdRecover:
         with pytest.raises(ValueError):
             PgdConfig(eta=1.0, iterations=0)
 
+    @pytest.mark.parametrize("iterations", [2.5, True])
+    def test_config_rejects_non_integer_iterations(self, iterations):
+        with pytest.raises(ValueError, match="iterations must be an integer"):
+            PgdConfig(eta=1.0, iterations=iterations)
+
+    def test_config_rejects_non_numeric_eta(self):
+        with pytest.raises(ValueError, match="step size eta must be a number"):
+            PgdConfig(eta="1")
+
 
 def _stopping_case(name, seed, iterations):
     """A small recovery problem of each family and structure: (config, model, spec, instance, y, start, truth)."""

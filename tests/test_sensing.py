@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from quantcs import (
     sample_instance,
     stream,
 )
+from quantcs.sensing import _CHUNK
 
 
 class TestStreams:
@@ -52,6 +55,26 @@ class TestSampleInstance:
     def test_rademacher_entries(self):
         inst = sample_instance(MatrixKind.RADEMACHER, 0.0, 50, 7, 1)
         assert set(np.unique(inst.matrix)) == {-1.0, 1.0}
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (3, 5), (1, _CHUNK - 1), (_CHUNK + 1, 1), (_CHUNK, 2), (317, 161)])
+    @pytest.mark.parametrize("seed", [0, 1, 2**40 + 3])
+    def test_rademacher_stream_is_integers_stream(self, m, n, seed):
+        # the chunked draw reproduces 2 * integers(0, 2) - 1 bit for bit
+        want = 2.0 * stream(seed, "matrix").integers(0, 2, size=(m, n)).astype(float) - 1.0
+        got = sample_instance(MatrixKind.RADEMACHER, 1.0, m, n, seed).matrix
+        assert got.shape == (m, n) and got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+    def test_rademacher_draw_allocates_no_matrix_temporary(self):
+        m, n = 2000, 500
+        sample_instance(MatrixKind.RADEMACHER, 0.0, 2, 2, 0)  # one-time allocations of a first draw
+        tracemalloc.start()
+        try:
+            sample_instance(MatrixKind.RADEMACHER, 0.0, m, n, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * 8 * m * n
 
     def test_gaussian_isotropy(self):
         # empirical second moment of <a_i, u> over many rows is 1 +- 3 se
