@@ -5,11 +5,11 @@ scales like 1/(m L): doubling the number of levels while halving the number
 of measurements should leave the error roughly unchanged, as long as L stays
 moderate. Pushing L very high at a tiny m breaks the balance because too few
 rows remain to pin down the support. Both effects show up in this table.
-Each row is a one-cell ``dithered_multi_bit`` plan with the ``five_over_l``
-rule, run by ``run_experiment``.
+Each row is a one-cell ``dithered_multi_bit`` plan at the default cell width
+5/L, run by ``run_experiment``.
 """
 
-from quantcs import DeltaRule, ExperimentPlan, Family, SignalModel, Sparse, run_experiment
+from quantcs import ExperimentPlan, Family, SignalModel, Sparse, run_experiment
 
 n, k, trials = 500, 3, 30
 
@@ -20,7 +20,6 @@ def mean_error(L, m):
         model=SignalModel(Sparse(k=k, n=n), alpha=0.0, beta=1.0),
         m_grid=(m,),
         L=L,
-        delta_rule=DeltaRule("five_over_l"),
         trials=trials,
         master_seed=17,
     )

@@ -31,8 +31,8 @@ def main():
     )
     result = run_experiment(plan)
 
-    emit_csv(result.cells, "scaling_laws.csv")
-    emit_svg_loglog(result.cells, "scaling_laws.svg", title="one-bit sparse error decay")
+    emit_csv(plan, result.cells, "scaling_laws.csv")
+    emit_svg_loglog(plan, result.cells, "scaling_laws.svg", title="one-bit sparse error decay")
     print("wrote scaling_laws.csv and scaling_laws.svg")
 
     pts = [(c.m, c.mean_err) for c in result.cells]

@@ -11,7 +11,6 @@ studies.
 from .harness import (
     CSV_COLUMNS,
     CellStats,
-    DeltaRule,
     ExperimentPlan,
     ExperimentResult,
     Family,

@@ -15,7 +15,6 @@ import argparse
 import sys
 
 from .harness import (
-    DeltaRule,
     ExperimentPlan,
     Family,
     emit_csv,
@@ -34,9 +33,9 @@ def _cmd_run(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         plan = plan_from_json(fh.read())
     result = run_experiment(plan, threads=args.threads)
-    emit_csv(result.cells, args.out)
+    emit_csv(plan, result.cells, args.out)
     if args.svg is not None:
-        emit_svg_loglog(result.cells, args.svg)
+        emit_svg_loglog(plan, result.cells, args.svg)
     print(f"wrote {len(result.cells)} cells ({len(result.records)} trials) to {args.out}")
     return 0
 
@@ -53,9 +52,7 @@ def _cmd_recover(args) -> int:
         model=model,
         m_grid=(args.m,),
         L=args.L,
-        delta_rule=DeltaRule(rule="fixed", delta=args.delta) if args.delta is not None else (
-            DeltaRule(rule="five_over_l") if family is Family.DITHERED_MULTI_BIT else None
-        ),
+        delta=args.delta,
         lam=getattr(args, "lambda"),
         trials=1,
         iterations=args.iters,

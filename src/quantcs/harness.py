@@ -28,7 +28,6 @@ from .signals import L1Ball, LowRank, SignalModel, Sparse, check_int, check_real
 __all__ = [
     "Family",
     "default_step_size",
-    "DeltaRule",
     "ExperimentPlan",
     "TrialRecord",
     "CellStats",
@@ -79,7 +78,7 @@ def default_step_size(family: Family, lam: float | None = None) -> float:
     if family is Family.ONE_BIT_GAUSSIAN:
         return math.sqrt(math.pi / 2.0)
     if family is Family.DITHERED_ONE_BIT:
-        if lam is None or not (math.isfinite(lam) and lam > 0):
+        if lam is None or not (math.isfinite(check_real(lam, "dither level lam")) and lam > 0):
             raise ValueError("dithered one-bit needs a positive dither level lam")
         return float(lam)
     if family is Family.DITHERED_MULTI_BIT:
@@ -88,32 +87,12 @@ def default_step_size(family: Family, lam: float | None = None) -> float:
 
 
 @dataclass(frozen=True)
-class DeltaRule:
-    """Cell width for multi-bit runs: fixed, or the budget rule ``5 / L``."""
-
-    rule: str  # "fixed" or "five_over_l"
-    delta: float | None = None
-
-    def __post_init__(self):
-        if self.rule not in ("fixed", "five_over_l"):
-            raise ValueError(f"unknown delta rule {self.rule!r}")
-        if self.rule == "fixed":
-            if self.delta is None or not (math.isfinite(check_real(self.delta, "delta_rule delta")) and self.delta > 0):
-                raise ValueError("fixed delta rule needs a positive delta")
-        elif self.delta is not None:
-            raise ValueError("five_over_l takes no delta parameter")
-
-    def resolve(self, levels: int) -> float:
-        return float(self.delta) if self.rule == "fixed" else 5.0 / levels
-
-
-@dataclass(frozen=True)
 class ExperimentPlan:
     family: Family
     model: SignalModel
     m_grid: tuple[int, ...]
     L: int | None = None
-    delta_rule: DeltaRule | None = None
+    delta: float | None = None  # multi-bit cell width; None is the budget rule 5 / L
     lam: float | None = None
     trials: int = 50
     iterations: int = 100
@@ -135,15 +114,15 @@ class ExperimentPlan:
             raise ValueError(f"corruption_zeta must lie in [0, 1], got {self.corruption_zeta}")
         a, b = self.model.alpha, self.model.beta
         if self.family is Family.ONE_BIT_GAUSSIAN:
-            if self.lam is not None or self.L is not None or self.delta_rule is not None:
-                raise ValueError("one_bit_gaussian takes no lambda, L, or delta rule")
+            if self.lam is not None or self.L is not None or self.delta is not None:
+                raise ValueError("one_bit_gaussian takes no lambda, L, or delta")
             if not (a == b == 1.0):
                 raise ValueError("one_bit_gaussian recovers directions only: need alpha = beta = 1")
         elif self.family is Family.DITHERED_ONE_BIT:
             if self.lam is None or not (math.isfinite(check_real(self.lam, "lambda")) and self.lam > 0):
                 raise ValueError("dithered_one_bit needs a positive dither level lambda")
-            if self.L is not None or self.delta_rule is not None:
-                raise ValueError("dithered_one_bit takes no L or delta rule")
+            if self.L is not None or self.delta is not None:
+                raise ValueError("dithered_one_bit takes no L or delta")
             if not (a == 0.0 and b == 1.0):
                 raise ValueError("dithered_one_bit expects the unit-ball model: (alpha, beta) = (0, 1)")
         elif self.family is Family.DITHERED_MULTI_BIT:
@@ -151,8 +130,8 @@ class ExperimentPlan:
                 raise ValueError("dithered_multi_bit needs an even level count L >= 2")
             if self.L > LEVELS_CAP:
                 raise ValueError(f"level count L = {self.L} exceeds the cap {LEVELS_CAP}")
-            if self.delta_rule is None:
-                raise ValueError("dithered_multi_bit needs a delta rule")
+            if self.delta is not None and not (math.isfinite(check_real(self.delta, "delta")) and self.delta > 0):
+                raise ValueError(f"delta must be a positive cell width, got {self.delta}")
             if self.lam is not None:
                 raise ValueError("dithered_multi_bit derives its dither from delta; lambda not allowed")
             if not (a == 0.0 and b == 1.0):
@@ -170,7 +149,6 @@ class ExperimentPlan:
 @dataclass(frozen=True, eq=False)
 class TrialRecord:
     m: int
-    seed: int
     per_iterate_errors: np.ndarray
 
     @property
@@ -178,20 +156,12 @@ class TrialRecord:
         return float(self.per_iterate_errors[-1])
 
 
-@dataclass(frozen=True)
-class CellStats:
-    family: str
-    n: int
-    k_or_r: float
+class CellStats(NamedTuple):
+    """One grid cell: the mean final error over its trials and that mean's standard error."""
+
     m: int
-    L: int
-    delta: float
-    lam: float
-    zeta: float
-    trials: int
     mean_err: float
     stderr: float
-    slope_group: str
 
 
 class ExperimentResult(NamedTuple):
@@ -215,21 +185,15 @@ def family_setup(plan: ExperimentPlan) -> FamilySetup:
         return FamilySetup(make_sign(), MatrixKind.GAUSSIAN, 0.0, eta)
     if plan.family is Family.DITHERED_ONE_BIT:
         return FamilySetup(make_sign(), MatrixKind.RADEMACHER, float(plan.lam), eta)
-    delta = plan.delta_rule.resolve(plan.L)
+    delta = 5.0 / plan.L if plan.delta is None else float(plan.delta)
     return FamilySetup(make_saturated(delta, plan.L), MatrixKind.RADEMACHER, delta / 2.0, eta)
 
 
-def _k_or_r(model: SignalModel) -> float:
-    s = model.structure
-    if isinstance(s, Sparse):
-        return float(s.k)
-    if isinstance(s, LowRank):
-        return float(s.r)
-    return float(s.radius * s.radius)
-
-
-def _slope_group(family: str, k_or_r: float, levels: int) -> str:
-    return f"{family}:k_or_r={k_or_r:.12g}:L={levels}"
+def _slope_group(plan: ExperimentPlan) -> tuple[float, str]:
+    """The plan's structure size (``k``, ``r`` or ``radius**2``) and the label of its slope group."""
+    s = plan.model.structure
+    k_or_r = float(s.k if isinstance(s, Sparse) else s.r if isinstance(s, LowRank) else s.radius * s.radius)
+    return k_or_r, f"{plan.family.value}:k_or_r={k_or_r:.12g}:L={family_setup(plan).spec.levels}"
 
 
 def run_trial(plan: ExperimentPlan, cell: int, trial: int) -> TrialRecord:
@@ -252,7 +216,7 @@ def run_trial(plan: ExperimentPlan, cell: int, trial: int) -> TrialRecord:
     start = random_in_model(plan.model, seed) if plan.model.alpha > 0 else np.zeros(n)
     config = PgdConfig(eta=setup.eta, iterations=plan.iterations)
     res = pgd_recover(config, plan.model, setup.spec, inst, y, start, truth=x)
-    return TrialRecord(m=m, seed=seed, per_iterate_errors=res.errors)
+    return TrialRecord(m=m, per_iterate_errors=res.errors)
 
 
 def run_experiment(plan: ExperimentPlan, threads: int = 1) -> ExperimentResult:
@@ -270,30 +234,11 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> ExperimentResult:
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             records = list(pool.map(lambda t: run_trial(plan, *t), tasks))
-    setup = family_setup(plan)
-    family = plan.family.value
-    k_or_r = _k_or_r(plan.model)
     cells = []
     for ci, m in enumerate(plan.m_grid):
         errs = np.array([r.final_error for r in records[ci * plan.trials : (ci + 1) * plan.trials]])
-        mean = float(errs.mean())
         stderr = float(errs.std(ddof=1) / math.sqrt(errs.size)) if errs.size > 1 else 0.0
-        cells.append(
-            CellStats(
-                family=family,
-                n=plan.model.ambient_dim,
-                k_or_r=k_or_r,
-                m=m,
-                L=setup.spec.levels,
-                delta=setup.spec.delta,
-                lam=setup.dither,
-                zeta=plan.corruption_zeta,
-                trials=plan.trials,
-                mean_err=mean,
-                stderr=stderr,
-                slope_group=_slope_group(family, k_or_r, setup.spec.levels),
-            )
-        )
+        cells.append(CellStats(m, float(errs.mean()), stderr))
     return ExperimentResult(records=records, cells=cells)
 
 
@@ -329,46 +274,34 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def emit_csv(cells: Iterable[CellStats], path: str) -> None:
+def emit_csv(plan: ExperimentPlan, cells: Iterable[CellStats], path: str) -> None:
     """Write per-cell aggregates as CSV with a fixed column set.
 
-    Output bytes depend only on the cell values, so identical runs produce
-    identical files.
+    Every column but ``m``, ``mean_err`` and ``stderr`` comes from the plan, so
+    output bytes depend only on the plan and the cell values, and identical
+    runs produce identical files.
     """
+    setup = family_setup(plan)
+    k_or_r, group = _slope_group(plan)
+    head = [plan.family.value, str(plan.model.ambient_dim), _fmt(k_or_r)]
+    fixed = [str(setup.spec.levels), _fmt(setup.spec.delta), _fmt(setup.dither), _fmt(plan.corruption_zeta), str(plan.trials)]
     lines = [CSV_COLUMNS]
     for c in cells:
-        lines.append(
-            ",".join(
-                [
-                    c.family,
-                    str(c.n),
-                    _fmt(c.k_or_r),
-                    str(c.m),
-                    str(c.L),
-                    _fmt(c.delta),
-                    _fmt(c.lam),
-                    _fmt(c.zeta),
-                    str(c.trials),
-                    _fmt(c.mean_err),
-                    _fmt(c.stderr),
-                    c.slope_group,
-                ]
-            )
-        )
+        lines.append(",".join([*head, str(c.m), *fixed, _fmt(c.mean_err), _fmt(c.stderr), group]))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-_PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
+def emit_svg_loglog(
+    plan: ExperimentPlan, cells: Iterable[CellStats], path: str, title: str = "mean recovery error vs m"
+) -> None:
+    """Render cell aggregates as a log-log SVG scatter joined by one line.
 
-
-def emit_svg_loglog(cells: Iterable[CellStats], path: str, title: str = "mean recovery error vs m") -> None:
-    """Render cell aggregates as a log-log SVG scatter with per-group lines.
-
-    One polyline per ``slope_group``, decade gridlines, fixed palette and
-    fixed float formatting; the same cells always produce the same bytes.
+    The line is labelled with the plan's slope group; decade gridlines, one
+    colour and fixed float formatting mean the same cells always produce the
+    same bytes.
     """
-    cells = list(cells)
+    cells = sorted(cells, key=lambda c: c.m)
     if not cells:
         raise ValueError("nothing to plot")
     if any(c.mean_err <= 0 for c in cells):
@@ -389,10 +322,6 @@ def emit_svg_loglog(cells: Iterable[CellStats], path: str, title: str = "mean re
 
     def sy(v: float) -> float:
         return height - bottom - (v - ymin) / (ymax - ymin) * (height - top - bottom)
-
-    groups: dict[str, list[CellStats]] = {}
-    for c in cells:
-        groups.setdefault(c.slope_group, []).append(c)
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
@@ -437,20 +366,18 @@ def emit_svg_loglog(cells: Iterable[CellStats], path: str, title: str = "mean re
         f'font-family="sans-serif" font-size="12" '
         f'transform="rotate(-90 16 {(top + height - bottom) / 2:.2f})">mean error (log scale)</text>'
     )
-    for gi, (name, gc) in enumerate(groups.items()):
-        color = _PALETTE[gi % len(_PALETTE)]
-        gc = sorted(gc, key=lambda c: c.m)
-        coords = " ".join(f"{sx(math.log10(c.m)):.2f},{sy(math.log10(c.mean_err)):.2f}" for c in gc)
-        out.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>')
-        for c in gc:
-            out.append(
-                f'<circle cx="{sx(math.log10(c.m)):.2f}" cy="{sy(math.log10(c.mean_err)):.2f}" '
-                f'r="3" fill="{color}"/>'
-            )
+    color = "#1f77b4"
+    coords = " ".join(f"{sx(math.log10(c.m)):.2f},{sy(math.log10(c.mean_err)):.2f}" for c in cells)
+    out.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>')
+    for c in cells:
         out.append(
-            f'<text x="{width - right - 4:.2f}" y="{top + 14 + 14 * gi:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11" fill="{color}">{name}</text>'
+            f'<circle cx="{sx(math.log10(c.m)):.2f}" cy="{sy(math.log10(c.mean_err)):.2f}" '
+            f'r="3" fill="{color}"/>'
         )
+    out.append(
+        f'<text x="{width - right - 4:.2f}" y="{top + 14:.2f}" text-anchor="end" '
+        f'font-family="sans-serif" font-size="11" fill="{color}">{_slope_group(plan)[1]}</text>'
+    )
     out.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(out) + "\n")
@@ -487,8 +414,15 @@ def _model_from_json(obj: dict) -> SignalModel:
 
 
 def plan_from_json(text: str) -> ExperimentPlan:
-    """Parse a plan from its JSON form; the constructors check the values."""
-    obj = json.loads(text)
+    """Parse a plan from its JSON form; the constructors check the values.
+
+    The optional ``delta_rule`` of a multi-bit plan is ``{"rule": "five_over_l"}``
+    (the default, delta = 5 / L) or ``{"rule": "fixed", "delta": d}``.
+    """
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise ValueError("plan JSON is nested too deeply") from None
     if not isinstance(obj, dict):
         raise ValueError("plan must be a JSON object")
     allowed = {
@@ -510,20 +444,26 @@ def plan_from_json(text: str) -> ExperimentPlan:
         raise ValueError(f"unknown family {obj['family']!r}") from None
     if not isinstance(obj["m_grid"], list):
         raise ValueError(f"m_grid must be a list, got {obj['m_grid']!r}")
-    rule = None
+    delta = None
     if obj.get("delta_rule") is not None:
         robj = obj["delta_rule"]
         if not isinstance(robj, dict):
             raise ValueError("delta_rule must be an object")
         _require_keys(robj, {"rule", "delta"}, set(), "delta_rule")
-        rule = DeltaRule(rule=robj.get("rule", ""), delta=robj.get("delta"))
+        if family is not Family.DITHERED_MULTI_BIT:
+            raise ValueError(f"{family.value} takes no delta rule")
+        rule, delta = robj.get("rule"), robj.get("delta")
+        if rule not in ("fixed", "five_over_l"):
+            raise ValueError(f"unknown delta rule {rule!r}")
+        if (rule == "fixed") != (delta is not None):
+            raise ValueError("a fixed delta rule needs a delta, and five_over_l takes none")
     kwargs = {key: obj[key] for key in ("trials", "iterations", "master_seed", "corruption_zeta") if key in obj}
     return ExperimentPlan(
         family=family,
         model=_model_from_json(obj["model"]),
         m_grid=tuple(obj["m_grid"]),
         L=obj.get("L"),
-        delta_rule=rule,
+        delta=delta,
         lam=obj.get("lambda"),
         **kwargs,
     )

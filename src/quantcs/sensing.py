@@ -26,6 +26,7 @@ import numpy as np
 
 from .quantizers import QuantizerSpec, level_index, quantize_vec
 from .rng import stream
+from .signals import check_int, check_real
 
 # Entries per chunk of the Rademacher draw: even, so that no chunk leaves a
 # half word behind in the stream.
@@ -69,9 +70,9 @@ def sample_instance(matrix_kind: MatrixKind, dither: float, m: int, n: int, seed
     so changing ``m`` or the dither level never reflows the other component's
     randomness pattern.
     """
-    if m < 1 or n < 1:
+    if check_int(m, "m") < 1 or check_int(n, "n") < 1:
         raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
-    if not (np.isfinite(dither) and dither >= 0):
+    if not (np.isfinite(check_real(dither, "dither level")) and dither >= 0):
         raise ValueError(f"dither level must be a finite real >= 0, got {dither}")
     mat_rng = stream(seed, "matrix")
     if matrix_kind is MatrixKind.GAUSSIAN:

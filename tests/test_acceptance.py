@@ -3,8 +3,8 @@
 Each test prints a single summary line with the measured numbers (visible
 under ``pytest -s``) and fails if a stated tolerance is violated. All the
 experiment-backed checks run at one fixed master seed, so every number
-below is reproducible bit for bit. The file took 140 s on a two-core VM
-(Python 3.11, NumPy 2.4 with OpenBLAS); the slope fits need many trials
+below is reproducible bit for bit. The file took about 130 s on a two-core
+VM (Python 3.11, NumPy 2.4 with OpenBLAS); the slope fits need many trials
 because cell means inherit the heavy upper tail of the per-trial error
 distribution.
 """
@@ -26,7 +26,6 @@ from quantcs import (
     fit_slope,
     run_experiment,
 )
-from quantcs.harness import DeltaRule
 from quantcs.verify import SUITES
 
 MASTER = 20260814
@@ -111,9 +110,7 @@ def test_criterion_04_bit_budget():
     model = SignalModel(Sparse(k=3, n=500), alpha=0.0, beta=1.0)
 
     def dm(L, m):
-        return _mean(
-            Family.DITHERED_MULTI_BIT, model, m, L=L, delta_rule=DeltaRule("five_over_l")
-        )
+        return _mean(Family.DITHERED_MULTI_BIT, model, m, L=L)
 
     a, b, c = dm(4, 200), dm(8, 100), dm(32, 25)
     gap = _rel_gap(a, b)

@@ -82,6 +82,7 @@ class TestRun:
                 },
                 "sensing matrix m x n = 1 x 100000000000 exceeds the cap",
             ),
+            ({"delta_rule": {"rule": "five_over_l"}}, "one_bit_gaussian takes no delta rule"),
         ],
         ids=[
             "float_trials",
@@ -94,6 +95,7 @@ class TestRun:
             "huge_zeta",
             "huge_L",
             "huge_n",
+            "one_bit_delta_rule",
         ],
     )
     def test_malformed_plan_exits_2(self, tmp_path, capsys, edit, message):
@@ -104,6 +106,24 @@ class TestRun:
         assert rc == 2
         assert line.startswith("error:") and message in line
         assert not (tmp_path / "x.csv").exists()
+
+    def test_multi_bit_delta_rule_defaults_to_five_over_l(self, tmp_path):
+        plan = {
+            "family": "dithered_multi_bit",
+            "model": {"structure": "sparse", "n": 12, "k": 3, "alpha": 0.0, "beta": 1.0},
+            "m_grid": [30, 60],
+            "L": 4,
+            "trials": 2,
+            "iterations": 10,
+        }
+        outputs = []
+        for name, extra in (("absent", {}), ("five_over_l", {"delta_rule": {"rule": "five_over_l"}})):
+            config, out = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+            config.write_text(json.dumps({**plan, **extra}))
+            assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert b",4,1.25,0.625," in outputs[0]  # L, delta = 5 / L, dither level delta / 2
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         rc = main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x.csv")])

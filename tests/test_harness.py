@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 
 from quantcs import (
     CSV_COLUMNS,
-    DeltaRule,
     ExperimentPlan,
     Family,
     L1Ball,
@@ -64,7 +64,6 @@ class TestPlanValidation:
                 model=SignalModel(Sparse(k=1, n=12), 0.0, 1.0),
                 m_grid=(30,),
                 L=3,
-                delta_rule=DeltaRule("five_over_l"),
             )  # odd level count
         plan = ExperimentPlan(
             family=Family.DITHERED_ONE_BIT,
@@ -99,7 +98,6 @@ class TestPlanValidation:
                 model=SignalModel(Sparse(k=1, n=12), 0.0, 1.0),
                 m_grid=(30,),
                 L=levels,
-                delta_rule=DeltaRule("five_over_l"),
             )
 
         assert family_setup(multi_bit(LEVELS_CAP)).spec.levels == LEVELS_CAP
@@ -144,11 +142,9 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="lambda must be a number"):
             ExperimentPlan(Family.DITHERED_ONE_BIT, SignalModel(Sparse(k=1, n=12), 0.0, 1.0), (30,), lam="1.5")
         with pytest.raises(ValueError, match="L must be an integer"):
-            ExperimentPlan(
-                Family.DITHERED_MULTI_BIT, SignalModel(Sparse(k=1, n=12), 0.0, 1.0), (30,), L=4.0, delta_rule=DeltaRule("five_over_l")
-            )
-        with pytest.raises(ValueError, match="delta_rule delta must be a number"):
-            DeltaRule("fixed", delta="0.5")
+            ExperimentPlan(Family.DITHERED_MULTI_BIT, SignalModel(Sparse(k=1, n=12), 0.0, 1.0), (30,), L=4.0)
+        with pytest.raises(ValueError, match="delta must be a number"):
+            ExperimentPlan(Family.DITHERED_MULTI_BIT, SignalModel(Sparse(k=1, n=12), 0.0, 1.0), (30,), L=4, delta="0.5")
         with pytest.raises(ValueError, match="model alpha must be a number"):
             SignalModel(Sparse(k=3, n=12), True, 1.0)
         with pytest.raises(ValueError, match="model k must be an integer"):
@@ -190,7 +186,6 @@ class TestFamilySetup:
             model=SignalModel(Sparse(k=1, n=12), 0.0, 1.0),
             m_grid=(30,),
             L=4,
-            delta_rule=DeltaRule("five_over_l"),
         )
         s = family_setup(plan)
         np.testing.assert_array_equal(s.spec.thresholds, [-1.25, 0.0, 1.25])
@@ -210,7 +205,6 @@ class TestFamilySetup:
                     model=SignalModel(Sparse(k=3, n=12), 0.0, 1.0),
                     m_grid=(60,),
                     L=4,
-                    delta_rule=DeltaRule("five_over_l"),
                 ),
                 "zero",
             ),
@@ -228,14 +222,25 @@ class TestFamilySetup:
         assert run_trial(plan, 0, 0).per_iterate_errors.tobytes() == by_hand.errors.tobytes()
 
     def test_delta_rule_validation(self):
-        with pytest.raises(ValueError):
-            DeltaRule("fixed")
-        with pytest.raises(ValueError):
-            DeltaRule("five_over_l", delta=1.0)
-        with pytest.raises(ValueError):
-            DeltaRule("nope")
-        assert DeltaRule("fixed", delta=0.5).resolve(8) == 0.5
-        assert DeltaRule("five_over_l").resolve(8) == pytest.approx(0.625)
+        def multi_bit(**overrides):
+            return ExperimentPlan(Family.DITHERED_MULTI_BIT, SignalModel(Sparse(k=1, n=12), 0.0, 1.0), (30,), L=8, **overrides)
+
+        for bad in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="delta must be a positive cell width"):
+                multi_bit(delta=bad)
+        with pytest.raises(ValueError, match="takes no L or delta"):
+            tiny_plan(family=Family.DITHERED_ONE_BIT, model=SignalModel(Sparse(k=1, n=12), 0.0, 1.0), lam=1.5, delta=0.5)
+        with pytest.raises(ValueError, match="takes no lambda, L, or delta"):
+            tiny_plan(delta=0.5)
+        assert family_setup(multi_bit(delta=0.5)).spec.delta == 0.5
+        assert family_setup(multi_bit()).spec.delta == 0.625  # 5 / L
+
+
+def csv_rows(plan, tmp_path):
+    """The rows of the CSV that ``emit_csv`` writes for a run of ``plan``, as dicts."""
+    path = tmp_path / "cells.csv"
+    emit_csv(plan, run_experiment(plan).cells, str(path))
+    return list(csv.DictReader(path.read_text().splitlines()))
 
 
 class TestRunExperiment:
@@ -245,13 +250,17 @@ class TestRunExperiment:
         for ci, cell in enumerate(res.cells):
             errs = [r.final_error for r in res.records[ci * 3 : (ci + 1) * 3]]
             assert cell.mean_err == pytest.approx(np.mean(errs), abs=1e-12)
-            assert cell.trials == 3
+            assert cell.stderr == pytest.approx(np.std(errs, ddof=1) / np.sqrt(3), abs=1e-12)
 
     def test_threaded_equals_serial(self):
-        serial = run_experiment(tiny_plan(), threads=1)
-        threaded = run_experiment(tiny_plan(), threads=3)
-        for a, b in zip(serial.records, threaded.records):
-            assert a.final_error == b.final_error and a.seed == b.seed
+        # records come back in (cell, trial) order, whatever thread ran them
+        plan = tiny_plan()
+        serial = run_experiment(plan, threads=1)
+        threaded = run_experiment(plan, threads=3)
+        by_index = [run_trial(plan, ci, ti) for ci in range(2) for ti in range(3)]
+        for a, b, c in zip(serial.records, threaded.records, by_index, strict=True):
+            assert a.m == b.m == c.m
+            assert a.per_iterate_errors.tobytes() == b.per_iterate_errors.tobytes() == c.per_iterate_errors.tobytes()
         assert serial.cells == threaded.cells
 
     def test_trajectory_lengths(self):
@@ -260,7 +269,7 @@ class TestRunExperiment:
             assert r.per_iterate_errors.shape == (10,)
             assert r.per_iterate_errors[-1] == r.final_error
 
-    def test_l1ball_group_key_uses_squared_radius(self):
+    def test_l1ball_group_key_uses_squared_radius(self, tmp_path):
         plan = ExperimentPlan(
             family=Family.ONE_BIT_GAUSSIAN,
             model=SignalModel(L1Ball(radius=float(np.sqrt(10.0)), n=20), 1.0, 1.0),
@@ -268,13 +277,12 @@ class TestRunExperiment:
             trials=2,
             iterations=5,
         )
-        cell = run_experiment(plan).cells[0]
-        assert cell.k_or_r == pytest.approx(10.0)
-        assert cell.slope_group == "one_bit_gaussian:k_or_r=10:L=2"
+        row = csv_rows(plan, tmp_path)[0]
+        assert float(row["k_or_r"]) == pytest.approx(10.0)
+        assert row["slope_group"] == "one_bit_gaussian:k_or_r=10:L=2"
 
-    def test_corrupted_runs_record_zeta(self):
-        res = run_experiment(tiny_plan(corruption_zeta=0.1))
-        assert all(c.zeta == 0.1 for c in res.cells)
+    def test_corrupted_runs_record_zeta(self, tmp_path):
+        assert [row["zeta"] for row in csv_rows(tiny_plan(corruption_zeta=0.1), tmp_path)] == ["0.1", "0.1"]
 
 
 class TestFitSlope:
@@ -306,10 +314,11 @@ class TestFitSlope:
 
 class TestEmission:
     def test_csv_schema_and_determinism(self, tmp_path):
-        res = run_experiment(tiny_plan())
+        plan = tiny_plan()
+        res = run_experiment(plan)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit_csv(res.cells, str(p1))
-        emit_csv(res.cells, str(p2))
+        emit_csv(plan, res.cells, str(p1))
+        emit_csv(plan, res.cells, str(p2))
         text = p1.read_text()
         lines = text.strip().split("\n")
         assert lines[0] == CSV_COLUMNS
@@ -319,29 +328,34 @@ class TestEmission:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_csv_row_values(self, tmp_path):
-        res = run_experiment(tiny_plan())
+        plan = tiny_plan()
+        res = run_experiment(plan)
         path = tmp_path / "cells.csv"
-        emit_csv(res.cells, str(path))
+        emit_csv(plan, res.cells, str(path))
         row = path.read_text().strip().split("\n")[1].split(",")
         cell = res.cells[0]
         assert row[0] == "one_bit_gaussian"
-        assert row[1] == "12" and row[3] == "30" and row[4] == "2"
+        assert row[1] == "12" and row[2] == "3" and row[3] == "30" and row[4] == "2"
+        assert row[5] == "2" and row[6] == "0" and row[7] == "0" and row[8] == "3"  # sign delta, no dither or flips
         assert float(row[9]) == pytest.approx(cell.mean_err, rel=1e-11)
+        assert float(row[10]) == pytest.approx(cell.stderr, rel=1e-11)
         assert row[11] == "one_bit_gaussian:k_or_r=3:L=2"
 
     def test_svg_deterministic_and_grouped(self, tmp_path):
-        res = run_experiment(tiny_plan())
+        plan = tiny_plan()
+        res = run_experiment(plan)
         p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"
-        emit_svg_loglog(res.cells, str(p1))
-        emit_svg_loglog(res.cells, str(p2))
+        emit_svg_loglog(plan, res.cells, str(p1))
+        emit_svg_loglog(plan, res.cells, str(p2))
         text = p1.read_text()
         assert text.startswith("<svg ")
-        assert text.count("<polyline ") == 1  # single slope group
+        assert text.count("<polyline ") == 1 and text.count("<circle ") == 2
+        assert ">one_bit_gaussian:k_or_r=3:L=2</text>" in text  # the line's label is the plan's slope group
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_svg_rejects_empty(self, tmp_path):
         with pytest.raises(ValueError):
-            emit_svg_loglog([], str(tmp_path / "x.svg"))
+            emit_svg_loglog(tiny_plan(), [], str(tmp_path / "x.svg"))
 
 
 class TestPlanFromJson:
@@ -373,8 +387,39 @@ class TestPlanFromJson:
             }
         )
         plan = plan_from_json(text)
-        assert plan.L == 8
-        assert plan.delta_rule.resolve(8) == pytest.approx(0.625)
+        assert plan.L == 8 and plan.delta is None
+        assert family_setup(plan).spec.delta == 0.625  # 5 / L
+        obj = json.loads(text)
+        assert plan_from_json(json.dumps({**obj, "delta_rule": {"rule": "fixed", "delta": 0.5}})).delta == 0.5
+        assert plan_from_json(json.dumps({**obj, "delta_rule": {"rule": "five_over_l", "delta": None}})).delta is None
+        del obj["delta_rule"]
+        assert plan_from_json(json.dumps(obj)) == plan  # absent means five_over_l
+
+    @pytest.mark.parametrize(
+        "family, rule, message",
+        [
+            ("dithered_multi_bit", {"rule": "nope"}, "unknown delta rule 'nope'"),
+            ("dithered_multi_bit", {"delta": 0.5}, "unknown delta rule None"),
+            ("dithered_multi_bit", {"rule": "fixed"}, "a fixed delta rule needs a delta"),
+            ("dithered_multi_bit", {"rule": "fixed", "delta": None}, "a fixed delta rule needs a delta"),
+            ("dithered_multi_bit", {"rule": "five_over_l", "delta": 0.5}, "five_over_l takes none"),
+            ("dithered_multi_bit", {"rule": "fixed", "delta": -0.5}, "delta must be a positive cell width"),
+            ("dithered_multi_bit", {"rule": "fixed", "delta": "0.5"}, "delta must be a number"),
+            ("dithered_multi_bit", ["five_over_l"], "delta_rule must be an object"),
+            ("dithered_multi_bit", {"rule": "fixed", "delta": 0.5, "x": 1}, "unknown delta_rule keys"),
+            ("dithered_one_bit", {"rule": "five_over_l"}, "dithered_one_bit takes no delta rule"),
+        ],
+    )
+    def test_bad_delta_rule(self, family, rule, message):
+        obj = {
+            "family": family,
+            "model": {"structure": "sparse", "n": 12, "k": 1, "alpha": 0.0, "beta": 1.0},
+            "m_grid": [30],
+            "delta_rule": rule,
+            **({"L": 8} if family == "dithered_multi_bit" else {"lambda": 1.5}),
+        }
+        with pytest.raises(ValueError, match=message):
+            plan_from_json(json.dumps(obj))
 
     def test_low_rank_model(self):
         text = json.dumps(

@@ -377,6 +377,10 @@ class TestDefaultStepSize:
             default_step_size(Family.DITHERED_ONE_BIT)
         with pytest.raises(ValueError):
             default_step_size(Family.DITHERED_ONE_BIT, lam=-1.0)
+        with pytest.raises(ValueError, match="lam must be a number"):
+            default_step_size(Family.DITHERED_ONE_BIT, lam="1.5")
+        with pytest.raises(ValueError, match="lam must be a number"):
+            default_step_size(Family.DITHERED_ONE_BIT, lam=True)
 
 
 class TestRaicResidual:

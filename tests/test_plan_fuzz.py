@@ -90,6 +90,6 @@ def test_plan_parses_or_raises_value_error(key, data):
 
 
 def test_malformed_json_raises_value_error():
-    for text in ("", "{", "[1, 2]", "null", '{"family": NaN}'):
+    for text in ("", "{", "[1, 2]", "null", '{"family": NaN}', "[" * 200_000):
         with pytest.raises(ValueError):
             plan_from_json(text)

@@ -97,6 +97,21 @@ class TestSampleInstance:
             with pytest.raises(ValueError, match="dither level"):
                 sample_instance(MatrixKind.GAUSSIAN, bad, 20, 5, 3)
 
+    @pytest.mark.parametrize(
+        "kind, dither, m, n, message",
+        [
+            (MatrixKind.GAUSSIAN, 0.0, 2.5, 3, "m must be an integer"),
+            (MatrixKind.RADEMACHER, 0.0, True, 3, "m must be an integer"),
+            (MatrixKind.GAUSSIAN, 0.0, 4, "3", "n must be an integer"),
+            (MatrixKind.GAUSSIAN, "1", 4, 3, "dither level must be a number"),
+            (MatrixKind.RADEMACHER, 10**400, 4, 3, "dither level must be a number within the float range"),
+        ],
+        ids=["float_m", "bool_m", "string_n", "string_dither", "huge_dither"],
+    )
+    def test_mistyped_arguments_raise_value_error(self, kind, dither, m, n, message):
+        with pytest.raises(ValueError, match=message):
+            sample_instance(kind, dither, m, n, 0)
+
     def test_bad_shape(self):
         with pytest.raises(ValueError):
             sample_instance(MatrixKind.GAUSSIAN, 0.0, 0, 5, 1)
