@@ -28,13 +28,13 @@ from quantcs import (
 from quantcs.rng import derive_seed
 from quantcs.sensing import MatrixKind
 
-n, k, m, trials = 6, 1, 200, 50
+n, k, m, trials, radius = 6, 1, 200, 50, 0.05
 
 
 def main():
     model = SignalModel(Sparse(k=k, n=n), alpha=1.0, beta=1.0)
-    net = enumerate_net(model, r=0.05)
-    print(f"exact net with {net.size} candidates (covering radius {net.radius})")
+    net = enumerate_net(model, r=radius)
+    print(f"exact net with {len(net)} candidates (covering radius {radius})")
 
     spec = make_sign()
     eta = default_step_size(Family.ONE_BIT_GAUSSIAN)
@@ -45,12 +45,12 @@ def main():
             MatrixKind.GAUSSIAN, 0.0, m, n, seed=derive_seed(23, t, "instance")
         )
         y = measure(inst, spec, x)
-        ref = hdm_decode(net, spec, inst, y)
+        ref = net[hdm_decode(net, spec, inst, y).index]
         start = random_in_model(model, seed=derive_seed(23, t, "init"))
         res = pgd_recover(PgdConfig(eta=eta, iterations=100), model, spec, inst, y, start)
         pgd_errs.append(np.linalg.norm(res.estimate - x))
-        hdm_errs.append(np.linalg.norm(ref.point - x))
-        agree += int(np.linalg.norm(res.estimate - ref.point) < 0.1)
+        hdm_errs.append(np.linalg.norm(ref - x))
+        agree += int(np.linalg.norm(res.estimate - ref) < 0.1)
 
     print(f"mean error over {trials} trials: pgd {np.mean(pgd_errs):.4f}, "
           f"brute force {np.mean(hdm_errs):.4f}")

@@ -26,7 +26,7 @@ from .harness import (
     run_experiment,
     run_trial,
 )
-from .oracles import CandidateNet, HdmResult, PuvEstimate, enumerate_net, estimate_puv, geodesic_puv, hdm_decode
+from .oracles import HdmResult, PuvEstimate, enumerate_net, estimate_puv, geodesic_puv, hdm_decode
 from .pgd import PgdConfig, PgdResult, gradient, pgd_recover
 from .quantizers import (
     QuantizerSpec,

@@ -257,8 +257,8 @@ def fit_slope(points: Iterable[tuple[float, float]]) -> SlopeFit:
     pts = [(float(m), float(e)) for m, e in points]
     if len(pts) < 2:
         raise ValueError("need at least two points to fit a slope")
-    if any(m <= 0 or e <= 0 for m, e in pts):
-        raise ValueError("slope fit needs positive measurement counts and errors")
+    if not all(0.0 < v < math.inf for pt in pts for v in pt):
+        raise ValueError("slope fit needs positive finite measurement counts and errors")
     lx = np.log10([m for m, _ in pts])
     ly = np.log10([e for _, e in pts])
     if np.ptp(lx) == 0.0:

@@ -15,12 +15,11 @@ from itertools import combinations
 import numpy as np
 
 from .quantizers import QuantizerSpec, quantize_vec
-from .rng import derive_seed
 from .sensing import MatrixKind, SensingInstance, sample_instance
-from .signals import SignalModel, Sparse, gen_signal
+from .signals import SignalModel, Sparse, UnsupportedModelError, check_real
 
 __all__ = [
-    "CandidateNet",
+    "NET_ENTRIES_CAP",
     "HdmResult",
     "PuvEstimate",
     "enumerate_net",
@@ -29,30 +28,14 @@ __all__ = [
     "geodesic_puv",
 ]
 
-
-@dataclass(frozen=True, eq=False)
-class CandidateNet:
-    """Finite candidate set, either a guaranteed covering or a random stand-in.
-
-    ``exact`` is True when the construction guarantees every model point has
-    a candidate within l2 distance ``radius``; random nets make no such
-    promise and are labeled accordingly.
-    """
-
-    points: np.ndarray  # (N, ambient_dim)
-    radius: float
-    exact: bool
-
-    @property
-    def size(self) -> int:
-        return self.points.shape[0]
+# Largest net, counted as points x ambient dimension; 1 MiB of float64.
+NET_ENTRIES_CAP = 2**17
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class HdmResult:
-    point: np.ndarray
-    distance: int
     index: int
+    distance: int
 
 
 @dataclass(frozen=True)
@@ -61,62 +44,58 @@ class PuvEstimate:
     stderr: float
 
 
-def enumerate_net(model: SignalModel, r: float, max_points: int = 10000, seed: int = 0) -> CandidateNet:
-    """Build a candidate net of the model with target covering radius ``r``.
+def enumerate_net(model: SignalModel, r: float) -> np.ndarray:
+    """An ``(N, n)`` array of model points within l2 distance ``r`` of every model point.
 
-    Exact construction exists for sparse spheres with ``k <= 2`` in ambient
-    dimension ``n <= 12``: for ``k = 1`` the model is the finite set of
-    signed scaled basis vectors, and for ``k = 2`` each of the ``C(n, 2)``
-    support circles gets a uniform angular grid fine enough that no circle
-    point is farther than ``r`` from the grid.  Every other model falls back
-    to ``max_points`` random members, labeled as approximate.  An exact
-    construction that would exceed ``max_points`` raises instead of silently
-    degrading.
+    The construction is exact and exists for sparse spheres with ``k <= 2``:
+    with one nonzero coordinate the model is the finite set of signed scaled
+    basis vectors, and with two each of the ``C(n, 2)`` support circles gets
+    a uniform angular grid fine enough that no circle point is farther than
+    ``r`` from the grid.  Any other model raises ``UnsupportedModelError``,
+    and a net above ``NET_ENTRIES_CAP`` entries raises ``ValueError``.
     """
+    r = check_real(r, "net radius")
     if not (math.isfinite(r) and r > 0):
         raise ValueError(f"net radius must be a positive finite real, got {r}")
-    if max_points < 1:
-        raise ValueError("max_points must be >= 1")
     s = model.structure
-    sphere = model.alpha == model.beta
-    if isinstance(s, Sparse) and s.k <= 2 and s.n <= 12 and sphere:
-        rho = model.alpha
-        if s.k == 1:
-            pts = np.concatenate([rho * np.eye(s.n), -rho * np.eye(s.n)])
-            if pts.shape[0] > max_points:
-                raise ValueError(f"exact net needs {pts.shape[0]} points, above the cap {max_points}")
-            return CandidateNet(points=pts, radius=float(r), exact=True)
-        n_theta = max(4, math.ceil(2.0 * math.pi * rho / r))
-        supports = list(combinations(range(s.n), 2))
-        total = n_theta * len(supports)
-        if total > max_points:
-            raise ValueError(f"exact net needs {total} points, above the cap {max_points}")
-        theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
-        pts = np.zeros((total, s.n))
-        for which, (i, j) in enumerate(supports):
-            block = slice(which * n_theta, (which + 1) * n_theta)
-            pts[block, i] = rho * np.cos(theta)
-            pts[block, j] = rho * np.sin(theta)
-        return CandidateNet(points=pts, radius=float(r), exact=True)
-    pts = np.stack([gen_signal(model, derive_seed(seed, "net", i)) for i in range(max_points)])
-    return CandidateNet(points=pts, radius=float(r), exact=False)
+    if not (isinstance(s, Sparse) and s.k <= 2 and model.alpha == model.beta):
+        raise UnsupportedModelError("exact nets exist only for sparse spheres with k <= 2")
+    rho, n = model.alpha, s.n
+    if min(s.k, n) == 1:
+        total = 2 * n
+    else:
+        # clamped so that a tiny r or a huge rho cannot overflow math.ceil; the cap check below still fires
+        n_theta = max(4, math.ceil(min(2.0 * math.pi * rho / r, NET_ENTRIES_CAP)))
+        total = n_theta * math.comb(n, 2)
+    if total * n > NET_ENTRIES_CAP:
+        raise ValueError(f"exact net needs {total} x {n} entries, above the cap {NET_ENTRIES_CAP}")
+    if min(s.k, n) == 1:
+        return np.concatenate([rho * np.eye(n), -rho * np.eye(n)])
+    theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
+    pts = np.zeros((total, n))
+    for which, (i, j) in enumerate(combinations(range(n), 2)):
+        block = slice(which * n_theta, (which + 1) * n_theta)
+        pts[block, i] = rho * np.cos(theta)
+        pts[block, j] = rho * np.sin(theta)
+    return pts
 
 
-def hdm_decode(net: CandidateNet, spec: QuantizerSpec, instance: SensingInstance, y) -> HdmResult:
-    """Pick the net point whose measurements are Hamming-closest to ``y``.
+def hdm_decode(net, spec: QuantizerSpec, instance: SensingInstance, y) -> HdmResult:
+    """Index of the net point whose measurements are Hamming-closest to ``y``.
 
     Ties go to the earliest point in net order, so the result is a pure
     function of its arguments.
     """
+    net = np.asarray(net, dtype=float)
     y = np.asarray(y, dtype=float)
     if y.shape != (instance.m,):
         raise ValueError(f"measurement shape {y.shape} does not match m={instance.m}")
-    if net.points.shape[1] != instance.n:
-        raise ValueError(f"net dimension {net.points.shape[1]} does not match n={instance.n}")
-    q = quantize_vec(spec, net.points @ instance.matrix.T - instance.dither[None, :])
+    if net.ndim != 2 or net.shape[0] == 0 or net.shape[1] != instance.n:
+        raise ValueError(f"net of shape {net.shape} is not (N, n) with N >= 1 and n={instance.n}")
+    q = quantize_vec(spec, net @ instance.matrix.T - instance.dither[None, :])
     dists = np.count_nonzero(q != y[None, :], axis=1)
     best = int(np.argmin(dists))
-    return HdmResult(point=net.points[best].copy(), distance=int(dists[best]), index=best)
+    return HdmResult(index=best, distance=int(dists[best]))
 
 
 def estimate_puv(
@@ -158,6 +137,6 @@ def geodesic_puv(u, v) -> float:
     if u.shape != v.shape or u.ndim != 1:
         raise ValueError("u and v must be vectors of the same dimension")
     for name, w in (("u", u), ("v", v)):
-        if abs(float(np.linalg.norm(w)) - 1.0) > 1e-9:
+        if not abs(float(np.linalg.norm(w)) - 1.0) <= 1e-9:
             raise ValueError(f"{name} must be a unit vector")
     return float(np.arccos(np.clip(float(u @ v), -1.0, 1.0)) / math.pi)

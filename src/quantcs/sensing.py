@@ -124,7 +124,7 @@ def corrupt(y: np.ndarray, spec: QuantizerSpec, zeta: float, seed: int) -> np.nd
     the original and the Hamming distortion is exactly ``floor(zeta * m)``.
     Raises if a chosen entry is not an output value of ``spec``.
     """
-    if not 0.0 <= zeta <= 1.0:
+    if not 0.0 <= check_real(zeta, "zeta") <= 1.0:
         raise ValueError(f"zeta must lie in [0, 1], got {zeta}")
     y = np.asarray(y, dtype=float)
     m = y.size

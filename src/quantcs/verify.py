@@ -672,7 +672,7 @@ def hdm_suite() -> list[Check]:
         x = gen_signal(model, int(rng.integers(0, 2**32)))
         y = measure(inst, sign, x)
         res = hdm_decode(net, sign, inst, y)
-        dists = [int(np.count_nonzero(measure(inst, sign, p) != y)) for p in net.points]
+        dists = [int(np.count_nonzero(measure(inst, sign, p) != y)) for p in net]
         manual = int(np.argmin(dists))
         if res.index != manual or res.distance != dists[manual]:
             ok = False
@@ -680,7 +680,7 @@ def hdm_suite() -> list[Check]:
     checks.append(Check("exhaustive_argmin_with_first_tie", ok, "decoder matches a manual scan of the net"))
 
     member_err = max(
-        abs(float(np.linalg.norm(p)) - 1.0) + (0.0 if np.count_nonzero(p) <= 1 else 1.0) for p in net.points
+        abs(float(np.linalg.norm(p)) - 1.0) + (0.0 if np.count_nonzero(p) <= 1 else 1.0) for p in net
     )
     checks.append(Check("net_points_lie_in_model", member_err <= 1e-12, f"worst membership defect {member_err:.2e}"))
 
@@ -690,7 +690,7 @@ def hdm_suite() -> list[Check]:
         x = gen_signal(model, tseed)
         inst = sample_instance(MatrixKind.GAUSSIAN, 0.0, 200, 6, tseed)
         y = measure(inst, sign, x)
-        hdm_err = float(np.linalg.norm(hdm_decode(net, sign, inst, y).point - x))
+        hdm_err = float(np.linalg.norm(net[hdm_decode(net, sign, inst, y).index] - x))
         cfg = PgdConfig(eta=math.sqrt(math.pi / 2), iterations=100)
         start = random_in_model(model, tseed)
         pgd_err = float(np.linalg.norm(pgd_recover(cfg, model, sign, inst, y, start, truth=x).estimate - x))

@@ -310,6 +310,9 @@ class TestFitSlope:
             fit_slope([(100, 0.1), (200, -0.1)])
         with pytest.raises(ValueError):
             fit_slope([(100, 0.1), (100, 0.2)])
+        for bad in ([(1, float("nan")), (2, 1.0)], [(100, 0.1), (200, float("inf"))], [(100, 0.1), (float("inf"), 0.2)]):
+            with pytest.raises(ValueError):
+                fit_slope(bad)
 
 
 class TestEmission:

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from quantcs import (
+    HdmResult,
+    L1Ball,
     LowRank,
     MatrixKind,
     SignalModel,
     Sparse,
+    UnsupportedModelError,
     enumerate_net,
     estimate_puv,
     gen_signal,
@@ -15,6 +18,7 @@ from quantcs import (
     measure,
     sample_instance,
 )
+from quantcs.oracles import NET_ENTRIES_CAP
 
 
 def sphere_sparse(k, n):
@@ -24,56 +28,67 @@ def sphere_sparse(k, n):
 class TestEnumerateNet:
     def test_k1_is_signed_basis(self):
         net = enumerate_net(sphere_sparse(1, 3), r=0.1)
-        assert net.exact and net.size == 6
         want = np.concatenate([np.eye(3), -np.eye(3)])
-        np.testing.assert_array_equal(net.points, want)
+        np.testing.assert_array_equal(net, want)
+
+    def test_k_above_n_covers_the_whole_model(self):
+        # with k = 2 and n = 1 the model is {+1, -1}, not an empty set
+        model = SignalModel(Sparse(k=2, n=1), 1.0, 1.0)
+        net = enumerate_net(model, r=0.1)
+        np.testing.assert_array_equal(net, [[1.0], [-1.0]])
+        inst = sample_instance(MatrixKind.GAUSSIAN, 0.0, 10, 1, seed=5)
+        y = measure(inst, make_sign(), np.array([-1.0]))
+        assert hdm_decode(net, make_sign(), inst, y) == HdmResult(index=1, distance=0)
 
     def test_k1_respects_sphere_radius(self):
         model = SignalModel(Sparse(k=1, n=4), alpha=2.5, beta=2.5)
         net = enumerate_net(model, r=0.1)
-        np.testing.assert_allclose(np.linalg.norm(net.points, axis=1), 2.5)
+        np.testing.assert_allclose(np.linalg.norm(net, axis=1), 2.5)
 
     def test_k2_covering_property(self):
         model = sphere_sparse(2, 5)
         r = 0.2
         net = enumerate_net(model, r=r)
-        assert net.exact
         rng = np.random.default_rng(0)
         for _ in range(300):
             x = gen_signal(model, int(rng.integers(0, 2**32)))
-            gap = np.linalg.norm(net.points - x, axis=1).min()
+            gap = np.linalg.norm(net - x, axis=1).min()
             assert gap <= r + 1e-12
 
     def test_k2_circle_spacing(self):
         # n_theta points at angle step 2 pi / n_theta on each support circle
         net = enumerate_net(sphere_sparse(2, 3), r=0.5)
-        n_theta = net.size // 3
+        n_theta = len(net) // 3
         assert n_theta >= np.ceil(2 * np.pi / 0.5)
         # chord between neighbors is below the covering radius
         chord = 2 * np.sin(np.pi / n_theta)
         assert chord <= 0.5
 
     def test_cap_raises_instead_of_degrading(self):
-        with pytest.raises(ValueError):
-            enumerate_net(sphere_sparse(2, 12), r=1e-4, max_points=1000)
+        # 8,316 points x 12 fit under the cap; the same grid at n = 14 does not
+        assert len(enumerate_net(sphere_sparse(2, 12), r=0.05)) * 12 <= NET_ENTRIES_CAP
+        too_big = [(sphere_sparse(2, 14), 0.05), (sphere_sparse(2, 12), 1e-4), (sphere_sparse(2, 3), 5e-324), (sphere_sparse(1, 1000), 0.1)]
+        for model, r in too_big:
+            with pytest.raises(ValueError, match="above the cap"):
+                enumerate_net(model, r=r)
 
-    def test_random_fallback_labeled(self):
-        model = sphere_sparse(3, 20)
-        net = enumerate_net(model, r=0.1, max_points=50, seed=4)
-        assert not net.exact and net.size == 50
-        # every fallback point is a model member
-        assert all(np.count_nonzero(p) <= 3 for p in net.points)
-        np.testing.assert_allclose(np.linalg.norm(net.points, axis=1), 1.0, atol=1e-12)
-
-    def test_random_fallback_deterministic(self):
-        model = SignalModel(LowRank(r=1, n1=4, n2=4), 1.0, 1.0)
-        a = enumerate_net(model, r=0.1, max_points=20, seed=9)
-        b = enumerate_net(model, r=0.1, max_points=20, seed=9)
-        np.testing.assert_array_equal(a.points, b.points)
+    @pytest.mark.parametrize(
+        "model",
+        [
+            sphere_sparse(3, 20),
+            SignalModel(Sparse(k=2, n=5), alpha=0.0, beta=1.0),
+            SignalModel(LowRank(r=1, n1=4, n2=4), 1.0, 1.0),
+            SignalModel(L1Ball(n=5, radius=1.0), 1.0, 1.0),
+        ],
+    )
+    def test_unsupported_models_raise(self, model):
+        with pytest.raises(UnsupportedModelError):
+            enumerate_net(model, r=0.1)
 
     def test_radius_validation(self):
-        with pytest.raises(ValueError):
-            enumerate_net(sphere_sparse(1, 3), r=0.0)
+        for r in (0.0, -0.1, float("nan"), float("inf"), "0.1", True):
+            with pytest.raises(ValueError):
+                enumerate_net(sphere_sparse(1, 3), r=r)
 
 
 class TestHdmDecode:
@@ -82,11 +97,8 @@ class TestHdmDecode:
         net = enumerate_net(model, r=0.05)
         spec = make_sign()
         inst = sample_instance(MatrixKind.GAUSSIAN, 0.0, 80, 6, seed=1)
-        x = net.points[7]
-        y = measure(inst, spec, x)
-        res = hdm_decode(net, spec, inst, y)
-        assert res.index == 7 and res.distance == 0
-        np.testing.assert_array_equal(res.point, x)
+        y = measure(inst, spec, net[7])
+        assert hdm_decode(net, spec, inst, y) == HdmResult(index=7, distance=0)
 
     def test_matches_manual_scan(self):
         model = sphere_sparse(2, 4)
@@ -98,7 +110,7 @@ class TestHdmDecode:
             x = gen_signal(model, int(rng.integers(0, 2**32)))
             y = measure(inst, spec, x)
             res = hdm_decode(net, spec, inst, y)
-            dists = [int(np.count_nonzero(measure(inst, spec, p) != y)) for p in net.points]
+            dists = [int(np.count_nonzero(measure(inst, spec, p) != y)) for p in net]
             assert res.distance == min(dists)
             assert res.index == int(np.argmin(dists))  # first tie wins
 
@@ -110,6 +122,9 @@ class TestHdmDecode:
         inst5 = sample_instance(MatrixKind.GAUSSIAN, 0.0, 10, 5, seed=3)
         with pytest.raises(ValueError):
             hdm_decode(net, make_sign(), inst5, np.ones(10))
+        for bad in (net[0], net[:0], net[None]):
+            with pytest.raises(ValueError):
+                hdm_decode(bad, make_sign(), inst, np.ones(10))
 
 
 class TestPuv:
@@ -152,6 +167,8 @@ class TestPuv:
     def test_geodesic_requires_unit_vectors(self):
         with pytest.raises(ValueError):
             geodesic_puv(np.array([2.0, 0.0]), np.array([1.0, 0.0]))
+        with pytest.raises(ValueError):
+            geodesic_puv(np.array([1.0, 0.0]), np.array([np.nan, 0.0]))
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):

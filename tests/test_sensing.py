@@ -191,6 +191,11 @@ class TestCorrupt:
         with pytest.raises(ValueError):
             corrupt(np.ones(4), make_sign(), 1.5, seed=0)
 
+    @pytest.mark.parametrize("zeta", ["0.5", True, 10**400], ids=["string_zeta", "bool_zeta", "huge_zeta"])
+    def test_mistyped_zeta_raises_value_error(self, zeta):
+        with pytest.raises(ValueError, match="zeta must be a number"):
+            corrupt(np.ones(4), make_sign(), zeta, seed=0)
+
 
 class TestHamming:
     def test_counts(self):
