@@ -1,11 +1,11 @@
 """Recovery of structured signals from quantized linear measurements.
 
-The package covers the full pipeline: entrywise quantizers (sign, uniform,
-saturated, general levels), random sensing ensembles with optional dither,
-structured signal models (sparse, low rank, l1 ball) with their projections,
-projected gradient descent on the one-sided l1 loss, brute-force decoding
-oracles, and a deterministic experiment harness for measurement-scaling
-studies.
+The package covers the full pipeline: entrywise L-level quantizers (sign,
+saturated uniform, general levels), random sensing ensembles with optional
+dither, structured signal models (sparse, low rank, l1 ball) with their
+projections, projected gradient descent on the one-sided l1 loss,
+brute-force decoding oracles, and a deterministic experiment harness for
+measurement-scaling studies.
 """
 
 from .harness import (
@@ -28,17 +28,9 @@ from .harness import (
 )
 from .oracles import HdmResult, PuvEstimate, enumerate_net, estimate_puv, geodesic_puv, hdm_decode
 from .pgd import PgdConfig, PgdResult, gradient, pgd_recover
-from .quantizers import (
-    QuantizerSpec,
-    level_index,
-    make_general,
-    make_saturated,
-    make_sign,
-    make_uniform,
-    quantize_vec,
-)
+from .quantizers import QuantizerSpec, level_index, make_saturated, make_sign, quantize_vec
 from .rng import derive_seed, stream
-from .sensing import MatrixKind, SensingInstance, corrupt, hamming, measure, sample_instance
+from .sensing import MatrixKind, SensingInstance, corrupt, measure, sample_instance
 from .signals import (
     L1Ball,
     LowRank,

@@ -38,7 +38,6 @@ __all__ = [
     "sample_instance",
     "measure",
     "corrupt",
-    "hamming",
 ]
 
 
@@ -72,8 +71,8 @@ def sample_instance(matrix_kind: MatrixKind, dither: float, m: int, n: int, seed
     """
     if check_int(m, "m") < 1 or check_int(n, "n") < 1:
         raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
-    if not (np.isfinite(check_real(dither, "dither level")) and dither >= 0):
-        raise ValueError(f"dither level must be a finite real >= 0, got {dither}")
+    if not (np.isfinite(2.0 * check_real(dither, "dither level")) and dither >= 0):
+        raise ValueError(f"dither level must be a real >= 0 with 2 * level finite, got {dither}")
     mat_rng = stream(seed, "matrix")
     if matrix_kind is MatrixKind.GAUSSIAN:
         A = mat_rng.standard_normal((m, n))
@@ -106,22 +105,13 @@ def measure(instance: SensingInstance, spec: QuantizerSpec, x: np.ndarray) -> np
     return quantize_vec(spec, instance.matrix @ x - instance.dither)
 
 
-def hamming(u, v) -> int:
-    """Number of positions where two measurement vectors differ."""
-    u = np.asarray(u)
-    v = np.asarray(v)
-    if u.shape != v.shape:
-        raise ValueError(f"shape mismatch {u.shape} vs {v.shape}")
-    return int(np.count_nonzero(u != v))
-
-
 def corrupt(y: np.ndarray, spec: QuantizerSpec, zeta: float, seed: int) -> np.ndarray:
     """Flip exactly ``floor(zeta * m)`` entries of a measurement vector.
 
     Chosen entries move by one level, ``+/- delta`` with the direction
-    forced inward at the extreme levels of a finite quantizer (so sign
-    measurements are negated), so every altered entry genuinely differs from
-    the original and the Hamming distortion is exactly ``floor(zeta * m)``.
+    forced inward at the extreme levels (so sign measurements are negated),
+    so every altered entry genuinely differs from the original and the
+    Hamming distortion is exactly ``floor(zeta * m)``.
     Raises if a chosen entry is not an output value of ``spec``.
     """
     if not 0.0 <= check_real(zeta, "zeta") <= 1.0:
@@ -136,11 +126,7 @@ def corrupt(y: np.ndarray, spec: QuantizerSpec, zeta: float, seed: int) -> np.nd
     pos = rng.choice(m, size=count, replace=False)
     idx = level_index(spec, y[pos])
     step = rng.choice(np.array([-1, 1]), size=count)
-    if spec.thresholds is None:
-        new_idx = idx + step
-        out[pos] = spec.delta * (new_idx + 0.5)
-        return out
-    # finite levels: force the step inward at the two extremes
+    # force the step inward at the two extremes
     step = np.where(idx == 0, 1, step)
     step = np.where(idx == spec.levels - 1, -1, step)
     out[pos] = spec.level_values[idx + step]

@@ -23,7 +23,7 @@ import numpy as np
 
 from .oracles import enumerate_net, estimate_puv, geodesic_puv, hdm_decode
 from .pgd import _SPARSE_D, _SPARSE_U, PgdConfig, _adjoint, _forward, gradient, pgd_recover
-from .quantizers import level_index, make_general, make_saturated, make_sign, make_uniform, quantize_vec
+from .quantizers import QuantizerSpec, level_index, make_saturated, make_sign, quantize_vec
 from .rng import derive_seed, stream
 from .sensing import _CHUNK, MatrixKind, measure, sample_instance
 from .signals import (
@@ -92,19 +92,10 @@ def one_sided_l1_loss(spec, instance, y, u) -> float:
     side of a threshold it should clear.
     """
     z, idx = _margins(spec, instance, y, u)
-    m = instance.m
-    if spec.thresholds is None:
-        # infinite threshold grid j*delta, but only thresholds strictly
-        # between the cell of z and the cell of y contribute
-        c = np.floor(z / spec.delta)
-        count = np.abs(c - idx)
-        ssum = spec.delta * (np.minimum(c, idx) + 1 + np.maximum(c, idx)) * count / 2.0
-        per_row = np.where(c > idx, count * z - ssum, ssum - count * z)
-        return float(spec.delta / m * per_row.sum())
     b = spec.thresholds
     yij = np.where(idx[:, None] > np.arange(b.size)[None, :], 1.0, -1.0)
     hinge = np.maximum(-yij * (z[:, None] - b[None, :]), 0.0)
-    return float(spec.delta / m * hinge.sum())
+    return float(spec.delta / instance.m * hinge.sum())
 
 
 def gradient_from_thresholds(spec, instance, y, u) -> np.ndarray:
@@ -114,16 +105,8 @@ def gradient_from_thresholds(spec, instance, y, u) -> np.ndarray:
     directly; kept as an independent cross-check of ``gradient``.
     """
     z, idx = _margins(spec, instance, y, u)
-    if spec.thresholds is None:
-        # enumerate the finitely many thresholds between the extreme cells
-        c = np.floor(z / spec.delta)
-        lo = int(min(c.min(), idx.min()))
-        hi = int(max(c.max(), idx.max()))
-        b = spec.delta * np.arange(lo + 1, hi + 1, dtype=float)
-        yij = np.where(idx[:, None] >= np.arange(lo + 1, hi + 1)[None, :], 1.0, -1.0)
-    else:
-        b = spec.thresholds
-        yij = np.where(idx[:, None] > np.arange(b.size)[None, :], 1.0, -1.0)
+    b = spec.thresholds
+    yij = np.where(idx[:, None] > np.arange(b.size)[None, :], 1.0, -1.0)
     sgn = np.where(z[:, None] - b[None, :] >= 0.0, 1.0, -1.0)
     coeff = (sgn - yij).sum(axis=1)
     return spec.delta / (2.0 * instance.m) * (instance.matrix.T @ coeff)
@@ -254,28 +237,27 @@ def pgd_full_loop(config, model, spec, instance, y, start, truth):
     return x, errors, period
 
 
-def random_quantizer(rng: np.random.Generator):
-    """Draw from one of the four quantizer constructors with random parameters."""
-    kind = rng.integers(0, 4)
+def random_quantizer(rng: np.random.Generator) -> QuantizerSpec:
+    """Draw a sign, saturated or general-levels quantizer with random parameters."""
+    kind = rng.integers(0, 3)
     if kind == 0:
         return make_sign()
     delta = float(rng.uniform(0.2, 3.0))
-    if kind == 1:
-        return make_uniform(delta)
     levels = 2 * int(rng.integers(1, 9))
-    if kind == 2:
+    if kind == 1:
         return make_saturated(delta, levels)
-    q0 = float(rng.uniform(-4.0, 0.0))
-    values = q0 + delta * np.arange(levels)
-    return make_general(thresholds=(values[:-1] + values[1:]) / 2.0, level_values=values)
+    values = float(rng.uniform(-4.0, 0.0)) + delta * np.arange(levels)
+    return QuantizerSpec((values[:-1] + values[1:]) / 2.0, values)
+
+
+def _uniform_reference(delta: float, z: np.ndarray) -> np.ndarray:
+    """The unclipped uniform map ``delta * (floor(z / delta) + 1/2)``, in closed form."""
+    return delta * (np.floor(z / delta) + 0.5)
 
 
 def _min_threshold_margin(spec, instance, u) -> float:
     """Smallest |correlation - threshold| over all rows and thresholds."""
     z = instance.matrix @ np.asarray(u, float) - instance.dither
-    if spec.thresholds is None:
-        frac = z / spec.delta
-        return float(spec.delta * np.min(np.abs(frac - np.rint(frac))))
     return float(np.min(np.abs(z[:, None] - spec.thresholds[None, :])))
 
 
@@ -302,9 +284,13 @@ def quantizer_suite() -> list[Check]:
     pairs = 100_000
     rng = stream(SEED, "verify", "quantizer")
 
+    # saturated quantizers whose range covers every draw, with a cell to spare
     a = rng.uniform(-50, 50, size=pairs)
     deltas = rng.uniform(0.1, 5.0, size=8)
-    worst = max(float(np.max(np.abs(quantize_vec(make_uniform(d), a) - a)) / (d / 2)) for d in deltas)
+    worst = max(
+        float(np.max(np.abs(quantize_vec(make_saturated(d, 2 * (math.ceil(50 / d) + 1)), a) - a)) / (d / 2))
+        for d in deltas
+    )
     checks.append(Check("uniform_error_within_half_cell", worst <= 1.0 + 1e-12, f"max |Q(a)-a|/(delta/2) = {worst:.6f}"))
 
     ok, detail = True, ""
@@ -313,7 +299,7 @@ def quantizer_suite() -> list[Check]:
             sat = make_saturated(d, L)
             z = rng.uniform(-L * d, L * d, size=5000)
             inside = np.abs(z) < L * d / 2
-            same = np.array_equal(quantize_vec(sat, z[inside]), quantize_vec(make_uniform(d), z[inside]))
+            same = np.array_equal(quantize_vec(sat, z[inside]), _uniform_reference(d, z[inside]))
             nlev = np.unique(quantize_vec(sat, np.linspace(-L * d, L * d, 4 * L + 1))).size
             if not same or nlev != L:
                 ok, detail = False, f"delta={d}, L={L}: in-range match={same}, levels seen={nlev}"
@@ -347,7 +333,7 @@ def quantizer_suite() -> list[Check]:
     )
 
     ok = True
-    for spec in (make_sign(), make_uniform(0.7), make_saturated(0.7, 6)):
+    for spec in (make_sign(), make_saturated(0.7, 16), make_saturated(0.7, 6)):
         z = np.sort(rng.uniform(-5, 5, size=2000))
         q = quantize_vec(spec, z)
         if np.any(np.diff(q) < 0):
@@ -356,7 +342,7 @@ def quantizer_suite() -> list[Check]:
 
     ties = bool(
         quantize_vec(make_sign(), 0.0) == 1.0
-        and quantize_vec(make_uniform(1.0), 1.0) == 1.5
+        and quantize_vec(QuantizerSpec([-1.0, 1.0], [-2.0, 0.0, 2.0]), 1.0) == 2.0
         and quantize_vec(make_saturated(1.0, 4), 1.0) == 1.5
         and quantize_vec(make_saturated(1.0, 4), -1.0) == -0.5
     )

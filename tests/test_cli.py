@@ -83,6 +83,22 @@ class TestRun:
                 "sensing matrix m x n = 1 x 100000000000 exceeds the cap",
             ),
             ({"delta_rule": {"rule": "five_over_l"}}, "one_bit_gaussian takes no delta rule"),
+            (
+                {
+                    "family": "dithered_one_bit",
+                    "model": {"structure": "sparse", "n": 12, "k": 3, "alpha": 0.0, "beta": 1.0},
+                    "lambda": 1e308,
+                },
+                "dither level must be a real >= 0 with 2 * level finite",
+            ),
+            (
+                {"model": {"structure": "l1_ball", "n": 12, "radius": 1e200, "alpha": 1.0, "beta": 1.0}},
+                "l1 radius 1e+200 exceeds sqrt(n)",
+            ),
+            (
+                {"model": {"structure": "l1_ball", "n": 12, "radius": 1e10, "alpha": 1.0, "beta": 1.0}},
+                "l1 radius 10000000000.0 exceeds sqrt(n)",
+            ),
         ],
         ids=[
             "float_trials",
@@ -96,6 +112,9 @@ class TestRun:
             "huge_L",
             "huge_n",
             "one_bit_delta_rule",
+            "huge_lambda",
+            "huge_radius",
+            "large_radius",
         ],
     )
     def test_malformed_plan_exits_2(self, tmp_path, capsys, edit, message):

@@ -13,7 +13,6 @@ from quantcs import (
     gradient,
     make_saturated,
     make_sign,
-    make_uniform,
     measure,
     pgd_recover,
     random_in_model,
@@ -52,7 +51,7 @@ class TestLoss:
     def test_uniform_hand_example(self):
         # y = Q(0.3) = 0.5; z = 2.2 clears thresholds 1 and 2 the wrong way
         inst = _identity_instance(1)
-        spec = make_uniform(1.0)
+        spec = make_saturated(1.0, 8)
         y = np.array([0.5])
         assert one_sided_l1_loss(spec, inst, y, np.array([2.2])) == pytest.approx(1.4, abs=1e-12)
         assert one_sided_l1_loss(spec, inst, y, np.array([-1.7])) == pytest.approx(2.4, abs=1e-12)
@@ -61,7 +60,7 @@ class TestLoss:
         rng = np.random.default_rng(0)
         inst = sample_instance(MatrixKind.GAUSSIAN, 0.5, 40, 6, seed=1)
         x = gen_signal(SignalModel(Sparse(k=2, n=6), 1.0, 1.0), 2)
-        for spec in (make_sign(), make_uniform(0.5), make_saturated(0.5, 8)):
+        for spec in (make_sign(), make_saturated(0.5, 40), make_saturated(0.5, 8)):
             y = measure(inst, spec, x)
             assert one_sided_l1_loss(spec, inst, y, x) == 0.0
             # any same-cell perturbation keeps the loss at zero
@@ -69,26 +68,6 @@ class TestLoss:
             u = x + 0.3 * rng.standard_normal(6)
             if not np.array_equal(measure(inst, spec, u), y):
                 assert one_sided_l1_loss(spec, inst, y, u) > 0.0
-
-    def test_uniform_closed_form_matches_row_sums(self):
-        # cross-check the arithmetic-series evaluation against a literal
-        # per-threshold hinge sum on a wide window
-        rng = np.random.default_rng(3)
-        spec = make_uniform(0.7)
-        inst = _fixed_instance(rng.standard_normal((15, 4)), rng.uniform(-1, 1, 15))
-        x = rng.standard_normal(4)
-        y = measure(inst, spec, x)
-        u = 3.0 * rng.standard_normal(4)
-        from quantcs.quantizers import level_index
-
-        z = inst.matrix @ u - inst.dither
-        idx = level_index(spec, y)
-        js = np.arange(-200, 201)
-        b = spec.delta * js
-        yij = np.where(idx[:, None] >= js[None, :], 1.0, -1.0)
-        direct = spec.delta / inst.m * np.maximum(-yij * (z[:, None] - b[None, :]), 0.0).sum()
-        got = one_sided_l1_loss(spec, inst, y, u)
-        assert got == pytest.approx(direct, rel=1e-12)
 
 
 class TestGradient:
@@ -100,13 +79,13 @@ class TestGradient:
     def test_zero_at_truth(self):
         inst = sample_instance(MatrixKind.RADEMACHER, 1.0, 60, 8, seed=4)
         x = gen_signal(SignalModel(Sparse(k=3, n=8), 0.0, 1.0), 5)
-        for spec in (make_sign(), make_uniform(0.4), make_saturated(0.4, 6)):
+        for spec in (make_sign(), make_saturated(0.4, 16), make_saturated(0.4, 6)):
             y = measure(inst, spec, x)
             np.testing.assert_array_equal(gradient(spec, inst, y, x), np.zeros(8))
 
     def test_threshold_form_agrees(self):
         rng = np.random.default_rng(7)
-        for spec in (make_sign(), make_uniform(0.3), make_saturated(0.5, 4), make_saturated(0.25, 16)):
+        for spec in (make_sign(), make_saturated(0.3, 80), make_saturated(0.5, 4), make_saturated(0.25, 16)):
             for trial in range(20):
                 inst = sample_instance(MatrixKind.GAUSSIAN, 0.8, 25, 5, seed=trial)
                 x = gen_signal(SignalModel(Sparse(k=2, n=5), 1.0, 1.0), trial + 100)
@@ -166,7 +145,7 @@ class TestGradient:
     def test_clipped_caps_multilevel_rows(self):
         # one row, far-apart cells: plain transfer is 3 levels, clipped is 1
         inst = _identity_instance(1)
-        spec = make_uniform(1.0)
+        spec = make_saturated(1.0, 8)
         u, v = np.array([3.4]), np.array([0.2])
         plain = gradient(spec, inst, measure(inst, spec, v), u)
         clipped = clipped_gradient(spec, inst, u, v)

@@ -85,8 +85,8 @@ def test_plan_parses_or_raises_value_error(key, data):
     assert plan.trials >= 1 and plan.iterations >= 1 and plan.m_grid[0] >= 1
     assert all(type(m) is int for m in plan.m_grid) and list(plan.m_grid) == sorted(set(plan.m_grid))
     assert math.isfinite(setup.eta) and setup.eta > 0
-    assert setup.spec.levels is None or 2 <= setup.spec.levels <= LEVELS_CAP
-    assert setup.spec.thresholds is None or np.all(np.isfinite(setup.spec.thresholds))
+    assert 2 <= setup.spec.levels <= LEVELS_CAP
+    assert np.all(np.isfinite(setup.spec.thresholds))
 
 
 def test_malformed_json_raises_value_error():

@@ -1,14 +1,11 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
-from quantcs import (
-    level_index,
-    make_general,
-    make_saturated,
-    make_sign,
-    make_uniform,
-    quantize_vec,
-)
+from quantcs import QuantizerSpec, level_index, make_saturated, make_sign, quantize_vec
+from quantcs.verify import _uniform_reference
 
 rng = np.random.default_rng(42)
 
@@ -24,6 +21,8 @@ class TestConstructors:
         s = make_saturated(1.0, 4)
         np.testing.assert_array_equal(s.thresholds, [-1.0, 0.0, 1.0])
         np.testing.assert_array_equal(s.level_values, [-1.5, -0.5, 0.5, 1.5])
+        assert s.delta == 1.0 and s.levels == 4
+        assert [f.name for f in dataclasses.fields(s)] == ["thresholds", "level_values"]
 
     def test_odd_levels_rejected(self):
         with pytest.raises(ValueError):
@@ -33,13 +32,26 @@ class TestConstructors:
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValueError):
-            make_uniform(0.0)
+            QuantizerSpec(thresholds=[0.0, 1.0], level_values=[0.0, 1.0, 1.5])  # uneven gaps
         with pytest.raises(ValueError):
-            make_uniform(-1.0)
+            QuantizerSpec(thresholds=[1.0, 0.0], level_values=[0.0, 1.0, 2.0])  # unordered
         with pytest.raises(ValueError):
-            make_general(thresholds=[0.0, 1.0], level_values=[0.0, 1.0, 1.5])  # uneven gaps
-        with pytest.raises(ValueError):
-            make_general(thresholds=[1.0, 0.0], level_values=[0.0, 1.0, 2.0])  # unordered
+            QuantizerSpec(thresholds=None, level_values=[0.0, 1.0])
+        # make_saturated checks its arguments before building any array
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for delta, levels, message in [
+                (0.0, 4, "delta must be a positive finite real"),
+                (-1.0, 4, "delta must be a positive finite real"),
+                (np.inf, 4, "delta must be a positive finite real"),
+                (np.nan, 4, "delta must be a positive finite real"),
+                ("1", 4, "delta must be a number"),
+                (True, 4, "delta must be a number"),
+                (1.0, "4", "levels must be an integer"),
+                (1.0, 4.0, "levels must be an integer"),
+            ]:
+                with pytest.raises(ValueError, match=message):
+                    make_saturated(delta, levels)
 
     @pytest.mark.parametrize(
         "delta, L",
@@ -47,13 +59,13 @@ class TestConstructors:
         ids=lambda v: "sign" if v is None else str(v),
     )
     def test_general_matches_saturated(self, delta, L):
-        # every finite quantizer is its thresholds and levels: the named
-        # constructors quantize bit for bit like make_general on the same lists
+        # every quantizer is its thresholds and levels: the named constructors
+        # quantize bit for bit like a QuantizerSpec built from the same lists
         if delta is None:
-            spec, gen = make_sign(), make_general([0.0], [-1.0, 1.0])
+            spec, gen = make_sign(), QuantizerSpec([0.0], [-1.0, 1.0])
         else:
             spec = make_saturated(delta, L)
-            gen = make_general(spec.thresholds, spec.level_values)
+            gen = QuantizerSpec(spec.thresholds, spec.level_values)
         t = spec.thresholds
         z = np.concatenate([t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf), rng.uniform(-L, L, size=1000)])
         out = quantize_vec(spec, z)
@@ -64,27 +76,28 @@ class TestConstructors:
         if delta is None:
             want = np.where(r >= 0.0, 1.0, -1.0)
         else:
-            want = np.clip(quantize_vec(make_uniform(delta), r), spec.level_values[0], spec.level_values[-1])
+            want = np.clip(_uniform_reference(delta, r), spec.level_values[0], spec.level_values[-1])
         assert out[3 * t.size :].tobytes() == want.tobytes()
 
 
 class TestQuantize:
     def test_frozen_examples(self):
-        assert quantize_vec(make_uniform(1.0), 0.3) == 0.5
+        assert quantize_vec(make_saturated(1.0, 8), 0.3) == 0.5
         assert quantize_vec(make_saturated(1.0, 4), 2.7) == 1.5
         assert quantize_vec(make_sign(), 0.0) == 1.0
 
     def test_ties_map_up(self):
         # values sitting exactly on a threshold belong to the upper cell
-        assert quantize_vec(make_uniform(1.0), 1.0) == 1.5
-        assert quantize_vec(make_uniform(1.0), -1.0) == -0.5
+        assert quantize_vec(make_saturated(1.0, 8), 1.0) == 1.5
+        assert quantize_vec(make_saturated(1.0, 8), -1.0) == -0.5
         assert quantize_vec(make_saturated(1.0, 4), 0.0) == 0.5
         assert quantize_vec(make_saturated(1.0, 4), -1.0) == -0.5
 
     def test_uniform_within_half_cell(self):
+        # saturated quantizers whose range covers every draw
         for delta in (0.25, 1.0, 2.5):
             z = rng.uniform(-40, 40, size=20000)
-            err = np.abs(quantize_vec(make_uniform(delta), z) - z)
+            err = np.abs(quantize_vec(make_saturated(delta, 2 * (int(np.ceil(40 / delta)) + 1)), z) - z)
             assert err.max() <= delta / 2 + 1e-12
 
     def test_saturated_equals_uniform_inside_range(self):
@@ -92,9 +105,7 @@ class TestQuantize:
         sat = make_saturated(delta, L)
         z = rng.uniform(-L * delta / 2, L * delta / 2, size=20000)
         inside = np.abs(z) < L * delta / 2
-        np.testing.assert_array_equal(
-            quantize_vec(sat, z[inside]), quantize_vec(make_uniform(delta), z[inside])
-        )
+        np.testing.assert_array_equal(quantize_vec(sat, z[inside]), _uniform_reference(delta, z[inside]))
 
     def test_saturation_clamps(self):
         sat = make_saturated(1.0, 4)
@@ -110,7 +121,7 @@ class TestQuantize:
 
     def test_monotone(self):
         z = np.sort(rng.uniform(-10, 10, size=5000))
-        for spec in (make_sign(), make_uniform(0.9), make_saturated(0.9, 6)):
+        for spec in (make_sign(), make_saturated(0.9, 24), make_saturated(0.9, 6)):
             q = quantize_vec(spec, z)
             assert np.all(np.diff(q) >= 0)
 
@@ -119,7 +130,7 @@ class TestQuantize:
             with pytest.raises(ValueError):
                 quantize_vec(make_sign(), bad)
         with pytest.raises(ValueError):
-            quantize_vec(make_uniform(1.0), np.array([0.1, np.nan]))
+            quantize_vec(make_saturated(1.0, 4), np.array([0.1, np.nan]))
 
 
 class TestLevelStepBound:
@@ -149,13 +160,6 @@ class TestLevelIndex:
         y = quantize_vec(spec, z)
         idx = level_index(spec, y)
         np.testing.assert_array_equal(spec.level_values[idx], y)
-
-    def test_roundtrip_uniform(self):
-        spec = make_uniform(0.3)
-        z = rng.uniform(-30, 30, size=1000)
-        y = quantize_vec(spec, z)
-        idx = level_index(spec, y)
-        np.testing.assert_allclose(spec.delta * (idx + 0.5), y, rtol=0, atol=1e-12)
 
     def test_invalid_codeword_rejected(self):
         with pytest.raises(ValueError):

@@ -8,10 +8,8 @@ from quantcs import (
     SensingInstance,
     corrupt,
     derive_seed,
-    hamming,
     make_saturated,
     make_sign,
-    make_uniform,
     measure,
     quantize_vec,
     sample_instance,
@@ -93,9 +91,12 @@ class TestSampleInstance:
         assert abs(inst.dither.mean()) <= 3 * se
 
     def test_dither_level_validation(self):
-        for bad in (-1.0, np.nan, np.inf, -np.inf):
+        # 1e308 is finite, but the width 2e308 of [-1e308, 1e308] is not
+        for bad in (-1.0, np.nan, np.inf, -np.inf, 1e308):
             with pytest.raises(ValueError, match="dither level"):
                 sample_instance(MatrixKind.GAUSSIAN, bad, 20, 5, 3)
+        tau = sample_instance(MatrixKind.GAUSSIAN, 8e307, 20, 5, 3).dither
+        assert np.all(np.isfinite(tau)) and np.max(np.abs(tau)) <= 8e307
 
     @pytest.mark.parametrize(
         "kind, dither, m, n, message",
@@ -133,7 +134,7 @@ class TestMeasure:
         np.testing.assert_array_equal(y0, [1.0, 1.0])  # sign(0) = +1
 
         inst = _fixed_instance([[1.0, 0.0], [0.0, 2.0]], [0.2, -0.2])
-        y = measure(inst, make_uniform(1.0), np.array([1.0, 1.0]))
+        y = measure(inst, make_saturated(1.0, 8), np.array([1.0, 1.0]))
         np.testing.assert_array_equal(y, [0.5, 2.5])
 
     def test_shape_mismatch(self):
@@ -148,7 +149,7 @@ class TestCorrupt:
         y = np.ones(100)
         for zeta, want in ((0.0, 0), (0.02, 2), (0.05, 5), (0.1, 10), (0.119, 11)):
             out = corrupt(y, spec, zeta, seed=4)
-            assert hamming(y, out) == want
+            assert np.count_nonzero(y != out) == want
 
     def test_sign_flips_negate(self):
         y = np.array([1.0, -1.0] * 25)
@@ -162,18 +163,10 @@ class TestCorrupt:
         z = rng.uniform(-3, 3, size=400)
         y = quantize_vec(spec, z)
         out = corrupt(y, spec, 0.25, seed=2)
-        assert hamming(y, out) == 100
+        assert np.count_nonzero(y != out) == 100
         assert np.all(np.isin(out, spec.level_values))
         changed = y != out
         np.testing.assert_allclose(np.abs(out[changed] - y[changed]), spec.delta, atol=1e-12)
-
-    def test_uniform_quantizer_steps(self):
-        spec = make_uniform(1.0)
-        y = quantize_vec(spec, np.linspace(-5, 5, 60))
-        out = corrupt(y, spec, 0.5, seed=3)
-        assert hamming(y, out) == 30
-        changed = y != out
-        np.testing.assert_allclose(np.abs(out[changed] - y[changed]), 1.0, atol=1e-12)
 
     def test_sign_rejects_non_codeword(self):
         y = np.ones(10)
@@ -195,13 +188,3 @@ class TestCorrupt:
     def test_mistyped_zeta_raises_value_error(self, zeta):
         with pytest.raises(ValueError, match="zeta must be a number"):
             corrupt(np.ones(4), make_sign(), zeta, seed=0)
-
-
-class TestHamming:
-    def test_counts(self):
-        assert hamming(np.array([1, -1, 1]), np.array([1, 1, 1])) == 1
-        assert hamming(np.zeros(3), np.zeros(3)) == 0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            hamming(np.zeros(3), np.zeros(4))

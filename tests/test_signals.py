@@ -174,6 +174,12 @@ class TestGenSignal:
         x = gen_signal(model, 11)
         np.testing.assert_array_equal(np.sort(np.abs(x)), [0.0, 0.0, 0.0, 1.0])
 
+    @pytest.mark.parametrize("radius", [1e10, 1e200, 3.2])
+    def test_l1ball_radius_beyond_sqrt_n_rejected(self, radius):
+        # no unit vector in dimension 10 has an l1 norm above sqrt(10)
+        with pytest.raises(ValueError, match=r"exceeds sqrt\(n\)"):
+            gen_signal(sphere(L1Ball(radius=radius, n=10)), 0)
+
     def test_magnitude_formula(self):
         a, b = l1ball_magnitudes(1.0, 4, 1)
         assert a == 1.0 and b == 0.0
