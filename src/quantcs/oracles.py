@@ -16,7 +16,7 @@ import numpy as np
 
 from .quantizers import QuantizerSpec, quantize_vec
 from .sensing import MatrixKind, SensingInstance, sample_instance
-from .signals import SignalModel, Sparse, UnsupportedModelError, check_real
+from .signals import SignalModel, Sparse, UnsupportedModelError, check_int, check_real
 
 __all__ = [
     "NET_ENTRIES_CAP",
@@ -117,7 +117,7 @@ def estimate_puv(
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape or u.ndim != 1:
         raise ValueError("u and v must be vectors of the same dimension")
-    if samples < 1:
+    if check_int(samples, "samples") < 1:
         raise ValueError("samples must be >= 1")
     inst = sample_instance(matrix_kind, dither, samples, u.size, seed)
     qu = quantize_vec(spec, inst.matrix @ u - inst.dither)

@@ -276,7 +276,7 @@ def restricted_dual_norm(model: SignalModel, z, phi: float) -> float:
     ``phi`` times the l2 norm of the ``2r`` largest singular values of the
     reshaped ``z``. The l1 ball has no such closed form here.
     """
-    if not (math.isfinite(phi) and phi > 0):
+    if not (math.isfinite(check_real(phi, "phi")) and phi > 0):
         raise ValueError(f"phi must be a positive finite real, got {phi}")
     z = _check_dim(model, z)
     s = model.structure

@@ -11,6 +11,12 @@ The analysis objects that only these cross-checks need live here, beside
 their references, and not in the solver: the one-sided l1 loss value, its
 gradient assembled threshold by threshold, the clipped two-point gradient
 and the RAIC residual.
+
+The loss and the RAIC residual also take iterates stacked as the columns of
+an ``(n, p)`` array, so the ``2n`` probes of ``fd_gradient`` and the RAIC
+pairs go through the matrix as products with column stacks; the residual
+takes its stack in chunks of ``_BLOCK_ENTRIES // m`` columns, about 1 MB per
+temporary whatever ``p`` is.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from itertools import combinations
 import numpy as np
 
 from .oracles import enumerate_net, estimate_puv, geodesic_puv, hdm_decode
-from .pgd import _SPARSE_D, _SPARSE_U, PgdConfig, _adjoint, _forward, gradient, pgd_recover
+from .pgd import _BLOCK_ENTRIES, _SPARSE_D, _SPARSE_U, PgdConfig, _adjoint, _forward, gradient, pgd_recover
 from .quantizers import QuantizerSpec, level_index, make_saturated, make_sign, quantize_vec
 from .rng import derive_seed, stream
 from .sensing import _CHUNK, MatrixKind, measure, sample_instance
@@ -30,6 +36,7 @@ from .signals import (
     L1Ball,
     SignalModel,
     Sparse,
+    check_real,
     gen_signal,
     project_model,
     project_norm,
@@ -73,43 +80,47 @@ SEED = 20260814
 
 
 def _margins(spec, instance, y, u):
-    """Shared setup: correlations ``z``, per-threshold signs of ``y``."""
+    """Shared setup: correlations ``z`` and the ``(m, L-1)`` per-threshold signs of ``y``.
+
+    ``u`` is one iterate of shape ``(n,)``, giving ``z`` of shape ``(m,)``, or
+    a stack ``(n, p)`` of them, giving one row of ``z`` per iterate, ``(p, m)``.
+    """
     u = np.asarray(u, dtype=float)
     y = np.asarray(y, dtype=float)
-    if u.shape != (instance.n,):
+    if u.ndim not in (1, 2) or u.shape[0] != instance.n:
         raise ValueError(f"iterate shape {u.shape} does not match n={instance.n}")
     if y.shape != (instance.m,):
         raise ValueError(f"measurement shape {y.shape} does not match m={instance.m}")
-    z = instance.matrix @ u - instance.dither
-    return z, level_index(spec, y)
+    z = (instance.matrix @ u).T - instance.dither
+    idx = level_index(spec, y)
+    return z, np.where(idx[:, None] > np.arange(spec.thresholds.size)[None, :], 1.0, -1.0)
 
 
-def one_sided_l1_loss(spec, instance, y, u) -> float:
+def one_sided_l1_loss(spec, instance, y, u) -> float | np.ndarray:
     """One-sided l1 consistency loss of the iterate ``u`` against ``y``.
 
     Zero exactly on the set of signals that reproduce ``y``; each term grows
     linearly with the distance by which a correlation lands on the wrong
-    side of a threshold it should clear.
+    side of a threshold it should clear.  An iterate of shape ``(n,)`` gives a
+    float; a stack ``(n, p)`` gives the ``p`` losses of its columns.
     """
-    z, idx = _margins(spec, instance, y, u)
-    b = spec.thresholds
-    yij = np.where(idx[:, None] > np.arange(b.size)[None, :], 1.0, -1.0)
-    hinge = np.maximum(-yij * (z[:, None] - b[None, :]), 0.0)
-    return float(spec.delta / instance.m * hinge.sum())
+    z, yij = _margins(spec, instance, y, u)
+    hinge = np.maximum(-yij * (z[..., None] - spec.thresholds), 0.0)
+    loss = spec.delta / instance.m * hinge.sum(axis=(-2, -1))
+    return float(loss) if loss.ndim == 0 else loss
 
 
 def gradient_from_thresholds(spec, instance, y, u) -> np.ndarray:
     """The same subgradient assembled threshold by threshold.
 
     Evaluates ``(Delta / 2m) sum_i sum_j (sign(<a_i,u> - tau_i - b_j) - y_ij) a_i``
-    directly; kept as an independent cross-check of ``gradient``.
+    directly; kept as an independent cross-check of ``gradient``.  Like the
+    loss, it takes a stack ``(n, p)`` of iterates and then returns ``(n, p)``.
     """
-    z, idx = _margins(spec, instance, y, u)
-    b = spec.thresholds
-    yij = np.where(idx[:, None] > np.arange(b.size)[None, :], 1.0, -1.0)
-    sgn = np.where(z[:, None] - b[None, :] >= 0.0, 1.0, -1.0)
-    coeff = (sgn - yij).sum(axis=1)
-    return spec.delta / (2.0 * instance.m) * (instance.matrix.T @ coeff)
+    z, yij = _margins(spec, instance, y, u)
+    sgn = np.where(z[..., None] - spec.thresholds >= 0.0, 1.0, -1.0)
+    coeff = (sgn - yij).sum(axis=-1)
+    return spec.delta / (2.0 * instance.m) * (instance.matrix.T @ coeff.T)
 
 
 def clipped_gradient(spec, instance, u, v) -> np.ndarray:
@@ -132,17 +143,39 @@ def clipped_gradient(spec, instance, u, v) -> np.ndarray:
     return _adjoint(instance.matrix, d) / instance.m
 
 
-def raic_residual(model, spec, instance, eta: float, phi: float, u, v) -> float:
+def _column_chunks(m: int, p: int) -> list[slice]:
+    """Slices of at most ``_BLOCK_ENTRIES // m`` columns covering ``p`` columns."""
+    width = max(1, _BLOCK_ENTRIES // m)
+    return [slice(i, i + width) for i in range(0, p, width)]
+
+
+def raic_residual(model, spec, instance, eta: float, phi: float, u, v) -> float | np.ndarray:
     """Restricted dual norm of ``u - v - eta * h(u, v)``.
 
     ``h(u, v) = (1/m) A^T (Q(Au - tau) - Q(Av - tau))`` is the two-point
     gradient; a small residual uniformly over model pairs is exactly the
     approximate-invertibility property that drives convergence proofs.
+
+    One pair of shape ``(n,)`` gives a float.  Two stacks of shape ``(n, p)``,
+    pair ``j`` in column ``j``, give the ``p`` residuals; they go through the
+    matrix in chunks of ``_BLOCK_ENTRIES // m`` columns, so ``A U``, ``A V``
+    and their quantized difference ``D`` take about 1 MB each whatever ``p`` is.
     """
+    eta = check_real(eta, "step size eta")
+    if not (math.isfinite(eta) and eta > 0):
+        raise ValueError(f"step size eta must be a positive finite real, got {eta}")
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    h = gradient(spec, instance, measure(instance, spec, v), u)
-    return restricted_dual_norm(model, u - v - eta * h, phi)
+    if u.shape != v.shape or u.ndim not in (1, 2) or u.shape[0] != instance.n:
+        raise ValueError(f"u and v must share a shape (n,) or (n, p) with n={instance.n}, got {u.shape} and {v.shape}")
+    us, vs = u.reshape(instance.n, -1), v.reshape(instance.n, -1)
+    a, tau = instance.matrix, instance.dither[:, None]
+    out = np.empty(us.shape[1])
+    for cols in _column_chunks(instance.m, us.shape[1]):
+        d = quantize_vec(spec, a @ us[:, cols] - tau) - quantize_vec(spec, a @ vs[:, cols] - tau)
+        r = us[:, cols] - vs[:, cols] - eta * (a.T @ d / instance.m)
+        out[cols] = [restricted_dual_norm(model, col, phi) for col in r.T]
+    return float(out[0]) if u.ndim == 1 else out
 
 
 # ---------------------------------------------------------------------------
@@ -203,16 +236,20 @@ def l1_projection_report(u: np.ndarray, radius: float, p: np.ndarray) -> tuple[f
 
 
 def fd_gradient(spec, instance, y, u) -> np.ndarray:
-    """Central finite differences of the one-sided l1 loss, step ``1e-5``."""
+    """Central finite differences of the one-sided l1 loss, step ``1e-5``.
+
+    The ``2n`` probes ``u + h e_i`` and ``u - h e_i`` go through the loss as
+    the columns of one stack.
+    """
     u = np.asarray(u, dtype=float)
     h = 1e-5
-    g = np.zeros_like(u)
-    for i in range(u.size):
-        up, dn = u.copy(), u.copy()
-        up[i] += h
-        dn[i] -= h
-        g[i] = (one_sided_l1_loss(spec, instance, y, up) - one_sided_l1_loss(spec, instance, y, dn)) / (2 * h)
-    return g
+    n = u.size
+    probes = np.repeat(u.reshape(n, 1), 2 * n, axis=1)
+    i = np.arange(n)
+    probes[i, i] += h
+    probes[i, n + i] -= h
+    loss = one_sided_l1_loss(spec, instance, y, probes)
+    return (loss[:n] - loss[n:]) / (2 * h)
 
 
 def pgd_full_loop(config, model, spec, instance, y, start, truth):
@@ -713,14 +750,12 @@ def raic_suite() -> list[Check]:
     r2 = raic_residual(model, sign, inst, eta, 2.5, u, v)
     checks.append(Check("residual_linear_in_phi", abs(r2 - 2.5 * r1) <= 1e-9 * max(1.0, r2), f"phi=1: {r1:.6f}, phi=2.5: {r2:.6f}"))
 
-    dists, residuals = [], []
-    for i in range(pairs):
-        a = gen_signal(model, derive_seed(SEED, "pair_a", i))
-        b = gen_signal(model, derive_seed(SEED, "pair_b", i))
-        dists.append(float(np.linalg.norm(a - b)))
-        residuals.append(raic_residual(model, sign, inst, eta, r, a, b))
-    dists = np.array(dists)
-    residuals = np.array(residuals)
+    dists, residuals = np.empty(pairs), np.empty(pairs)
+    for cols in _column_chunks(inst.m, pairs):
+        a = np.stack([gen_signal(model, derive_seed(SEED, "pair_a", i)) for i in range(pairs)[cols]], axis=1)
+        b = np.stack([gen_signal(model, derive_seed(SEED, "pair_b", i)) for i in range(pairs)[cols]], axis=1)
+        dists[cols] = np.linalg.norm(a - b, axis=0)
+        residuals[cols] = raic_residual(model, sign, inst, eta, r, a, b)
     slack = residuals / r - (0.6 * dists + 3.0 * np.sqrt(r * dists) + RAIC_C_CEILING * r)
     mu1, mu2, mu3 = fit_raic_params(dists, residuals, phi=r)
     checks.append(

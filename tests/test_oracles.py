@@ -175,3 +175,6 @@ class TestPuv:
             estimate_puv(make_sign(), MatrixKind.GAUSSIAN, 0.0, np.ones(2), np.ones(3), 10, 0)
         with pytest.raises(ValueError):
             estimate_puv(make_sign(), MatrixKind.GAUSSIAN, 0.0, np.ones(2), np.ones(2), 0, 0)
+        for samples in ("5", 5.5, True, None):
+            with pytest.raises(ValueError, match="samples must be an integer"):
+                estimate_puv(make_sign(), MatrixKind.GAUSSIAN, 0.0, np.ones(2), np.ones(2), samples, 0)

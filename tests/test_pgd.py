@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,13 +18,22 @@ from quantcs import (
     measure,
     pgd_recover,
     random_in_model,
+    restricted_dual_norm,
     sample_instance,
 )
 import quantcs.pgd
-from quantcs.pgd import _SPARSE_D, _SPARSE_U
+from quantcs.pgd import _BLOCK_ENTRIES, _SPARSE_D, _SPARSE_U
 from quantcs.quantizers import quantize_vec
 from quantcs.sensing import MatrixKind
-from quantcs.verify import clipped_gradient, gradient_from_thresholds, one_sided_l1_loss, pgd_full_loop, raic_residual
+from quantcs.verify import (
+    clipped_gradient,
+    fd_gradient,
+    gradient_from_thresholds,
+    one_sided_l1_loss,
+    pgd_full_loop,
+    raic_residual,
+    random_quantizer,
+)
 
 from test_sensing import _fixed_instance
 
@@ -177,6 +188,45 @@ class TestGradient:
             np.testing.assert_allclose(fd, g, rtol=1e-6, atol=1e-9)
             checked += 1
         assert checked >= 10
+
+    def test_stacked_probes_match_per_coordinate_loop(self):
+        # fd_gradient puts its 2n probes through the loss as one stack; the
+        # product with the stack rounds differently from one product per probe,
+        # by a few ulps of the loss, and the 1/(2h) quotient scales that to a
+        # few 1e-11 of the loss, well inside the 1e-9 allowed here
+        rng = np.random.default_rng(23)
+        h = 1e-5
+        for _ in range(200):
+            spec = random_quantizer(rng)
+            n, m = int(rng.integers(2, 9)), int(rng.integers(3, 25))
+            inst = sample_instance(MatrixKind.GAUSSIAN, float(rng.uniform(0.0, 2.0)), m, n, int(rng.integers(0, 2**32)))
+            y = measure(inst, spec, rng.standard_normal(n))
+            u = rng.standard_normal(n)
+            ref = np.empty(n)
+            for i in range(n):
+                up, dn = u.copy(), u.copy()
+                up[i] += h
+                dn[i] -= h
+                ref[i] = (one_sided_l1_loss(spec, inst, y, up) - one_sided_l1_loss(spec, inst, y, dn)) / (2 * h)
+            scale = max(1.0, one_sided_l1_loss(spec, inst, y, u))
+            np.testing.assert_allclose(fd_gradient(spec, inst, y, u), ref, rtol=0, atol=1e-9 * scale)
+
+    def test_stack_gives_the_value_of_each_column(self):
+        rng = np.random.default_rng(29)
+        spec = make_saturated(0.5, 8)
+        inst = sample_instance(MatrixKind.RADEMACHER, 0.25, 20, 6, seed=30)
+        y = measure(inst, spec, rng.standard_normal(6))
+        stack = rng.standard_normal((6, 5))
+        losses = one_sided_l1_loss(spec, inst, y, stack)
+        assert losses.shape == (5,)
+        want = [one_sided_l1_loss(spec, inst, y, col) for col in stack.T]
+        np.testing.assert_allclose(losses, want, rtol=1e-12)
+        grads = np.stack([gradient_from_thresholds(spec, inst, y, col) for col in stack.T], axis=1)
+        np.testing.assert_allclose(gradient_from_thresholds(spec, inst, y, stack), grads, rtol=1e-12, atol=1e-15)
+        with pytest.raises(ValueError):
+            one_sided_l1_loss(spec, inst, y, stack[:5])
+        with pytest.raises(ValueError):
+            one_sided_l1_loss(spec, inst, y, stack[..., None])
 
 
 class TestPgdRecover:
@@ -370,8 +420,6 @@ class TestRaicResidual:
         assert raic_residual(model, make_sign(), inst, 1.0, 1.0, u, u) == 0.0
 
     def test_eta_zero_reduces_to_dual_norm_of_difference(self):
-        from quantcs import restricted_dual_norm
-
         model = SignalModel(Sparse(k=2, n=10), 1.0, 1.0)
         inst = sample_instance(MatrixKind.GAUSSIAN, 0.0, 80, 10, seed=16)
         u, v = gen_signal(model, 17), gen_signal(model, 18)
@@ -387,6 +435,51 @@ class TestRaicResidual:
         u, v = gen_signal(model, 20), gen_signal(model, 21)
         res = raic_residual(model, make_sign(), inst, np.sqrt(np.pi / 2), 1.0, u, v)
         assert res < np.linalg.norm(u - v)
+
+    @pytest.mark.parametrize("spec,dither", [(make_sign(), 0.0), (make_saturated(0.5, 8), 0.25)])
+    def test_stack_matches_two_point_gradient_per_pair(self, spec, dither):
+        # 70 pairs at m=4000 make chunks of 32, 32 and 6 columns
+        m, n, pairs, eta, phi = 4000, 40, 70, 0.8, 0.3
+        assert pairs % (_BLOCK_ENTRIES // m) != 0
+        model = SignalModel(Sparse(k=3, n=n), 1.0, 1.0)
+        inst = sample_instance(MatrixKind.GAUSSIAN, dither, m, n, seed=31)
+        us = np.stack([gen_signal(model, 100 + i) for i in range(pairs)], axis=1)
+        vs = np.stack([gen_signal(model, 200 + i) for i in range(pairs)], axis=1)
+        got = raic_residual(model, spec, inst, eta, phi, us, vs)
+        assert got.shape == (pairs,)
+        for j, (u, v) in enumerate(zip(us.T, vs.T)):
+            h = gradient(spec, inst, measure(inst, spec, v), u)
+            want = restricted_dual_norm(model, u - v - eta * h, phi)
+            assert abs(got[j] - want) <= 1e-12 * want
+        assert raic_residual(model, spec, inst, eta, phi, us[:, 5], vs[:, 5]) == pytest.approx(got[5], rel=1e-12)
+
+    def test_stack_memory_is_bounded_by_the_chunk(self):
+        # one product of all 1000 pairs at once would take 40 MB per m x p
+        # temporary; chunks of _BLOCK_ENTRIES // m columns keep each near 1 MB
+        m, n, pairs = 5000, 100, 1000
+        model = SignalModel(Sparse(k=3, n=n), 1.0, 1.0)
+        inst = sample_instance(MatrixKind.GAUSSIAN, 0.0, m, n, seed=17)
+        rng = np.random.default_rng(37)
+        us, vs = rng.standard_normal((n, pairs)), rng.standard_normal((n, pairs))
+        raic_residual(model, make_sign(), inst, 1.0, 0.05, us[:, :2], vs[:, :2])  # one-time allocations
+        tracemalloc.start()
+        try:
+            raic_residual(model, make_sign(), inst, 1.0, 0.05, us, vs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_input_validation(self):
+        model = SignalModel(Sparse(k=2, n=10), 1.0, 1.0)
+        inst = sample_instance(MatrixKind.GAUSSIAN, 0.0, 80, 10, seed=14)
+        u, v = gen_signal(model, 15), gen_signal(model, 16)
+        for eta in ("1", True, 0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="eta"):
+                raic_residual(model, make_sign(), inst, eta, 1.0, u, v)
+        for a, b in ((u, v[:9]), (u[:9], v[:9]), (u[:, None], v), (u[:, None, None], v[:, None, None])):
+            with pytest.raises(ValueError):
+                raic_residual(model, make_sign(), inst, 1.0, 1.0, a, b)
 
 
 class TestPgdVsBruteForce:

@@ -218,3 +218,6 @@ class TestRestrictedDualNorm:
     def test_phi_validation(self):
         with pytest.raises(ValueError):
             restricted_dual_norm(sphere(Sparse(k=1, n=3)), np.zeros(3), 0.0)
+        for phi in (True, "1", None, float("nan"), -1.0):
+            with pytest.raises(ValueError, match="phi"):
+                restricted_dual_norm(sphere(Sparse(k=1, n=3)), np.zeros(3), phi)
