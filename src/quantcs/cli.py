@@ -15,6 +15,7 @@ import argparse
 import sys
 
 from .harness import (
+    THREADS_CAP,
     ExperimentPlan,
     Family,
     emit_csv,
@@ -89,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="path to the plan JSON")
     p_run.add_argument("--out", required=True, help="path of the CSV to write")
     p_run.add_argument("--svg", default=None, help="optional path of a log-log SVG plot")
-    p_run.add_argument("--threads", type=int, default=1, help="worker threads (output is identical for any value)")
+    p_run.add_argument("--threads", type=int, default=1, help=f"worker threads, 1 to {THREADS_CAP} (output is identical for any value)")
     p_run.set_defaults(func=_cmd_run)
 
     p_rec = sub.add_parser("recover", help="single recovery trial for a sparse model")

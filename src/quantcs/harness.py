@@ -45,6 +45,7 @@ __all__ = [
     "PLAN_COST_CAP",
     "MATRIX_ENTRIES_CAP",
     "LEVELS_CAP",
+    "THREADS_CAP",
 ]
 
 CSV_COLUMNS = "family,n,k_or_r,m,L,delta,lambda,zeta,trials,mean_err,stderr,slope_group"
@@ -59,6 +60,9 @@ MATRIX_ENTRIES_CAP = 2**27
 # thresholds and L levels, so this keeps them under 1 MB (16 bits per
 # measurement; the paper's bit budgets use L <= 32)
 LEVELS_CAP = 2**16
+# largest admissible worker thread count: the pool starts a thread per task
+# submitted until it holds this many, so a huge count would start that many
+THREADS_CAP = 64
 
 
 class Family(enum.Enum):
@@ -226,8 +230,8 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> ExperimentResult:
     sorted by (cell, trial) and all randomness is keyed by indices, so the
     output is bit-identical for any ``threads``.
     """
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
+    if not 1 <= check_int(threads, "threads") <= THREADS_CAP:
+        raise ValueError(f"threads must be in [1, {THREADS_CAP}], got {threads}")
     tasks = [(ci, ti) for ci in range(len(plan.m_grid)) for ti in range(plan.trials)]
     if threads == 1:
         records = [run_trial(plan, ci, ti) for ci, ti in tasks]

@@ -127,16 +127,21 @@ def estimate_puv(
     return PuvEstimate(p_hat=p_hat, stderr=stderr)
 
 
-def geodesic_puv(u, v) -> float:
+def geodesic_puv(u, v) -> float | np.ndarray:
     """Exact separation probability of a Gaussian sign measurement.
 
     For unit vectors this is the normalized angle ``arccos(<u, v>) / pi``.
+    Two vectors of shape ``(n,)`` give a float; two row stacks of shape
+    ``(N, n)``, pair ``i`` in row ``i``, give the ``N`` probabilities.  Every
+    row must be a unit vector, so a stack may pad its rows with zeros but may
+    not hold zero rows.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    if u.shape != v.shape or u.ndim != 1:
-        raise ValueError("u and v must be vectors of the same dimension")
+    if u.shape != v.shape or u.ndim not in (1, 2):
+        raise ValueError(f"u and v must share a shape (n,) or (N, n), got {u.shape} and {v.shape}")
     for name, w in (("u", u), ("v", v)):
-        if not abs(float(np.linalg.norm(w)) - 1.0) <= 1e-9:
+        if not np.all(np.abs(np.linalg.norm(w, axis=-1) - 1.0) <= 1e-9):
             raise ValueError(f"{name} must be a unit vector")
-    return float(np.arccos(np.clip(float(u @ v), -1.0, 1.0)) / math.pi)
+    p = np.arccos(np.clip(np.sum(u * v, axis=-1), -1.0, 1.0)) / math.pi
+    return float(p) if p.ndim == 0 else p

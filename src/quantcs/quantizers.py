@@ -105,11 +105,17 @@ def _check_finite(z: np.ndarray):
 
 
 def quantize_vec(spec: QuantizerSpec, values) -> np.ndarray:
-    """Quantize an array entrywise; a scalar gives a 0-d array."""
+    """Quantize an array entrywise; a scalar gives a ``np.float64``.
+
+    The level index is the number of thresholds at or below each value, so a
+    value equal to a threshold belongs to the upper cell.  With one threshold
+    that count is one comparison; with more it is a binary search.
+    """
     z = np.asarray(values, dtype=float)
     _check_finite(z)
-    # a value equal to a threshold belongs to the upper cell
-    return spec.level_values[np.searchsorted(spec.thresholds, z, side="right")]
+    t = spec.thresholds
+    idx = (z >= t[0]).astype(np.intp) if t.size == 1 else np.searchsorted(t, z, side="right")
+    return spec.level_values[idx]
 
 
 def level_index(spec: QuantizerSpec, y) -> np.ndarray:

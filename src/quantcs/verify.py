@@ -16,7 +16,10 @@ The loss and the RAIC residual also take iterates stacked as the columns of
 an ``(n, p)`` array, so the ``2n`` probes of ``fd_gradient`` and the RAIC
 pairs go through the matrix as products with column stacks; the residual
 takes its stack in chunks of ``_BLOCK_ENTRIES // m`` columns, about 1 MB per
-temporary whatever ``p`` is.
+temporary whatever ``p`` is.  Likewise ``l1_projection_report`` and
+``geodesic_puv`` take row stacks: the projection and separation suites draw
+their vectors one by one, as before, into zero-padded stacks and certify
+each stack with one call.
 """
 
 from __future__ import annotations
@@ -219,20 +222,40 @@ def nearest_in_sparse_sphere(u: np.ndarray, k: int, rho: float) -> np.ndarray:
     return best
 
 
-def l1_projection_report(u: np.ndarray, radius: float, p: np.ndarray) -> tuple[float, float, float]:
+def l1_projection_report(u, radius, p) -> tuple[float, float, float] | tuple[np.ndarray, np.ndarray, np.ndarray]:
     """KKT-style certificate for a claimed l1-ball projection ``p`` of ``u``.
 
     Returns ``(infeasibility, reconstruction_gap, duality_gap)``: how far
     ``||p||_1`` exceeds the radius, how far ``p`` is from the soft
     thresholding of ``u`` at the implied multiplier, and the complementary
     slackness product. All three are ~0 iff ``p`` is the true projection.
+
+    Vectors of shape ``(n,)`` and a float radius give three floats, all zero
+    when ``n = 0``; row stacks ``(N, n)`` and ``N`` radii give three arrays of
+    the ``N`` row certificates.  ``||p||_1`` is summed left to right, so zeros
+    padding the end of a row leave every bit of its certificate unchanged.
+    Beyond its inputs a stack takes about two more arrays of its size, as the
+    work goes through one buffer in place.
     """
-    theta = max(0.0, float(np.max(np.abs(u) - np.abs(p))))
-    soft = np.sign(u) * np.maximum(np.abs(u) - theta, 0.0)
-    infeas = max(0.0, float(np.abs(p).sum() - radius))
-    recon = float(np.max(np.abs(p - soft))) if p.size else 0.0
-    gap = abs(theta * (radius - float(np.abs(p).sum())))
-    return infeas, recon, gap
+    u = np.asarray(u, dtype=float)
+    p = np.asarray(p, dtype=float)
+    radius = np.asarray(radius, dtype=float)
+    if u.shape != p.shape or u.ndim not in (1, 2) or radius.shape != u.shape[:-1]:
+        raise ValueError(f"need u and p of one shape (n,) or (N, n) and one radius per row, got {u.shape}, {radius.shape}, {p.shape}")
+    buf = np.abs(u)
+    buf -= np.abs(p)
+    theta = np.max(buf, axis=-1, initial=0.0)
+    # buf becomes the soft thresholding of u at theta, then |soft - p|, then the running sums of |p|
+    np.abs(u, out=buf)
+    buf -= theta[..., None]
+    np.copysign(np.maximum(buf, 0.0, out=buf), u, out=buf)
+    buf -= p
+    recon = np.max(np.abs(buf, out=buf), axis=-1, initial=0.0)
+    np.cumsum(np.abs(p, out=buf), axis=-1, out=buf)
+    l1 = buf[..., -1] if p.shape[-1] else np.zeros(radius.shape)
+    infeas = np.maximum(0.0, l1 - radius)
+    gap = np.abs(theta * (radius - l1))
+    return (float(infeas), float(recon), float(gap)) if u.ndim == 1 else (infeas, recon, gap)
 
 
 def fd_gradient(spec, instance, y, u) -> np.ndarray:
@@ -384,12 +407,31 @@ def quantizer_suite() -> list[Check]:
         and quantize_vec(make_saturated(1.0, 4), -1.0) == -0.5
     )
     checks.append(Check("threshold_ties_map_up", ties, "values on thresholds take the upper level"))
+
+    # quantize_vec compares against a lone threshold instead of searching it
+    specs = (make_sign(), QuantizerSpec([0.3], [-0.25, 0.75]))
+    mismatch = []
+    for spec in specs:
+        t = spec.thresholds[0]
+        z = np.concatenate([rng.uniform(-5, 5, size=pairs), [0.0, -0.0, t, np.nextafter(t, -1.0), np.nextafter(t, 1.0)]])
+        search = spec.level_values[np.searchsorted(spec.thresholds, z, side="right")]
+        if quantize_vec(spec, z).tobytes() != search.tobytes():
+            mismatch.append(float(t))
+    checks.append(
+        Check(
+            "one_threshold_matches_search",
+            not mismatch,
+            f"differs from the search at thresholds {mismatch}"
+            if mismatch
+            else f"bitwise equal to level_values[searchsorted] on {len(specs)} specs x {z.size} values, ties and +/-0 included",
+        )
+    )
     return checks
 
 
 def projection_suite() -> list[Check]:
     checks = []
-    l1_count = 10_000
+    l1_count, l1_width = 10_000, 39  # the l1 dimensions n run from 2 to l1_width
     rng = stream(SEED, "verify", "projection")
 
     ok, detail = True, ""
@@ -407,18 +449,18 @@ def projection_suite() -> list[Check]:
             break
     checks.append(Check("sparse_matches_enumeration", ok, detail or "300 random instances agree"))
 
-    worst = (0.0, 0.0, 0.0)
-    structure_fail = 0
-    for _ in range(l1_count):
-        n = int(rng.integers(2, 40))
-        u = rng.standard_normal(n) * float(10 ** rng.uniform(-2, 2))
-        radius = float(rng.uniform(0.1, 5.0))
-        model = SignalModel(L1Ball(radius=radius, n=n), alpha=0.0, beta=100.0)
-        p = project_structure(model, u)
-        rep = l1_projection_report(u, radius, p)
-        worst = tuple(max(w, r) for w, r in zip(worst, rep))
-        if max(rep) > 1e-8:
-            structure_fail += 1
+    # the vectors are drawn one by one and certified as one zero-padded stack
+    us, ps = np.zeros((2, l1_count, l1_width))
+    radii = np.empty(l1_count)
+    for i in range(l1_count):
+        n = int(rng.integers(2, l1_width + 1))
+        us[i, :n] = rng.standard_normal(n) * float(10 ** rng.uniform(-2, 2))
+        radii[i] = rng.uniform(0.1, 5.0)
+        model = SignalModel(L1Ball(radius=float(radii[i]), n=n), alpha=0.0, beta=100.0)
+        ps[i, :n] = project_structure(model, us[i, :n])
+    rep = l1_projection_report(us, radii, ps)
+    worst = [float(r.max()) for r in rep]
+    structure_fail = int(np.count_nonzero(np.maximum.reduce(rep) > 1e-8))
     checks.append(
         Check(
             "l1_ball_kkt",
@@ -586,7 +628,8 @@ def gradient_suite() -> list[Check]:
 
 def puv_suite() -> list[Check]:
     checks = []
-    mc_pairs, mc_samples, bound_pairs = 20, 100_000, 10_000
+    mc_pairs, mc_samples = 20, 100_000
+    bound_pairs, bound_width = 10_000, 11  # the bound's dimensions n run from 2 to bound_width
     rng = stream(SEED, "verify", "puv")
     sign = make_sign()
 
@@ -612,18 +655,17 @@ def puv_suite() -> list[Check]:
         )
     )
 
-    ok = True
-    for _ in range(bound_pairs):
-        n = int(rng.integers(2, 12))
+    # the pairs are drawn one by one and bounded as one zero-padded stack
+    us, vs = np.zeros((2, bound_pairs, bound_width))
+    for i in range(bound_pairs):
+        n = int(rng.integers(2, bound_width + 1))
         u = rng.standard_normal(n)
-        u /= np.linalg.norm(u)
+        us[i, :n] = u / np.linalg.norm(u)
         v = rng.standard_normal(n)
-        v /= np.linalg.norm(v)
-        d = float(np.linalg.norm(u - v))
-        p = geodesic_puv(u, v)
-        if not (d / math.pi - 1e-12 <= p <= d / 2.0 + 1e-12):
-            ok = False
-            break
+        vs[i, :n] = v / np.linalg.norm(v)
+    d = np.linalg.norm(us - vs, axis=1)
+    p = geodesic_puv(us, vs)
+    ok = bool(np.all((d / math.pi - 1e-12 <= p) & (p <= d / 2.0 + 1e-12)))
     checks.append(Check("two_sided_norm_bound", ok, f"d/pi <= p <= d/2 on {bound_pairs} unit pairs"))
 
     lam = 2.0

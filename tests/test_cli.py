@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from quantcs.cli import main
+from quantcs.harness import THREADS_CAP
 
 
 def tiny_plan_json():
@@ -45,6 +46,15 @@ class TestRun:
         assert main(["run", "--config", str(config), "--out", str(a)]) == 0
         assert main(["run", "--config", str(config), "--out", str(b), "--threads", "3"]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_thread_cap_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "plan.json"
+        config.write_text(json.dumps({**json.loads(tiny_plan_json()), "trials": 1}))  # two tasks
+        out = tmp_path / "x.csv"
+        rc = main(["run", "--config", str(config), "--out", str(out), "--threads", str(THREADS_CAP + 1)])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: threads must be in [1, {THREADS_CAP}], got {THREADS_CAP + 1}"]
+        assert not out.exists()
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         config = tmp_path / "plan.json"

@@ -28,7 +28,7 @@ from quantcs import (
     run_trial,
     sample_instance,
 )
-from quantcs.harness import LEVELS_CAP, MATRIX_ENTRIES_CAP, PLAN_COST_CAP
+from quantcs.harness import LEVELS_CAP, MATRIX_ENTRIES_CAP, PLAN_COST_CAP, THREADS_CAP
 
 
 def tiny_plan(**overrides):
@@ -262,6 +262,26 @@ class TestRunExperiment:
             assert a.m == b.m == c.m
             assert a.per_iterate_errors.tobytes() == b.per_iterate_errors.tobytes() == c.per_iterate_errors.tobytes()
         assert serial.cells == threaded.cells
+
+    def test_thread_count_checked_before_any_pool(self, monkeypatch):
+        plan = tiny_plan(trials=1)  # two tasks, so no call here can start more than two threads
+        serial = run_experiment(plan)
+        assert run_experiment(plan, threads=THREADS_CAP).cells == serial.cells
+        assert run_experiment(plan, threads=np.int64(2)).cells == serial.cells
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was built for a rejected thread count")
+
+        monkeypatch.setattr("quantcs.harness.ThreadPoolExecutor", no_pool)
+        for threads, message in [
+            (2.5, "threads must be an integer, got 2.5"),
+            ("2", "threads must be an integer, got '2'"),
+            (True, "threads must be an integer, got True"),
+            (0, rf"threads must be in \[1, {THREADS_CAP}\], got 0"),
+            (THREADS_CAP + 1, rf"threads must be in \[1, {THREADS_CAP}\], got {THREADS_CAP + 1}"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                run_experiment(plan, threads=threads)
 
     def test_trajectory_lengths(self):
         res = run_experiment(tiny_plan(trials=1))

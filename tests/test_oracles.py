@@ -170,6 +170,37 @@ class TestPuv:
         with pytest.raises(ValueError):
             geodesic_puv(np.array([1.0, 0.0]), np.array([np.nan, 0.0]))
 
+    def test_stacked_geodesic_equals_rows(self):
+        rng = np.random.default_rng(4)
+        count, width = 300, 11
+        us, vs = np.zeros((count, width)), np.zeros((count, width))
+        rows = []
+        for i in range(count):
+            n = int(rng.integers(2, width + 1))
+            u, v = rng.standard_normal(n), rng.standard_normal(n)
+            u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
+            us[i, :n], vs[i, :n] = u, v
+            rows.append(geodesic_puv(u, v))
+        assert all(type(p) is float for p in rows)
+        stacked = geodesic_puv(us, vs)
+        assert stacked.shape == (count,)
+        np.testing.assert_allclose(stacked, rows, rtol=0.0, atol=1e-15)
+        # more zero padding changes nothing
+        wider = geodesic_puv(np.pad(us, ((0, 0), (0, 5))), np.pad(vs, ((0, 0), (0, 5))))
+        np.testing.assert_allclose(wider, stacked, rtol=0.0, atol=1e-15)
+
+    def test_stacked_geodesic_requires_unit_rows(self):
+        us = np.eye(3)
+        for bad in (2.0 * us[1], np.zeros(3), np.array([np.nan, 0.0, 0.0])):
+            vs = us.copy()
+            vs[1] = bad
+            with pytest.raises(ValueError, match="v must be a unit vector"):
+                geodesic_puv(us, vs)
+        with pytest.raises(ValueError, match="must share a shape"):
+            geodesic_puv(us, us[:, :2])
+        with pytest.raises(ValueError, match="must share a shape"):
+            geodesic_puv(us[None], us[None])
+
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             estimate_puv(make_sign(), MatrixKind.GAUSSIAN, 0.0, np.ones(2), np.ones(3), 10, 0)

@@ -132,6 +132,26 @@ class TestQuantize:
         with pytest.raises(ValueError):
             quantize_vec(make_saturated(1.0, 4), np.array([0.1, np.nan]))
 
+    @pytest.mark.parametrize("spec", [make_sign(), QuantizerSpec([0.3], [-0.25, 0.75])], ids=["sign", "offset"])
+    def test_one_threshold_comparison_equals_search(self, spec):
+        t = spec.thresholds[0]
+        z = np.concatenate([rng.uniform(-5, 5, size=5000), [0.0, -0.0, t, -t, np.nextafter(t, -1.0), np.nextafter(t, 1.0)]])
+        search = spec.level_values[np.searchsorted(spec.thresholds, z, side="right")]
+        out = quantize_vec(spec, z)
+        assert out.dtype == search.dtype and out.tobytes() == search.tobytes()
+        assert quantize_vec(spec, t) == spec.level_values[1]  # the tie maps up
+        assert quantize_vec(spec, z.reshape(2, -1)).tobytes() == search.tobytes()
+
+    @pytest.mark.parametrize("spec", [make_sign(), make_saturated(1.0, 4)], ids=["comparison", "search"])
+    def test_scalar_gives_float64_on_both_paths(self, spec):
+        for value in (0.3, -0.0, np.float64(2.0), np.array(0.3)):
+            assert type(quantize_vec(spec, value)) is np.float64
+        assert quantize_vec(spec, [0.3]).shape == (1,)
+        with pytest.raises(ValueError, match="quantizer input must be finite"):
+            quantize_vec(spec, np.nan)
+        with pytest.raises(ValueError, match="quantizer input must be finite"):
+            quantize_vec(spec, np.array([0.1, np.nan]))
+
 
 class TestLevelStepBound:
     def test_quantized_gap_vs_input_gap(self):

@@ -102,6 +102,50 @@ class TestL1BallProjection:
             infeas, recon, gap = l1_projection_report(u, radius, p)
             assert infeas <= 1e-10 and recon <= 1e-10 and gap <= 1e-8
 
+    def test_stacked_report_equals_rows(self):
+        count, width = 300, 39
+        us, ps, radii = np.zeros((count, width)), np.zeros((count, width)), np.empty(count)
+        rows = []
+        for i in range(count):
+            n = int(rng.integers(2, width + 1))
+            u = rng.standard_normal(n) * float(10 ** rng.uniform(-2, 2))
+            radii[i] = rng.uniform(0.1, 5.0)
+            p = project_structure(ball(L1Ball(radius=float(radii[i]), n=n)), u)
+            us[i, :n], ps[i, :n] = u, p
+            rows.append(l1_projection_report(u, float(radii[i]), p))
+        assert all(type(v) is float for row in rows for v in row)
+        stacked = l1_projection_report(us, radii, ps)
+        # ||p||_1 is summed left to right, so the zero padding moves no bit
+        for got, want in zip(stacked, zip(*rows), strict=True):
+            assert got.shape == (count,)
+            np.testing.assert_array_equal(got, want)
+        wider = l1_projection_report(np.pad(us, ((0, 0), (0, 5))), radii, np.pad(ps, ((0, 0), (0, 5))))
+        for got, want in zip(wider, stacked, strict=True):
+            np.testing.assert_array_equal(got, want)
+
+    def test_stacked_report_flags_only_the_wrong_row(self):
+        u = rng.standard_normal((4, 6)) * 3.0
+        p = np.stack([project_structure(ball(L1Ball(radius=1.0, n=6)), row) for row in u])
+        p[2] *= 0.9  # inside the ball but not the nearest point
+        worst = np.maximum.reduce(l1_projection_report(u, np.ones(4), p))
+        assert worst[2] > 1e-3 and np.all(np.delete(worst, 2) <= 1e-12)
+
+    def test_report_on_empty_vectors_is_zero(self):
+        assert l1_projection_report(np.zeros(0), 1.0, np.zeros(0)) == (0.0, 0.0, 0.0)
+        for part in l1_projection_report(np.zeros((3, 0)), np.ones(3), np.zeros((3, 0))):
+            np.testing.assert_array_equal(part, np.zeros(3))
+
+    def test_report_shape_checks(self):
+        for u, radius, p in [
+            (np.ones(3), 1.0, np.ones(4)),
+            (np.ones((2, 3)), 1.0, np.ones((2, 3))),
+            (np.ones((2, 3)), np.ones(3), np.ones((2, 3))),
+            (np.ones(3), np.ones(3), np.ones(3)),
+            (np.ones((1, 2, 3)), np.ones((1, 2)), np.ones((1, 2, 3))),
+        ]:
+            with pytest.raises(ValueError, match="one radius per row"):
+                l1_projection_report(u, radius, p)
+
 
 class TestNormProjection:
     def test_annulus_cases(self):
