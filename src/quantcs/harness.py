@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
@@ -200,20 +201,24 @@ def _slope_group(plan: ExperimentPlan) -> tuple[float, str]:
     return k_or_r, f"{plan.family.value}:k_or_r={k_or_r:.12g}:L={family_setup(plan).spec.levels}"
 
 
-def run_trial(plan: ExperimentPlan, cell: int, trial: int) -> TrialRecord:
+def run_trial(plan: ExperimentPlan, cell: int, trial: int, workspace: np.ndarray | None = None) -> TrialRecord:
     """Draw, measure, corrupt and recover trial ``trial`` of grid cell ``cell``.
 
     Every random object comes from ``derive_seed(plan.master_seed, cell, trial)``,
     so a trial's record depends only on the plan and its two indices.  PGD
     starts at a random model member on the sphere (``alpha > 0``, one-bit
     Gaussian) and at zero on the unit ball (the dithered families).
+
+    With ``workspace``, the sensing matrix is drawn into it, as the ``out`` of
+    ``sample_instance``.  The record keeps nothing of the instance, so the
+    caller may draw the next trial into the same buffer once this one returns.
     """
     setup = family_setup(plan)
     seed = derive_seed(plan.master_seed, cell, trial)
     m = plan.m_grid[cell]
     n = plan.model.ambient_dim
     x = gen_signal(plan.model, seed)
-    inst = sample_instance(setup.matrix_kind, setup.dither, m, n, seed)
+    inst = sample_instance(setup.matrix_kind, setup.dither, m, n, seed, out=workspace)
     y = measure(inst, setup.spec, x)
     if plan.corruption_zeta > 0.0:
         y = corrupt(y, setup.spec, plan.corruption_zeta, seed)
@@ -229,15 +234,28 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> ExperimentResult:
     Trials are independent and may run on several threads; records come back
     sorted by (cell, trial) and all randomness is keyed by indices, so the
     output is bit-identical for any ``threads``.
+
+    Each worker (the caller when ``threads`` is 1, else each pool thread)
+    allocates one buffer of ``max(m_grid) * n`` floats and draws the sensing
+    matrix of every trial it runs into that buffer, so a run holds one matrix
+    per worker.  This relies on the invariant that no trial keeps its
+    instance after it returns.
     """
     if not 1 <= check_int(threads, "threads") <= THREADS_CAP:
         raise ValueError(f"threads must be in [1, {THREADS_CAP}], got {threads}")
     tasks = [(ci, ti) for ci in range(len(plan.m_grid)) for ti in range(plan.trials)]
+    entries = plan.m_grid[-1] * plan.model.ambient_dim  # the grid increases strictly
     if threads == 1:
-        records = [run_trial(plan, ci, ti) for ci, ti in tasks]
+        workspace = np.empty(entries)
+        records = [run_trial(plan, ci, ti, workspace) for ci, ti in tasks]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(lambda t: run_trial(plan, *t), tasks))
+        local = threading.local()
+
+        def allocate():
+            local.workspace = np.empty(entries)
+
+        with ThreadPoolExecutor(max_workers=threads, initializer=allocate) as pool:
+            records = list(pool.map(lambda t: run_trial(plan, *t, local.workspace), tasks))
     cells = []
     for ci, m in enumerate(plan.m_grid):
         errs = np.array([r.final_error for r in records[ci * plan.trials : (ci + 1) * plan.trials]])

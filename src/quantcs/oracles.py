@@ -3,7 +3,9 @@
 These are deliberately simple, independently checkable counterparts to the
 gradient-based solver: decode by exhaustive Hamming-distance minimization
 over an explicit candidate net, and estimate the probability that one
-measurement separates two signals by direct Monte Carlo.
+measurement separates two signals by direct Monte Carlo.  The Monte Carlo
+estimate draws its rows in blocks of about ``_BLOCK_ENTRIES`` entries, so its
+memory does not grow with the sample count.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ from itertools import combinations
 
 import numpy as np
 
+from .pgd import _BLOCK_ENTRIES
 from .quantizers import QuantizerSpec, quantize_vec
-from .sensing import MatrixKind, SensingInstance, sample_instance
+from .sensing import MatrixKind, SensingInstance, instance_rows
 from .signals import SignalModel, Sparse, UnsupportedModelError, check_int, check_real
 
 __all__ = [
@@ -110,21 +113,35 @@ def estimate_puv(
     """Monte Carlo estimate of ``P(Q(<a,u> - tau) != Q(<a,v> - tau))``.
 
     Draws ``samples`` fresh measurement rows and dithers uniform on
-    ``[-dither, dither]``, and reports the disagreement frequency with its
-    binomial standard error.
+    ``[-dither, dither]``, the rows of ``sample_instance(matrix_kind, dither,
+    samples, n, seed)``, and reports the disagreement frequency with its
+    binomial standard error.  The rows come in blocks of ``_block_rows(n)``,
+    drawn into one buffer, and the disagreements are summed per block.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    if u.shape != v.shape or u.ndim != 1:
-        raise ValueError("u and v must be vectors of the same dimension")
+    if u.shape != v.shape or u.ndim != 1 or u.size == 0:
+        raise ValueError("u and v must be nonempty vectors of the same dimension")
     if check_int(samples, "samples") < 1:
         raise ValueError("samples must be >= 1")
-    inst = sample_instance(matrix_kind, dither, samples, u.size, seed)
-    qu = quantize_vec(spec, inst.matrix @ u - inst.dither)
-    qv = quantize_vec(spec, inst.matrix @ v - inst.dither)
-    p_hat = float(np.count_nonzero(qu != qv)) / samples
+    count = 0
+    for block in instance_rows(matrix_kind, dither, samples, u.size, seed, _block_rows(u.size)):
+        qu = quantize_vec(spec, block.matrix @ u - block.dither)
+        qv = quantize_vec(spec, block.matrix @ v - block.dither)
+        count += int(np.count_nonzero(qu != qv))
+    p_hat = count / samples
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / samples)
     return PuvEstimate(p_hat=p_hat, stderr=stderr)
+
+
+def _block_rows(n: int) -> int:
+    """Rows per block of ``estimate_puv``: about ``_BLOCK_ENTRIES`` entries, a multiple of 4.
+
+    The count is even, as ``instance_rows`` needs.  With one BLAS thread,
+    blocks of a multiple of 4 rows also gave every row's product the bits of
+    the one-shot product (OpenBLAS 0.3.31), where blocks of 4998 rows did not.
+    """
+    return max(4, _BLOCK_ENTRIES // n // 4 * 4)
 
 
 def geodesic_puv(u, v) -> float | np.ndarray:

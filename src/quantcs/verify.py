@@ -30,7 +30,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .oracles import enumerate_net, estimate_puv, geodesic_puv, hdm_decode
+from .oracles import _block_rows, enumerate_net, estimate_puv, geodesic_puv, hdm_decode
 from .pgd import _BLOCK_ENTRIES, _SPARSE_D, _SPARSE_U, PgdConfig, _adjoint, _forward, gradient, pgd_recover
 from .quantizers import QuantizerSpec, level_index, make_saturated, make_sign, quantize_vec
 from .rng import derive_seed, stream
@@ -718,6 +718,45 @@ def puv_suite() -> list[Check]:
             "rademacher_draw_matches_integers",
             not bad,
             f"first mismatch at (m, n, seed) = {bad[0]}" if bad else f"bitwise equal on {len(shapes)} shapes x {len(seeds)} seeds",
+        )
+    )
+
+    # a draw into a reused buffer must be the fresh draw, and must write its
+    # m * n entries and no others: the buffer starts as NaN and runs past them
+    rng = stream(SEED, "verify", "buffered")
+    bad = []
+    for kind in MatrixKind:
+        for dither in (0.0, 1.5):
+            for m, n in shapes:
+                seed = int(rng.integers(0, 2**32))
+                fresh = sample_instance(kind, dither, m, n, seed)
+                buf = np.full(m * n + 3, np.nan)
+                inst = sample_instance(kind, dither, m, n, seed, out=buf)
+                same = fresh.matrix.tobytes() == buf[: m * n].tobytes() and fresh.dither.tobytes() == inst.dither.tobytes()
+                if not (same and np.shares_memory(inst.matrix, buf) and np.all(np.isnan(buf[m * n :]))):
+                    bad.append((kind.value, dither, m, n))
+    draws = 2 * len(MatrixKind) * len(shapes)
+    # estimate_puv counts block by block; the count must be the one-shot count
+    # at an odd n, with the sample count below, at and past the block size
+    n = 7
+    rows = _block_rows(n)
+    families = [(sign, MatrixKind.GAUSSIAN, 0.0), (sat, MatrixKind.RADEMACHER, delta / 2)]
+    for spec, kind, dither in families:
+        u, v = (w * rng.uniform(0, 1) / np.linalg.norm(w) for w in rng.standard_normal((2, n)))
+        for samples in (1, rows - 1, rows, rows + 1, 3 * rows + 5):
+            seed = int(rng.integers(0, 2**32))
+            inst = sample_instance(kind, dither, samples, n, seed)
+            q = [quantize_vec(spec, inst.matrix @ w - inst.dither) for w in (u, v)]
+            if estimate_puv(spec, kind, dither, u, v, samples, seed).p_hat != np.count_nonzero(q[0] != q[1]) / samples:
+                bad.append((kind.value, dither, samples, n))
+    checks.append(
+        Check(
+            "buffered_and_chunked_draws_match_fresh",
+            not bad,
+            f"first mismatch at (kind, dither, m, n) = {bad[0]}"
+            if bad
+            else f"{draws} buffered draws bitwise equal to fresh ones, NaN tail untouched; "
+            f"block counts of {len(families)} families x 5 sample counts equal to one-shot counts ({rows} rows per block)",
         )
     )
     return checks

@@ -234,6 +234,7 @@ VERIFY_CHECKS = [
     "puv.multi_bit_bound",
     "puv.identical_signals_never_separate",
     "puv.rademacher_draw_matches_integers",
+    "puv.buffered_and_chunked_draws_match_fresh",
     "hdm.exhaustive_argmin_with_first_tie",
     "hdm.net_points_lie_in_model",
     "hdm.both_decoders_near_truth",
@@ -252,6 +253,15 @@ def test_raic_envelope_statistic_is_pinned(suite_results):
     # of the stacked products must not move the printed statistic
     (check,) = [c for c in suite_results["raic"] if c.name == "contraction_envelope"]
     assert check.detail == "max slack -1.232; fitted (mu1, mu2, mu3) = (0.045, 0.002, 0.022) over 1000 pairs"
+
+
+def test_puv_statistics_are_pinned(suite_results):
+    # estimate_puv counts its rows block by block; the Monte Carlo counts
+    # must not move the printed statistics
+    details = {c.name: c.detail for c in suite_results["puv"]}
+    assert details["geodesic_matches_monte_carlo"] == "20/20 pairs within 3 binomial stderr (worst z = 2.64)"
+    assert details["dithered_one_bit_bound"] == "max excess over ||u-v||/(2 lam) + 3 se: -1.12e-02"
+    assert details["multi_bit_bound"] == "max excess over ||u-v||/delta + 3 se: -3.54e-02"
 
 
 def test_l1_ball_kkt_statistic_is_pinned(suite_results):

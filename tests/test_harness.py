@@ -263,6 +263,23 @@ class TestRunExperiment:
             assert a.per_iterate_errors.tobytes() == b.per_iterate_errors.tobytes() == c.per_iterate_errors.tobytes()
         assert serial.cells == threaded.cells
 
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_trials_draw_into_one_buffer_per_worker(self, monkeypatch, threads):
+        plan = tiny_plan(trials=4, m_grid=(30, 45, 60))
+        fresh = [run_trial(plan, ci, ti) for ci in range(3) for ti in range(4)]
+        real, addresses = sample_instance, []
+
+        def spy(*args, out=None):
+            addresses.append(out.ctypes.data)
+            assert out.size == 60 * 12
+            return real(*args, out=out)
+
+        monkeypatch.setattr("quantcs.harness.sample_instance", spy)
+        res = run_experiment(plan, threads=threads)
+        assert len(addresses) == 12 and len(set(addresses)) <= threads
+        for a, b in zip(res.records, fresh, strict=True):
+            assert a.per_iterate_errors.tobytes() == b.per_iterate_errors.tobytes()
+
     def test_thread_count_checked_before_any_pool(self, monkeypatch):
         plan = tiny_plan(trials=1)  # two tasks, so no call here can start more than two threads
         serial = run_experiment(plan)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -201,9 +203,24 @@ class TestPuv:
         with pytest.raises(ValueError, match="must share a shape"):
             geodesic_puv(us[None], us[None])
 
+    def test_memory_does_not_grow_with_samples(self):
+        # one block of rows at a time: a one-shot draw would hold 10**6 x 15 floats, 120 MB
+        u, v = np.eye(15)[:2]
+        estimate_puv(make_sign(), MatrixKind.GAUSSIAN, 0.0, u, v, 10, 0)  # one-time allocations
+        tracemalloc.start()
+        try:
+            est = estimate_puv(make_sign(), MatrixKind.GAUSSIAN, 0.0, u, v, 10**6, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        assert est.p_hat == pytest.approx(0.5, abs=4 * est.stderr)
+
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             estimate_puv(make_sign(), MatrixKind.GAUSSIAN, 0.0, np.ones(2), np.ones(3), 10, 0)
+        with pytest.raises(ValueError, match="nonempty"):
+            estimate_puv(make_sign(), MatrixKind.GAUSSIAN, 0.0, np.ones(0), np.ones(0), 10, 0)
         with pytest.raises(ValueError):
             estimate_puv(make_sign(), MatrixKind.GAUSSIAN, 0.0, np.ones(2), np.ones(2), 0, 0)
         for samples in ("5", 5.5, True, None):

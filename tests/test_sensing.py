@@ -15,7 +15,7 @@ from quantcs import (
     sample_instance,
     stream,
 )
-from quantcs.sensing import _CHUNK
+from quantcs.sensing import _CHUNK, instance_rows
 
 
 class TestStreams:
@@ -33,6 +33,12 @@ class TestStreams:
     def test_bad_part_type(self):
         with pytest.raises(TypeError):
             derive_seed(1.5)
+
+
+def _read_only(size):
+    a = np.empty(size)
+    a.flags.writeable = False
+    return a
 
 
 class TestSampleInstance:
@@ -65,14 +71,48 @@ class TestSampleInstance:
 
     def test_rademacher_draw_allocates_no_matrix_temporary(self):
         m, n = 2000, 500
+        out = np.empty(m * n)
         sample_instance(MatrixKind.RADEMACHER, 0.0, 2, 2, 0)  # one-time allocations of a first draw
-        tracemalloc.start()
-        try:
-            sample_instance(MatrixKind.RADEMACHER, 0.0, m, n, 0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.1 * 8 * m * n
+        peaks = []
+        for buffer in (None, out):
+            tracemalloc.start()
+            try:
+                sample_instance(MatrixKind.RADEMACHER, 0.0, m, n, 0, out=buffer)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 1.1 * 8 * m * n
+        assert peaks[1] < 0.1 * 8 * m * n
+
+    @pytest.mark.parametrize("kind", list(MatrixKind))
+    @pytest.mark.parametrize("dither", [0.0, 1.5])
+    @pytest.mark.parametrize("m,n", [(1, 1), (3, 5), (1, _CHUNK + 1), (317, 161)])
+    def test_draw_into_buffer_equals_fresh_draw(self, kind, dither, m, n):
+        fresh = sample_instance(kind, dither, m, n, 9)
+        buf = np.full(m * n + 5, np.nan)
+        for _ in range(2):  # the second draw lands on the first one's entries
+            inst = sample_instance(kind, dither, m, n, 9, out=buf)
+            assert np.shares_memory(inst.matrix, buf) and inst.matrix.shape == (m, n)
+            assert inst.matrix.tobytes() == fresh.matrix.tobytes()
+            assert inst.dither.tobytes() == fresh.dither.tobytes()
+            assert np.all(np.isnan(buf[m * n :]))
+
+    @pytest.mark.parametrize(
+        "out",
+        [
+            np.empty((4, 3)),
+            np.empty(24)[::2],
+            _read_only(12),
+            np.empty(12, dtype=np.float32),
+            np.empty(12, dtype=">f8"),
+            np.empty(11),
+            [0.0] * 12,
+        ],
+        ids=["two_dimensional", "strided", "read_only", "float32", "big_endian", "too_small", "list"],
+    )
+    def test_bad_out_raises_value_error(self, out):
+        with pytest.raises(ValueError, match="out must be a 1-D C-contiguous writeable float64 array of at least 12 entries"):
+            sample_instance(MatrixKind.GAUSSIAN, 0.0, 4, 3, 0, out=out)
 
     def test_gaussian_isotropy(self):
         # empirical second moment of <a_i, u> over many rows is 1 +- 3 se
@@ -116,6 +156,25 @@ class TestSampleInstance:
     def test_bad_shape(self):
         with pytest.raises(ValueError):
             sample_instance(MatrixKind.GAUSSIAN, 0.0, 0, 5, 1)
+
+
+class TestInstanceRows:
+    @pytest.mark.parametrize("kind", list(MatrixKind))
+    @pytest.mark.parametrize("m,n,rows", [(7, 3, 2), (317, 161, 100), (_CHUNK + 1, 1, 2**12), (5, 4, 5), (5, 4, 8)])
+    def test_blocks_are_the_one_draw(self, kind, m, n, rows):
+        fresh = sample_instance(kind, 1.5, m, n, 4)
+        buf = np.full(min(rows, m) * n, np.nan)
+        blocks = [(b.matrix.copy(), b.dither) for b in instance_rows(kind, 1.5, m, n, 4, rows, out=buf)]
+        assert [a.shape[0] for a, _ in blocks] == [min(rows, m - s) for s in range(0, m, rows)]
+        assert np.concatenate([a for a, _ in blocks]).tobytes() == fresh.matrix.tobytes()
+        assert np.concatenate([t for _, t in blocks]).tobytes() == fresh.dither.tobytes()
+
+    def test_block_rows_checked(self):
+        for rows in (0, 3, 2.0):
+            with pytest.raises(ValueError, match="rows must be"):
+                next(instance_rows(MatrixKind.RADEMACHER, 0.0, 5, 3, 0, rows))
+        with pytest.raises(ValueError, match="at least 6 entries"):
+            next(instance_rows(MatrixKind.RADEMACHER, 0.0, 5, 3, 0, 2, out=np.empty(5)))
 
 
 def _fixed_instance(matrix, dither):
