@@ -90,7 +90,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="path to the plan JSON")
     p_run.add_argument("--out", required=True, help="path of the CSV to write")
     p_run.add_argument("--svg", default=None, help="optional path of a log-log SVG plot")
-    p_run.add_argument("--threads", type=int, default=1, help=f"worker threads, 1 to {THREADS_CAP} (output is identical for any value)")
+    p_run.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help=f"worker threads, 1 to {THREADS_CAP} (output is identical for any value; "
+        "more than one pays only with OPENBLAS_NUM_THREADS=1)",
+    )
     p_run.set_defaults(func=_cmd_run)
 
     p_rec = sub.add_parser("recover", help="single recovery trial for a sparse model")

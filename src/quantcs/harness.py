@@ -20,7 +20,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .pgd import PgdConfig, pgd_recover
+from .pgd import ERRORS_CAP, PgdConfig, pgd_recover
 from .quantizers import QuantizerSpec, make_saturated, make_sign
 from .rng import derive_seed
 from .sensing import MatrixKind, corrupt, measure, sample_instance
@@ -45,6 +45,7 @@ __all__ = [
     "CSV_COLUMNS",
     "PLAN_COST_CAP",
     "MATRIX_ENTRIES_CAP",
+    "ERRORS_CAP",
     "LEVELS_CAP",
     "THREADS_CAP",
 ]
@@ -53,9 +54,10 @@ CSV_COLUMNS = "family,n,k_or_r,m,L,delta,lambda,zeta,trials,mean_err,stderr,slop
 
 # largest admissible plan cost, the sum of m * n * trials * iterations over the grid
 PLAN_COST_CAP = 400_000_000_000
-# largest admissible sensing matrix m * n over the grid: 1 GiB of float64, 48x
-# the 5600 x 500 matrix of the largest acceptance plan; it also bounds the
-# n-float signal, since m >= 1
+# largest admissible sensing matrix m * n over the grid: 1 GiB as a float64
+# Gaussian matrix, 128 MiB as a one-byte Rademacher one, 48x the 5600 x 500
+# matrix of the largest acceptance plan; it also bounds the n-float signal,
+# since m >= 1
 MATRIX_ENTRIES_CAP = 2**27
 # largest admissible multi-bit level count L: a quantizer stores its L - 1
 # thresholds and L levels, so this keeps them under 1 MB (16 bits per
@@ -149,6 +151,9 @@ class ExperimentPlan:
         cost = sum(m * n * self.trials * self.iterations for m in grid)
         if cost > PLAN_COST_CAP:
             raise ValueError(f"plan cost {cost} (sum of m*n*trials*iterations) exceeds the cap {PLAN_COST_CAP}")
+        errors = len(grid) * self.trials * self.iterations
+        if errors > ERRORS_CAP:
+            raise ValueError(f"stored errors {errors} (len(m_grid)*trials*iterations) exceed the cap {ERRORS_CAP}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,7 +241,8 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> ExperimentResult:
     output is bit-identical for any ``threads``.
 
     Each worker (the caller when ``threads`` is 1, else each pool thread)
-    allocates one buffer of ``max(m_grid) * n`` floats and draws the sensing
+    allocates one buffer of ``max(m_grid) * n`` entries of the plan's matrix
+    dtype (float64 Gaussian, one-byte Rademacher) and draws the sensing
     matrix of every trial it runs into that buffer, so a run holds one matrix
     per worker.  This relies on the invariant that no trial keeps its
     instance after it returns.
@@ -245,14 +251,15 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> ExperimentResult:
         raise ValueError(f"threads must be in [1, {THREADS_CAP}], got {threads}")
     tasks = [(ci, ti) for ci in range(len(plan.m_grid)) for ti in range(plan.trials)]
     entries = plan.m_grid[-1] * plan.model.ambient_dim  # the grid increases strictly
+    dtype = family_setup(plan).matrix_kind.dtype
     if threads == 1:
-        workspace = np.empty(entries)
+        workspace = np.empty(entries, dtype=dtype)
         records = [run_trial(plan, ci, ti, workspace) for ci, ti in tasks]
     else:
         local = threading.local()
 
         def allocate():
-            local.workspace = np.empty(entries)
+            local.workspace = np.empty(entries, dtype=dtype)
 
         with ThreadPoolExecutor(max_workers=threads, initializer=allocate) as pool:
             records = list(pool.map(lambda t: run_trial(plan, *t, local.workspace), tasks))

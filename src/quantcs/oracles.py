@@ -4,8 +4,8 @@ These are deliberately simple, independently checkable counterparts to the
 gradient-based solver: decode by exhaustive Hamming-distance minimization
 over an explicit candidate net, and estimate the probability that one
 measurement separates two signals by direct Monte Carlo.  The Monte Carlo
-estimate draws its rows in blocks of about ``_BLOCK_ENTRIES`` entries, so its
-memory does not grow with the sample count.
+estimate draws its rows in blocks of about ``sensing._BLOCK_ENTRIES``
+entries, so its memory does not grow with the sample count.
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .pgd import _BLOCK_ENTRIES
 from .quantizers import QuantizerSpec, quantize_vec
-from .sensing import MatrixKind, SensingInstance, instance_rows
+from .sensing import MatrixKind, SensingInstance, _block_rows, instance_rows
 from .signals import SignalModel, Sparse, UnsupportedModelError, check_int, check_real
 
 __all__ = [
@@ -132,16 +131,6 @@ def estimate_puv(
     p_hat = count / samples
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / samples)
     return PuvEstimate(p_hat=p_hat, stderr=stderr)
-
-
-def _block_rows(n: int) -> int:
-    """Rows per block of ``estimate_puv``: about ``_BLOCK_ENTRIES`` entries, a multiple of 4.
-
-    The count is even, as ``instance_rows`` needs.  With one BLAS thread,
-    blocks of a multiple of 4 rows also gave every row's product the bits of
-    the one-shot product (OpenBLAS 0.3.31), where blocks of 4998 rows did not.
-    """
-    return max(4, _BLOCK_ENTRIES // n // 4 * 4)
 
 
 def geodesic_puv(u, v) -> float | np.ndarray:

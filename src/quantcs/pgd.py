@@ -34,15 +34,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quantizers import QuantizerSpec, quantize_vec
-from .sensing import SensingInstance
+from .sensing import _BLOCK_ENTRIES, SensingInstance, _matvec
 from .signals import SignalModel, check_int, check_real, project_model
 
 __all__ = [
+    "ERRORS_CAP",
     "PgdConfig",
     "PgdResult",
     "gradient",
     "pgd_recover",
 ]
+
+
+# largest admissible count of stored per-iterate errors: 1 GiB of float64.  A
+# run with a ground truth keeps one error per iteration, so this caps the
+# iterations of a run, and the harness caps a plan's records by it
+ERRORS_CAP = 2**27
 
 
 @dataclass(frozen=True)
@@ -55,6 +62,8 @@ class PgdConfig:
             raise ValueError(f"step size eta must be a positive finite real, got {self.eta}")
         if check_int(self.iterations, "iterations") < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
+        if self.iterations > ERRORS_CAP:
+            raise ValueError(f"iterations = {self.iterations} exceeds the cap {ERRORS_CAP}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,17 +83,17 @@ class PgdResult:
 # BLAS thread the gathers beat the dense products below about 5% and 30%.
 _SPARSE_U = 20
 _SPARSE_D = 4
-# Entries per row block of the adjoint: a 1 MB block is too small for OpenBLAS
-# to split over threads, so the fixed block order makes A^T d bitwise the same
-# for every BLAS thread count.
-_BLOCK_ENTRIES = 2**17
 
 
 def _forward(matrix: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``matrix @ u``, through the support columns alone when ``u`` is sparse."""
+    """``matrix @ u``, through the support columns alone when ``u`` is sparse.
+
+    The gathered columns of a one-byte matrix are cast to float64 whole (at
+    most ``m * n / _SPARSE_U`` entries); the dense product goes by ``_matvec``.
+    """
     supp = np.flatnonzero(u)
     if supp.size * _SPARSE_U > u.size:
-        return matrix @ u
+        return _matvec(matrix, u)
     return matrix[:, supp] @ u[supp]
 
 
@@ -92,7 +101,11 @@ def _adjoint(matrix: np.ndarray, d: np.ndarray) -> np.ndarray:
     """``matrix.T @ d`` summed in a fixed order over blocks of rows.
 
     The blocks cover the nonzero rows of ``d`` alone when they are few, and
-    all rows in contiguous slices otherwise.
+    all rows in contiguous slices otherwise.  A block of ``_BLOCK_ENTRIES``
+    entries (1 MB of float64) is too small for OpenBLAS to split over
+    threads, so the fixed block order makes ``A^T d`` bitwise the same for
+    every BLAS thread count; it also bounds the float64 cast of a one-byte
+    matrix's block.
     """
     m, n = matrix.shape
     step = max(1, _BLOCK_ENTRIES // n)

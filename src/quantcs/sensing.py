@@ -9,12 +9,18 @@ Matrix and dither come from independent purpose-tagged streams derived from
 one seed, so an instance is exactly reproducible from
 ``(matrix_kind, dither level, m, n, seed)``.
 
-A Rademacher matrix is the stream of ``2 * integers(0, 2, (m, n)) - 1`` bit
-for bit, read straight off the PCG64 words: for a range of 2,
-``Generator.integers`` takes one 32-bit half word per entry (low half first)
-and returns its top bit, so the entry is minus the sign of that half read as
-an ``int32``.  The signs are written chunk by chunk into the one ``m x n``
-float buffer, so the draw allocates no ``m x n`` temporary.
+A Rademacher matrix is stored as ``int8``, one byte per entry, and is the
+stream of ``2 * integers(0, 2, (m, n)) - 1`` value for value, read straight
+off the PCG64 words: for a range of 2, ``Generator.integers`` takes one
+32-bit half word per entry (low half first) and returns its top bit, so the
+entry is minus the sign of that half read as an ``int32``.  The signs are
+written chunk by chunk into the one ``m x n`` buffer, so the draw allocates
+no ``m x n`` temporary.  A Gaussian matrix is float64; ``MatrixKind.dtype``
+names each kind's entry type.
+
+Products keep the bits of the float64 matrix's: ``_matvec`` multiplies a
+one-byte matrix in blocks of ``_block_rows(n)`` rows, so that it never casts
+more than about ``_BLOCK_ENTRIES`` entries to float64 at a time.
 
 ``instance_rows`` yields an instance's rows in blocks drawn one after another
 into one buffer, and ``sample_instance`` is its one-block case; a caller may
@@ -36,6 +42,9 @@ from .signals import check_int, check_real
 # Entries per chunk of the Rademacher draw: even, so that no chunk leaves a
 # half word behind in the stream.
 _CHUNK = 2**14
+# Entries per block of the products taken in blocks (``_matvec``,
+# ``pgd._adjoint``, ``oracles.estimate_puv``): 1 MB of float64.
+_BLOCK_ENTRIES = 2**17
 
 __all__ = [
     "MatrixKind",
@@ -51,9 +60,20 @@ class MatrixKind(enum.Enum):
     GAUSSIAN = "gaussian"
     RADEMACHER = "rademacher"
 
+    @property
+    def dtype(self) -> np.dtype:
+        """Entry type of this kind's matrices: float64, or int8 for the +-1 Rademacher entries."""
+        return np.dtype(np.float64 if self is MatrixKind.GAUSSIAN else np.int8)
+
 
 @dataclass(frozen=True, eq=False)
 class SensingInstance:
+    """An ``m x n`` sensing matrix and its ``m`` dithers.
+
+    A drawn matrix has its kind's ``dtype``: float64 Gaussian entries, or
+    int8 Rademacher entries of +-1.  The dither is float64.
+    """
+
     matrix: np.ndarray
     dither: np.ndarray
 
@@ -77,9 +97,11 @@ def sample_instance(
     so changing ``m`` or the dither level never reflows the other component's
     randomness pattern.
 
-    With ``out``, a 1-D C-contiguous writeable float64 array of at least
-    ``m * n`` entries, the matrix is drawn into its first ``m * n`` entries
-    and is a view of them; its values are those of a fresh draw, bit for bit.
+    The matrix has ``matrix_kind.dtype``: float64, or int8 for Rademacher
+    entries (one byte each).  With ``out``, a 1-D C-contiguous writeable
+    array of that dtype and at least ``m * n`` entries, the matrix is drawn
+    into its first ``m * n`` entries and is a view of them; its values are
+    those of a fresh draw, bit for bit.
     """
     return next(instance_rows(matrix_kind, dither, m, n, seed, m, out))
 
@@ -105,13 +127,14 @@ def instance_rows(
     if check_int(rows, "rows") < 1 or (rows < m and rows % 2):
         raise ValueError(f"rows must be even and >= 2, or cover all m={m} rows, got {rows}")
     rows = min(rows, m)
+    dtype = matrix_kind.dtype
     if out is None:
-        out = np.empty(rows * n)
+        out = np.empty(rows * n, dtype=dtype)
     elif not (
-        isinstance(out, np.ndarray) and out.ndim == 1 and out.dtype == np.float64 and out.size >= rows * n
+        isinstance(out, np.ndarray) and out.ndim == 1 and out.dtype == dtype and out.size >= rows * n
         and out.flags.c_contiguous and out.flags.writeable
     ):
-        raise ValueError(f"out must be a 1-D C-contiguous writeable float64 array of at least {rows * n} entries")
+        raise ValueError(f"out must be a 1-D C-contiguous writeable {dtype} array of at least {rows * n} entries")
     mat_rng = stream(seed, "matrix")
     dither_rng = stream(seed, "dither") if dither != 0.0 else None
     for start in range(0, m, rows):
@@ -126,16 +149,57 @@ def instance_rows(
 
 
 def _rademacher(rng: np.random.Generator, out: np.ndarray) -> None:
-    """Fill ``out`` with ``2 * rng.integers(0, 2, out.size) - 1`` as floats, bit for bit.
+    """Fill the int8 array ``out`` with the values of ``2 * rng.integers(0, 2, out.size) - 1``.
 
-    The fill reads whole words, so ``rng`` must have no half word pending: it
-    is fresh, or every earlier fill took an even number of entries.
+    Entry ``i`` is the top bit ``b`` of half word ``i`` as ``2 b - 1``: with
+    ``h`` the half word's top byte read as an ``int8``, that is
+    ``(~h >> 7) | 1``.  The fill reads whole words, so ``rng`` must have no
+    half word pending: it is fresh, or every earlier fill took an even number
+    of entries.
     """
     for start in range(0, out.size, _CHUNK):
         chunk = out[start : start + _CHUNK]
         words = rng.bit_generator.random_raw((chunk.size + 1) // 2)
-        np.copysign(1.0, words.astype("<u8", copy=False).view("<i4")[: chunk.size], out=chunk)
-    np.negative(out, out=out)
+        np.invert(words.astype("<u8", copy=False).view(np.int8)[3::4][: chunk.size], out=chunk)
+        del words  # so that the next chunk's words do not coexist with these
+        np.right_shift(chunk, 7, out=chunk)
+        np.bitwise_or(chunk, 1, out=chunk)
+
+
+def _block_rows(n: int) -> int:
+    """Rows per block of a product taken in blocks: about ``_BLOCK_ENTRIES`` entries, a multiple of 4.
+
+    The count is even, as ``instance_rows`` needs.  With one BLAS thread,
+    blocks of a multiple of 4 rows also gave every row's product the bits of
+    the one-shot product (OpenBLAS 0.3.31), where blocks of 4998 rows did not.
+    """
+    return max(4, _BLOCK_ENTRIES // n // 4 * 4)
+
+
+def _matvec(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``matrix @ x`` for a float64 vector ``x``.
+
+    A float64 matrix takes one product.  Any other matrix (a one-byte
+    Rademacher one) is cast to float64 and multiplied ``_block_rows(n)`` rows
+    at a time, so no cast holds more than about ``_BLOCK_ENTRIES`` floats.
+    numpy takes a one-row product as a dot product, whose sum order is not
+    the matrix-vector kernel's, so a last block of one row joins the block
+    before it.  The result then has the bits of the float64 copy's one-shot
+    product on one BLAS thread, and the same bits on two (OpenBLAS 0.3.31, a
+    probe of 300 shapes up to 700 columns), where the one-shot float64
+    product on two threads differed from it in the last bit for 24 of them.
+    """
+    if matrix.dtype == np.float64:
+        return matrix @ x
+    m, n = matrix.shape
+    rows = _block_rows(n)
+    out = np.empty(m)
+    start = 0
+    while start < m:
+        stop = m if m - start <= rows + 1 else start + rows
+        out[start:stop] = matrix[start:stop] @ x
+        start = stop
+    return out
 
 
 def measure(instance: SensingInstance, spec: QuantizerSpec, x: np.ndarray) -> np.ndarray:
@@ -143,7 +207,7 @@ def measure(instance: SensingInstance, spec: QuantizerSpec, x: np.ndarray) -> np
     x = np.asarray(x, dtype=float)
     if x.shape != (instance.n,):
         raise ValueError(f"signal shape {x.shape} does not match n={instance.n}")
-    return quantize_vec(spec, instance.matrix @ x - instance.dither)
+    return quantize_vec(spec, _matvec(instance.matrix, x) - instance.dither)
 
 
 def corrupt(y: np.ndarray, spec: QuantizerSpec, zeta: float, seed: int) -> np.ndarray:

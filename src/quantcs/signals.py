@@ -233,7 +233,9 @@ def gen_signal(model: SignalModel, seed: int) -> np.ndarray:
     normalized in Frobenius norm. Both are then scaled by a uniform draw
     from ``[alpha, beta]`` (a no-op on the sphere ``alpha = beta``).
     L1Ball: the two-valued construction with ``c`` large entries,
-    ``c ~ U{1..ceil(0.6 k)}`` resampled while infeasible; it has unit l2
+    ``c ~ U{1..ceil(0.6 k)}`` resampled while infeasible, where
+    ``k = radius * radius`` in floating point: radius ``sqrt(10)`` gives
+    ``k = 10.000000000000002`` and ``c`` up to 7, not 6.  It has unit l2
     norm and l1 norm exactly ``radius``.
     """
     rng = stream(seed, "signal")

@@ -30,11 +30,11 @@ from itertools import combinations
 
 import numpy as np
 
-from .oracles import _block_rows, enumerate_net, estimate_puv, geodesic_puv, hdm_decode
-from .pgd import _BLOCK_ENTRIES, _SPARSE_D, _SPARSE_U, PgdConfig, _adjoint, _forward, gradient, pgd_recover
+from .oracles import enumerate_net, estimate_puv, geodesic_puv, hdm_decode
+from .pgd import _SPARSE_D, _SPARSE_U, PgdConfig, _adjoint, _forward, gradient, pgd_recover
 from .quantizers import QuantizerSpec, level_index, make_saturated, make_sign, quantize_vec
 from .rng import derive_seed, stream
-from .sensing import _CHUNK, MatrixKind, measure, sample_instance
+from .sensing import _BLOCK_ENTRIES, _CHUNK, MatrixKind, SensingInstance, _block_rows, measure, sample_instance
 from .signals import (
     L1Ball,
     SignalModel,
@@ -623,6 +623,37 @@ def gradient_suite() -> list[Check]:
             f"fixed point, cycle, no repeat seen: {1 in kinds}, {2 in kinds}, {0 in kinds}",
         )
     )
+
+    # a one-byte Rademacher matrix is cast to float64 block by block; measure,
+    # gradient and its two products on every path must give the bits of its
+    # float64 copy (a product's last bit seldom moves a quantized value, so
+    # the products are compared too).  m * n exceeds _BLOCK_ENTRIES, so the
+    # dense forward product takes several blocks
+    rng = stream(SEED, "verify", "gradient", "one_byte")
+    spec = make_sign()
+    m, n = 1200, 300
+    inst = sample_instance(MatrixKind.RADEMACHER, 1.5, m, n, int(rng.integers(0, 2**32)))
+    copy = SensingInstance(inst.matrix.astype(float), inst.dither)
+    xs = gen_signal(SignalModel(Sparse(k=3, n=n), alpha=1.0, beta=1.0), int(rng.integers(0, 2**32)))
+    xd = rng.standard_normal(n) / math.sqrt(n)
+    ys, yd = measure(inst, spec, xs), measure(inst, spec, xd)
+    differ = (ys.tobytes() != measure(copy, spec, xs).tobytes()) + (yd.tobytes() != measure(copy, spec, xd).tobytes())
+    near_s, near_d = xs * (1.0 + 0.05 * rng.standard_normal(n)), xd + 1e-3 * rng.standard_normal(n)
+    paths = set()
+    for u, y in [(near_s, ys), (-xs, ys), (near_d, yd), (-xd, yd)]:
+        d = quantize_vec(spec, _forward(copy.matrix, u) - copy.dither) - y
+        differ += _forward(inst.matrix, u).tobytes() != _forward(copy.matrix, u).tobytes()
+        differ += _adjoint(inst.matrix, d).tobytes() != _adjoint(copy.matrix, d).tobytes()
+        differ += gradient(spec, inst, y, u).tobytes() != gradient(spec, copy, y, u).tobytes()
+        paths.add((np.count_nonzero(u) * _SPARSE_U <= n, np.count_nonzero(d) * _SPARSE_D <= m))
+    checks.append(
+        Check(
+            "one_byte_matrix_matches_float64",
+            differ == 0 and len(paths) == 4 and inst.matrix.dtype == np.int8,
+            f"{differ} of 14 measure, product and gradient calls differ, bitwise, between the int8 matrix "
+            f"and its float64 copy; {len(paths)} of 4 product paths, {-(-m // _block_rows(n))} blocks per dense forward product",
+        )
+    )
     return checks
 
 
@@ -708,10 +739,8 @@ def puv_suite() -> list[Check]:
         (m, n, seed)
         for m, n in shapes
         for seed in seeds
-        if not np.array_equal(
-            sample_instance(MatrixKind.RADEMACHER, 0.0, m, n, seed).matrix,
-            2.0 * stream(seed, "matrix").integers(0, 2, size=(m, n)).astype(float) - 1.0,
-        )
+        if sample_instance(MatrixKind.RADEMACHER, 0.0, m, n, seed).matrix.tobytes()
+        != (2 * stream(seed, "matrix").integers(0, 2, size=(m, n)) - 1).astype(np.int8).tobytes()
     ]
     checks.append(
         Check(
@@ -722,7 +751,8 @@ def puv_suite() -> list[Check]:
     )
 
     # a draw into a reused buffer must be the fresh draw, and must write its
-    # m * n entries and no others: the buffer starts as NaN and runs past them
+    # m * n entries and no others: the buffer starts as a value no entry takes
+    # (NaN, or 0 for the int8 Rademacher entries) and runs past them
     rng = stream(SEED, "verify", "buffered")
     bad = []
     for kind in MatrixKind:
@@ -730,10 +760,11 @@ def puv_suite() -> list[Check]:
             for m, n in shapes:
                 seed = int(rng.integers(0, 2**32))
                 fresh = sample_instance(kind, dither, m, n, seed)
-                buf = np.full(m * n + 3, np.nan)
+                blank = np.full(m * n + 3, np.nan if kind is MatrixKind.GAUSSIAN else 0, dtype=kind.dtype)
+                buf = blank.copy()
                 inst = sample_instance(kind, dither, m, n, seed, out=buf)
                 same = fresh.matrix.tobytes() == buf[: m * n].tobytes() and fresh.dither.tobytes() == inst.dither.tobytes()
-                if not (same and np.shares_memory(inst.matrix, buf) and np.all(np.isnan(buf[m * n :]))):
+                if not (same and np.shares_memory(inst.matrix, buf) and buf[m * n :].tobytes() == blank[m * n :].tobytes()):
                     bad.append((kind.value, dither, m, n))
     draws = 2 * len(MatrixKind) * len(shapes)
     # estimate_puv counts block by block; the count must be the one-shot count
@@ -755,7 +786,7 @@ def puv_suite() -> list[Check]:
             not bad,
             f"first mismatch at (kind, dither, m, n) = {bad[0]}"
             if bad
-            else f"{draws} buffered draws bitwise equal to fresh ones, NaN tail untouched; "
+            else f"{draws} buffered draws bitwise equal to fresh ones, blank tail (NaN or int8 0) untouched; "
             f"block counts of {len(families)} families x 5 sample counts equal to one-shot counts ({rows} rows per block)",
         )
     )

@@ -228,6 +228,7 @@ VERIFY_CHECKS = [
     "gradient.sparse_paths_match_dense",
     "gradient.zero_loss_at_truth",
     "gradient.stopped_run_matches_full_loop",
+    "gradient.one_byte_matrix_matches_float64",
     "puv.geodesic_matches_monte_carlo",
     "puv.two_sided_norm_bound",
     "puv.dithered_one_bit_bound",

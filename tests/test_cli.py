@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from quantcs.cli import main
-from quantcs.harness import THREADS_CAP
+from quantcs.harness import ERRORS_CAP, THREADS_CAP
 
 
 def tiny_plan_json():
@@ -54,6 +54,16 @@ class TestRun:
         rc = main(["run", "--config", str(config), "--out", str(out), "--threads", str(THREADS_CAP + 1)])
         assert rc == 2
         assert capsys.readouterr().err.splitlines() == [f"error: threads must be in [1, {THREADS_CAP}], got {THREADS_CAP + 1}"]
+        assert not out.exists()
+
+    def test_stored_errors_cap_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "plan.json"
+        plan = {**json.loads(tiny_plan_json()), "model": {"structure": "sparse", "n": 1, "k": 1, "alpha": 1.0, "beta": 1.0}}
+        config.write_text(json.dumps({**plan, "m_grid": [1], "trials": 2, "iterations": ERRORS_CAP // 2 + 1}))
+        out = tmp_path / "x.csv"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"error: stored errors {ERRORS_CAP + 2} (len(m_grid)*trials*iterations) exceed the cap {ERRORS_CAP}"
         assert not out.exists()
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
@@ -211,6 +221,13 @@ class TestRecover:
         assert main(args) == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("error: sensing matrix m x n = 1 x 100000000000 exceeds the cap")
+
+    def test_huge_iteration_count_exits_2(self, capsys):
+        # m * n = 1 keeps the plan cost under its cap, so the stored errors must stop it
+        args = ["recover", "--family", "one_bit_gaussian", "--n", "1", "--k", "1", "--m", "1"]
+        assert main(args + ["--iters", "400000000000"]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"error: stored errors 400000000000 (len(m_grid)*trials*iterations) exceed the cap {ERRORS_CAP}"
 
     def test_deterministic_for_fixed_seed(self, capsys):
         args = ["recover", "--family", "one_bit_gaussian", "--n", "15", "--k", "1", "--m", "40", "--iters", "5", "--seed", "3"]

@@ -28,7 +28,7 @@ from quantcs import (
     run_trial,
     sample_instance,
 )
-from quantcs.harness import LEVELS_CAP, MATRIX_ENTRIES_CAP, PLAN_COST_CAP, THREADS_CAP
+from quantcs.harness import ERRORS_CAP, LEVELS_CAP, MATRIX_ENTRIES_CAP, PLAN_COST_CAP, THREADS_CAP
 
 
 def tiny_plan(**overrides):
@@ -89,6 +89,21 @@ class TestPlanValidation:
             tiny_plan(m_grid=(m + 1,), iterations=iterations)
         with pytest.raises(ValueError, match="plan cost .* exceeds the cap"):
             tiny_plan(m_grid=(m,), iterations=iterations + 1)
+
+    def test_stored_errors_cap(self):
+        # a run keeps len(m_grid) * trials * iterations errors; m * n = 1 keeps
+        # the cost cap from bounding them first
+        def plan(m_grid, iterations):
+            model = SignalModel(Sparse(k=1, n=1), 1.0, 1.0)
+            return ExperimentPlan(Family.ONE_BIT_GAUSSIAN, model, m_grid, trials=2, iterations=iterations)
+
+        assert plan((1,), ERRORS_CAP // 2).iterations == ERRORS_CAP // 2
+        with pytest.raises(ValueError, match=f"stored errors {ERRORS_CAP + 2} .* exceed the cap {ERRORS_CAP}"):
+            plan((1,), ERRORS_CAP // 2 + 1)
+        with pytest.raises(ValueError, match="stored errors .* exceed the cap"):
+            plan((1, 2), ERRORS_CAP // 4 + 1)
+        with pytest.raises(ValueError, match="stored errors .* exceed the cap"):
+            plan((1,), 400_000_000_000 // 2)
 
     def test_level_cap(self):
         # a quantizer stores L levels, so an over-cap L must fail before family_setup builds it
@@ -279,6 +294,21 @@ class TestRunExperiment:
         assert len(addresses) == 12 and len(set(addresses)) <= threads
         for a, b in zip(res.records, fresh, strict=True):
             assert a.per_iterate_errors.tobytes() == b.per_iterate_errors.tobytes()
+
+    @pytest.mark.parametrize("family, dtype", [(Family.ONE_BIT_GAUSSIAN, np.float64), (Family.DITHERED_ONE_BIT, np.int8)])
+    def test_workspace_dtype_follows_matrix_kind(self, monkeypatch, family, dtype):
+        # a Rademacher plan's buffer holds one byte per entry
+        alpha, lam = (1.0, None) if family is Family.ONE_BIT_GAUSSIAN else (0.0, 1.5)
+        plan = tiny_plan(family=family, model=SignalModel(Sparse(k=3, n=12), alpha, 1.0), lam=lam, trials=2)
+        real, dtypes = sample_instance, []
+
+        def spy(*args, out=None):
+            dtypes.append(out.dtype)
+            return real(*args, out=out)
+
+        monkeypatch.setattr("quantcs.harness.sample_instance", spy)
+        run_experiment(plan)
+        assert dtypes == [np.dtype(dtype)] * 4
 
     def test_thread_count_checked_before_any_pool(self, monkeypatch):
         plan = tiny_plan(trials=1)  # two tasks, so no call here can start more than two threads

@@ -22,9 +22,9 @@ from quantcs import (
     sample_instance,
 )
 import quantcs.pgd
-from quantcs.pgd import _BLOCK_ENTRIES, _SPARSE_D, _SPARSE_U
+from quantcs.pgd import ERRORS_CAP, _BLOCK_ENTRIES, _SPARSE_D, _SPARSE_U
 from quantcs.quantizers import quantize_vec
-from quantcs.sensing import MatrixKind
+from quantcs.sensing import MatrixKind, SensingInstance
 from quantcs.verify import (
     clipped_gradient,
     fd_gradient,
@@ -308,6 +308,12 @@ class TestPgdRecover:
         with pytest.raises(ValueError):
             PgdConfig(eta=1.0, iterations=0)
 
+    def test_config_caps_iterations(self):
+        # a run with a truth stores one error per iteration
+        assert PgdConfig(eta=1.0, iterations=ERRORS_CAP).iterations == ERRORS_CAP
+        with pytest.raises(ValueError, match=f"iterations = {ERRORS_CAP + 1} exceeds the cap {ERRORS_CAP}"):
+            PgdConfig(eta=1.0, iterations=ERRORS_CAP + 1)
+
     @pytest.mark.parametrize("iterations", [2.5, True])
     def test_config_rejects_non_integer_iterations(self, iterations):
         with pytest.raises(ValueError, match="iterations must be an integer"):
@@ -337,6 +343,36 @@ def _stopping_case(name, seed, iterations):
 
 
 CASES = ["one_bit_gaussian", "dithered_one_bit", "dithered_multi_bit", "low_rank", "l1_ball"]
+
+
+class TestOneByteMatrix:
+    @pytest.mark.parametrize("name", ["dithered_one_bit", "dithered_multi_bit", "dithered_l1_ball"])
+    def test_trial_matches_float64_copy(self, name):
+        # a Rademacher matrix is stored as int8 and cast to float64 block by
+        # block in every product: a run must give the bits of a run on its
+        # float64 copy.  The l1-ball iterates are dense, so the forward
+        # product takes the blocked path (m * n above _BLOCK_ENTRIES)
+        fine = make_saturated(5.0 / 8, 8)
+        model, spec, dither, m, iterations = {
+            "dithered_one_bit": (SignalModel(Sparse(k=3, n=500), 0.0, 1.0), make_sign(), 1.5, 800, 100),
+            "dithered_multi_bit": (SignalModel(Sparse(k=3, n=500), 0.0, 1.0), fine, fine.delta / 2, 400, 100),
+            "dithered_l1_ball": (SignalModel(L1Ball(radius=np.sqrt(10), n=300), 0.0, 1.0), make_sign(), 1.5, 600, 30),
+        }[name]
+        n = model.ambient_dim
+        assert m * n > _BLOCK_ENTRIES
+        inst = sample_instance(MatrixKind.RADEMACHER, dither, m, n, seed=8)
+        copy = SensingInstance(inst.matrix.astype(float), inst.dither)
+        assert inst.matrix.dtype == np.int8
+        x = gen_signal(model, 9)
+        y = measure(inst, spec, x)
+        assert y.tobytes() == measure(copy, spec, x).tobytes()
+        config = PgdConfig(eta=1.5 if spec.levels == 2 else 1.0, iterations=iterations)
+        one_byte = pgd_recover(config, model, spec, inst, y, np.zeros(n), truth=x)
+        wide = pgd_recover(config, model, spec, copy, y, np.zeros(n), truth=x)
+        assert one_byte.estimate.tobytes() == wide.estimate.tobytes()
+        assert one_byte.errors.tobytes() == wide.errors.tobytes()
+        if name == "dithered_l1_ball":
+            assert np.count_nonzero(one_byte.estimate) * _SPARSE_U > n
 
 
 class TestStoppingRule:

@@ -15,7 +15,7 @@ from quantcs import (
     sample_instance,
     stream,
 )
-from quantcs.sensing import _CHUNK, instance_rows
+from quantcs.sensing import _BLOCK_ENTRIES, _CHUNK, _block_rows, _matvec, instance_rows
 
 
 class TestStreams:
@@ -58,20 +58,21 @@ class TestSampleInstance:
 
     def test_rademacher_entries(self):
         inst = sample_instance(MatrixKind.RADEMACHER, 0.0, 50, 7, 1)
-        assert set(np.unique(inst.matrix)) == {-1.0, 1.0}
+        assert inst.matrix.dtype == np.int8
+        assert set(np.unique(inst.matrix)) == {-1, 1}
 
     @pytest.mark.parametrize("m,n", [(1, 1), (3, 5), (1, _CHUNK - 1), (_CHUNK + 1, 1), (_CHUNK, 2), (317, 161)])
     @pytest.mark.parametrize("seed", [0, 1, 2**40 + 3])
     def test_rademacher_stream_is_integers_stream(self, m, n, seed):
-        # the chunked draw reproduces 2 * integers(0, 2) - 1 bit for bit
-        want = 2.0 * stream(seed, "matrix").integers(0, 2, size=(m, n)).astype(float) - 1.0
+        # the chunked draw reproduces 2 * integers(0, 2) - 1 bit for bit, one byte per entry
+        want = (2 * stream(seed, "matrix").integers(0, 2, size=(m, n)) - 1).astype(np.int8)
         got = sample_instance(MatrixKind.RADEMACHER, 1.0, m, n, seed).matrix
-        assert got.shape == (m, n) and got.dtype == np.float64
+        assert got.shape == (m, n) and got.dtype == np.int8
         assert got.tobytes() == want.tobytes()
 
     def test_rademacher_draw_allocates_no_matrix_temporary(self):
         m, n = 2000, 500
-        out = np.empty(m * n)
+        out = np.empty(m * n, dtype=np.int8)
         sample_instance(MatrixKind.RADEMACHER, 0.0, 2, 2, 0)  # one-time allocations of a first draw
         peaks = []
         for buffer in (None, out):
@@ -81,21 +82,23 @@ class TestSampleInstance:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[0] < 1.1 * 8 * m * n
-        assert peaks[1] < 0.1 * 8 * m * n
+        assert peaks[0] < 1.1 * m * n  # one byte per entry
+        assert peaks[1] < 0.1 * m * n
 
     @pytest.mark.parametrize("kind", list(MatrixKind))
     @pytest.mark.parametrize("dither", [0.0, 1.5])
     @pytest.mark.parametrize("m,n", [(1, 1), (3, 5), (1, _CHUNK + 1), (317, 161)])
     def test_draw_into_buffer_equals_fresh_draw(self, kind, dither, m, n):
         fresh = sample_instance(kind, dither, m, n, 9)
-        buf = np.full(m * n + 5, np.nan)
+        # the tail starts as a value no entry takes: NaN, or 0 in an int8 buffer
+        buf = np.full(m * n + 5, np.nan if kind is MatrixKind.GAUSSIAN else 0, dtype=kind.dtype)
+        tail = buf[m * n :].tobytes()
         for _ in range(2):  # the second draw lands on the first one's entries
             inst = sample_instance(kind, dither, m, n, 9, out=buf)
             assert np.shares_memory(inst.matrix, buf) and inst.matrix.shape == (m, n)
             assert inst.matrix.tobytes() == fresh.matrix.tobytes()
             assert inst.dither.tobytes() == fresh.dither.tobytes()
-            assert np.all(np.isnan(buf[m * n :]))
+            assert buf[m * n :].tobytes() == tail
 
     @pytest.mark.parametrize(
         "out",
@@ -113,6 +116,12 @@ class TestSampleInstance:
     def test_bad_out_raises_value_error(self, out):
         with pytest.raises(ValueError, match="out must be a 1-D C-contiguous writeable float64 array of at least 12 entries"):
             sample_instance(MatrixKind.GAUSSIAN, 0.0, 4, 3, 0, out=out)
+
+    def test_out_dtype_follows_kind(self):
+        with pytest.raises(ValueError, match="writeable int8 array of at least 12 entries"):
+            sample_instance(MatrixKind.RADEMACHER, 0.0, 4, 3, 0, out=np.empty(12))
+        with pytest.raises(ValueError, match="writeable float64 array of at least 12 entries"):
+            sample_instance(MatrixKind.GAUSSIAN, 0.0, 4, 3, 0, out=np.empty(12, dtype=np.int8))
 
     def test_gaussian_isotropy(self):
         # empirical second moment of <a_i, u> over many rows is 1 +- 3 se
@@ -163,7 +172,7 @@ class TestInstanceRows:
     @pytest.mark.parametrize("m,n,rows", [(7, 3, 2), (317, 161, 100), (_CHUNK + 1, 1, 2**12), (5, 4, 5), (5, 4, 8)])
     def test_blocks_are_the_one_draw(self, kind, m, n, rows):
         fresh = sample_instance(kind, 1.5, m, n, 4)
-        buf = np.full(min(rows, m) * n, np.nan)
+        buf = np.full(min(rows, m) * n, np.nan if kind is MatrixKind.GAUSSIAN else 0, dtype=kind.dtype)
         blocks = [(b.matrix.copy(), b.dither) for b in instance_rows(kind, 1.5, m, n, 4, rows, out=buf)]
         assert [a.shape[0] for a, _ in blocks] == [min(rows, m - s) for s in range(0, m, rows)]
         assert np.concatenate([a for a, _ in blocks]).tobytes() == fresh.matrix.tobytes()
@@ -174,7 +183,7 @@ class TestInstanceRows:
             with pytest.raises(ValueError, match="rows must be"):
                 next(instance_rows(MatrixKind.RADEMACHER, 0.0, 5, 3, 0, rows))
         with pytest.raises(ValueError, match="at least 6 entries"):
-            next(instance_rows(MatrixKind.RADEMACHER, 0.0, 5, 3, 0, 2, out=np.empty(5)))
+            next(instance_rows(MatrixKind.RADEMACHER, 0.0, 5, 3, 0, 2, out=np.empty(5, dtype=np.int8)))
 
 
 def _fixed_instance(matrix, dither):
@@ -195,6 +204,25 @@ class TestMeasure:
         inst = _fixed_instance([[1.0, 0.0], [0.0, 2.0]], [0.2, -0.2])
         y = measure(inst, make_saturated(1.0, 8), np.array([1.0, 1.0]))
         np.testing.assert_array_equal(y, [0.5, 2.5])
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (5, 3), (_block_rows(300) + 1, 300), (2 * _block_rows(300) + 2, 300), (5601, 500)])
+    def test_one_byte_product_is_the_float64_product(self, m, n):
+        # a one-byte matrix is multiplied in blocks of rows; the bits must be those of its float64 copy
+        A = sample_instance(MatrixKind.RADEMACHER, 0.0, m, n, 6).matrix
+        x = stream(6, "x").standard_normal(n)
+        assert _matvec(A, x).tobytes() == (A.astype(float) @ x).tobytes()
+
+    def test_one_byte_measure_casts_one_block_at_a_time(self):
+        m, n = 5600, 500
+        inst = sample_instance(MatrixKind.RADEMACHER, 1.5, m, n, 0)
+        x = stream(1, "x").standard_normal(n)
+        tracemalloc.start()
+        try:
+            measure(inst, make_sign(), x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * _BLOCK_ENTRIES + 5 * 8 * m  # one cast block and a few m-vectors, not 8 m n bytes
 
     def test_shape_mismatch(self):
         inst = sample_instance(MatrixKind.GAUSSIAN, 0.0, 4, 3, 0)

@@ -212,6 +212,16 @@ class TestGenSignal:
                 np.testing.assert_allclose(np.linalg.norm(x), 1.0, atol=1e-9)
                 np.testing.assert_allclose(np.abs(x).sum(), np.sqrt(k), atol=1e-9)
 
+    def test_l1ball_large_entry_count_at_radius_sqrt10(self):
+        # c ~ U{1..ceil(0.6 k)} with k = radius * radius in floating point:
+        # sqrt(10) squared is 10.000000000000002, so c reaches 7, not 6
+        model = sphere(L1Ball(radius=np.sqrt(10), n=300))
+        counts = set()
+        for seed in range(60):
+            mags = np.abs(gen_signal(model, seed))
+            counts.add(int(np.count_nonzero(mags == mags.max())))
+        assert counts == set(range(1, 8))
+
     def test_l1ball_tiny_case_collapses(self):
         # n=4, k=1 forces c=1, a=1, b=0: the signal is a signed basis vector
         model = sphere(L1Ball(radius=1.0, n=4))
