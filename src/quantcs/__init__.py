@@ -42,7 +42,6 @@ from .signals import (
     project_norm,
     project_structure,
     random_in_model,
-    restricted_dual_norm,
 )
 
 __version__ = "0.1.0"

@@ -128,6 +128,8 @@ class ExperimentPlan:
         elif self.family is Family.DITHERED_ONE_BIT:
             if self.lam is None or not (math.isfinite(check_real(self.lam, "lambda")) and self.lam > 0):
                 raise ValueError("dithered_one_bit needs a positive dither level lambda")
+            if not math.isfinite(2.0 * self.lam):  # the dither interval's width, as sample_instance checks it
+                raise ValueError(f"dither level must be a real >= 0 with 2 * level finite, got {self.lam}")
             if self.L is not None or self.delta is not None:
                 raise ValueError("dithered_one_bit takes no L or delta")
             if not (a == 0.0 and b == 1.0):

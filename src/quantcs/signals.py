@@ -3,8 +3,7 @@
 A signal model is a structure set ``K`` (sparse vectors, low-rank matrices
 in vectorized form, or a scaled l1 ball) intersected with the norm annulus
 ``{alpha <= ||u||_2 <= beta}``.  Recovery algorithms only touch the model
-through the two projections and, for the error analysis, the restricted
-dual norm of the difference set.
+through the two projections.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ __all__ = [
     "project_norm",
     "project_model",
     "gen_signal",
-    "restricted_dual_norm",
     "l1ball_magnitudes",
     "random_in_model",
 ]
@@ -268,29 +266,6 @@ def gen_signal(model: SignalModel, seed: int) -> np.ndarray:
         return rng.choice(np.array([-1.0, 1.0]), size=s.n) * mags
     scale = model.alpha if model.alpha == model.beta else rng.uniform(model.alpha, model.beta)
     return x * scale
-
-
-def restricted_dual_norm(model: SignalModel, z, phi: float) -> float:
-    """Support function of ``(K - K)`` intersected with the radius-``phi`` ball.
-
-    Closed forms: for ``k``-sparse models this is ``phi`` times the l2 norm
-    of the ``2k`` largest-magnitude entries of ``z``; for rank-``r`` models,
-    ``phi`` times the l2 norm of the ``2r`` largest singular values of the
-    reshaped ``z``. The l1 ball has no such closed form here.
-    """
-    if not (math.isfinite(check_real(phi, "phi")) and phi > 0):
-        raise ValueError(f"phi must be a positive finite real, got {phi}")
-    z = _check_dim(model, z)
-    s = model.structure
-    if isinstance(s, Sparse):
-        top = min(2 * s.k, s.n)
-        largest = np.sort(np.abs(z))[s.n - top :]
-        return phi * float(np.linalg.norm(largest))
-    if isinstance(s, LowRank):
-        sv = np.linalg.svd(z.reshape((s.n1, s.n2), order="F"), compute_uv=False)
-        top = min(2 * s.r, sv.size)
-        return phi * float(np.linalg.norm(sv[:top]))
-    raise UnsupportedModelError("restricted dual norm has no closed form for l1-ball models")
 
 
 def random_in_model(model: SignalModel, seed: int) -> np.ndarray:

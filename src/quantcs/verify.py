@@ -5,12 +5,13 @@ closed forms against Monte Carlo, analytic gradients against finite
 differences, structured projections against exhaustive enumeration, the
 gradient solver against brute-force Hamming decoding.  The suites power the
 ``verify`` command and are reused by the test suite; each takes no argument
-and draws from its own stream of ``SEED``.
+and draws from its own stream of ``SEED``.  Only ``quantcs verify`` imports
+this module.
 
 The analysis objects that only these cross-checks need live here, beside
 their references, and not in the solver: the one-sided l1 loss value, its
-gradient assembled threshold by threshold, the clipped two-point gradient
-and the RAIC residual.
+gradient assembled threshold by threshold, the clipped two-point gradient,
+the restricted dual norm and the RAIC residual measured in it.
 
 The loss and the RAIC residual also take iterates stacked as the columns of
 an ``(n, p)`` array, so the ``2n`` probes of ``fd_gradient`` and the RAIC
@@ -37,15 +38,17 @@ from .rng import derive_seed, stream
 from .sensing import _BLOCK_ENTRIES, _CHUNK, MatrixKind, SensingInstance, _block_rows, measure, sample_instance
 from .signals import (
     L1Ball,
+    LowRank,
     SignalModel,
     Sparse,
+    UnsupportedModelError,
+    _check_dim,
     check_real,
     gen_signal,
     project_model,
     project_norm,
     project_structure,
     random_in_model,
-    restricted_dual_norm,
 )
 
 __all__ = [
@@ -56,6 +59,7 @@ __all__ = [
     "one_sided_l1_loss",
     "gradient_from_thresholds",
     "clipped_gradient",
+    "restricted_dual_norm",
     "raic_residual",
     "sparse_project_bruteforce",
     "nearest_in_sparse_sphere",
@@ -150,6 +154,29 @@ def _column_chunks(m: int, p: int) -> list[slice]:
     """Slices of at most ``_BLOCK_ENTRIES // m`` columns covering ``p`` columns."""
     width = max(1, _BLOCK_ENTRIES // m)
     return [slice(i, i + width) for i in range(0, p, width)]
+
+
+def restricted_dual_norm(model: SignalModel, z, phi: float) -> float:
+    """Support function of ``(K - K)`` intersected with the radius-``phi`` ball.
+
+    Closed forms: for ``k``-sparse models this is ``phi`` times the l2 norm
+    of the ``2k`` largest-magnitude entries of ``z``; for rank-``r`` models,
+    ``phi`` times the l2 norm of the ``2r`` largest singular values of the
+    reshaped ``z``. The l1 ball has no such closed form here.
+    """
+    if not (math.isfinite(check_real(phi, "phi")) and phi > 0):
+        raise ValueError(f"phi must be a positive finite real, got {phi}")
+    z = _check_dim(model, z)
+    s = model.structure
+    if isinstance(s, Sparse):
+        top = min(2 * s.k, s.n)
+        largest = np.sort(np.abs(z))[s.n - top :]
+        return phi * float(np.linalg.norm(largest))
+    if isinstance(s, LowRank):
+        sv = np.linalg.svd(z.reshape((s.n1, s.n2), order="F"), compute_uv=False)
+        top = min(2 * s.r, sv.size)
+        return phi * float(np.linalg.norm(sv[:top]))
+    raise UnsupportedModelError("restricted dual norm has no closed form for l1-ball models")
 
 
 def raic_residual(model, spec, instance, eta: float, phi: float, u, v) -> float | np.ndarray:
@@ -313,12 +340,6 @@ def random_quantizer(rng: np.random.Generator) -> QuantizerSpec:
 def _uniform_reference(delta: float, z: np.ndarray) -> np.ndarray:
     """The unclipped uniform map ``delta * (floor(z / delta) + 1/2)``, in closed form."""
     return delta * (np.floor(z / delta) + 0.5)
-
-
-def _min_threshold_margin(spec, instance, u) -> float:
-    """Smallest |correlation - threshold| over all rows and thresholds."""
-    z = instance.matrix @ np.asarray(u, float) - instance.dither
-    return float(np.min(np.abs(z[:, None] - spec.thresholds[None, :])))
 
 
 def fit_raic_params(dists, residuals, phi: float) -> tuple[float, float, float]:
@@ -529,7 +550,8 @@ def gradient_suite() -> list[Check]:
         g2 = gradient_from_thresholds(spec, inst, y, u)
         scale = max(1.0, float(np.max(np.abs(g1))))
         worst_id = max(worst_id, float(np.max(np.abs(g1 - g2))) / scale)
-        if _min_threshold_margin(spec, inst, u) > 1e-3:
+        z = inst.matrix @ u - inst.dither  # finite differences only where no correlation is near a threshold
+        if np.min(np.abs(z[:, None] - spec.thresholds)) > 1e-3:
             fd = fd_gradient(spec, inst, y, u)
             denom = max(float(np.linalg.norm(g1)), 1e-9)
             worst_fd = max(worst_fd, float(np.linalg.norm(fd - g1)) / denom)
@@ -699,34 +721,24 @@ def puv_suite() -> list[Check]:
     ok = bool(np.all((d / math.pi - 1e-12 <= p) & (p <= d / 2.0 + 1e-12)))
     checks.append(Check("two_sided_norm_bound", ok, f"d/pi <= p <= d/2 on {bound_pairs} unit pairs"))
 
-    lam = 2.0
-    ok, worst = True, -np.inf
-    for _ in range(20):
-        n = int(rng.integers(2, 12))
-        u = rng.standard_normal(n)
-        u *= rng.uniform(0, 1) / np.linalg.norm(u)
-        v = rng.standard_normal(n)
-        v *= rng.uniform(0, 1) / np.linalg.norm(v)
-        est = estimate_puv(sign, MatrixKind.RADEMACHER, lam, u, v, 50_000, int(rng.integers(0, 2**32)))
-        slack = est.p_hat - (float(np.linalg.norm(u - v)) / (2 * lam) + 3 * est.stderr)
-        worst = max(worst, slack)
-        ok = ok and slack <= 0
-    checks.append(Check("dithered_one_bit_bound", ok, f"max excess over ||u-v||/(2 lam) + 3 se: {worst:.2e}"))
-
-    delta, L = 5.0 / 8, 8
-    sat = make_saturated(delta, L)
-    ok, worst = True, -np.inf
-    for _ in range(20):
-        n = int(rng.integers(2, 12))
-        u = rng.standard_normal(n)
-        u *= rng.uniform(0, 1) / np.linalg.norm(u)
-        v = rng.standard_normal(n)
-        v *= rng.uniform(0, 1) / np.linalg.norm(v)
-        est = estimate_puv(sat, MatrixKind.RADEMACHER, delta / 2, u, v, 50_000, int(rng.integers(0, 2**32)))
-        slack = est.p_hat - (float(np.linalg.norm(u - v)) / delta + 3 * est.stderr)
-        worst = max(worst, slack)
-        ok = ok and slack <= 0
-    checks.append(Check("multi_bit_bound", ok, f"max excess over ||u-v||/delta + 3 se: {worst:.2e}"))
+    lam, delta = 2.0, 5.0 / 8
+    sat = make_saturated(delta, 8)
+    for name, spec, dither, scale, label in (
+        ("dithered_one_bit_bound", sign, lam, 2 * lam, "||u-v||/(2 lam)"),
+        ("multi_bit_bound", sat, delta / 2, delta, "||u-v||/delta"),
+    ):
+        ok, worst = True, -np.inf
+        for _ in range(20):
+            n = int(rng.integers(2, 12))
+            u = rng.standard_normal(n)
+            u *= rng.uniform(0, 1) / np.linalg.norm(u)
+            v = rng.standard_normal(n)
+            v *= rng.uniform(0, 1) / np.linalg.norm(v)
+            est = estimate_puv(spec, MatrixKind.RADEMACHER, dither, u, v, 50_000, int(rng.integers(0, 2**32)))
+            slack = est.p_hat - (float(np.linalg.norm(u - v)) / scale + 3 * est.stderr)
+            worst = max(worst, slack)
+            ok = ok and slack <= 0
+        checks.append(Check(name, ok, f"max excess over {label} + 3 se: {worst:.2e}"))
 
     u = rng.standard_normal(6)
     u /= np.linalg.norm(u)

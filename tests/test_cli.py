@@ -9,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
+import quantcs.harness
 from quantcs.cli import main
 from quantcs.harness import ERRORS_CAP, THREADS_CAP
+from quantcs.verify import SUITES
 
 
 def tiny_plan_json():
@@ -216,6 +218,16 @@ class TestRecover:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("error: level count L = 1000000000000 exceeds the cap")
 
+    def test_huge_lambda_exits_2_before_drawing(self, capsys, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("the plan check must come before any draw")
+
+        monkeypatch.setattr(quantcs.harness, "gen_signal", no_draw)
+        args = ["recover", "--family", "dithered_one_bit", "--n", "5", "--k", "1", "--m", "4"]
+        assert main(args + ["--lambda", "1e308"]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == "error: dither level must be a real >= 0 with 2 * level finite, got 1e+308"
+
     def test_huge_dimension_exits_2(self, capsys):
         args = ["recover", "--family", "one_bit_gaussian", "--n", str(10**11), "--k", "1", "--m", "1", "--iters", "1"]
         assert main(args) == 2
@@ -276,9 +288,52 @@ class TestVerify:
         assert "all checks passed" in out
         assert "[FAIL]" not in out
 
-    def test_unknown_suite_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["verify", "--suite", "nope"])
+    def test_unknown_suite_rejected(self, capsys):
+        assert main(["verify", "--suite", "nope"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: unknown suite 'nope'; choose from {sorted(SUITES)}"]
+        assert captured.out == ""
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--config", "plan.json"],
+            ["recover", "--family", "one_bit_gaussian", "--n", "5", "--k", "1", "--m", "abc"],
+            ["run", "--config", "plan.json", "--out", "x.csv", "--threads", "two"],
+            ["recover", "--family", "nope", "--n", "5", "--k", "1", "--m", "4"],
+        ],
+        ids=["missing_out", "non_integer_m", "non_integer_threads", "unknown_family"],
+    )
+    def test_one_error_line_and_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: quantcs {argv[0]}: ")
+        assert captured.out == ""
+
+
+# a fresh interpreter runs main on its arguments and prints whether the referees were loaded
+LOADS_VERIFY = "import sys\nfrom quantcs.cli import main\nassert main(sys.argv[1:]) == 0\nprint('quantcs.verify' in sys.modules)\n"
+
+
+class TestRefereeImport:
+    @pytest.mark.parametrize("command, loaded", [("run", False), ("recover", False), ("verify", True)])
+    def test_only_verify_loads_the_referees(self, tmp_path, command, loaded):
+        config = tmp_path / "plan.json"
+        config.write_text(tiny_plan_json())
+        argv = {
+            "run": ["run", "--config", str(config), "--out", str(tmp_path / "x.csv")],
+            "recover": RECOVER_ARGS,
+            "verify": ["verify", "--suite", "quantizer"],
+        }[command]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", LOADS_VERIFY, *argv], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == str(loaded)
 
 
 REPO = Path(__file__).resolve().parents[1]

@@ -73,6 +73,19 @@ class TestPlanValidation:
         )
         assert plan.lam == 1.5
 
+    @pytest.mark.parametrize("lam", [1e308, 2.0**1023])
+    def test_dither_width_must_be_finite(self, lam):
+        # lam itself is finite, but the dither interval [-lam, lam] is 2 * lam wide
+        message = "dither level must be a real >= 0 with 2 \\* level finite"
+        model = SignalModel(Sparse(k=1, n=12), 0.0, 1.0)
+        with pytest.raises(ValueError, match=message):
+            ExperimentPlan(family=Family.DITHERED_ONE_BIT, model=model, m_grid=(30,), lam=lam)
+        ball = {"structure": "sparse", "n": 12, "k": 1, "alpha": 0.0, "beta": 1.0}
+        text = json.dumps({"family": "dithered_one_bit", "model": ball, "m_grid": [30], "lambda": lam})
+        with pytest.raises(ValueError, match=message):
+            plan_from_json(text)
+        assert ExperimentPlan(family=Family.DITHERED_ONE_BIT, model=model, m_grid=(30,), lam=lam / 2).lam == lam / 2
+
     def test_grid_must_increase(self):
         with pytest.raises(ValueError):
             tiny_plan(m_grid=(60, 30))

@@ -18,7 +18,6 @@ from quantcs import (
     measure,
     pgd_recover,
     random_in_model,
-    restricted_dual_norm,
     sample_instance,
 )
 import quantcs.pgd
@@ -33,6 +32,7 @@ from quantcs.verify import (
     pgd_full_loop,
     raic_residual,
     random_quantizer,
+    restricted_dual_norm,
 )
 
 from test_sensing import _fixed_instance

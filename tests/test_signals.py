@@ -11,10 +11,9 @@ from quantcs import (
     project_model,
     project_norm,
     project_structure,
-    restricted_dual_norm,
 )
 from quantcs.signals import l1ball_magnitudes
-from quantcs.verify import l1_projection_report, nearest_in_sparse_sphere, sparse_project_bruteforce
+from quantcs.verify import l1_projection_report, nearest_in_sparse_sphere, restricted_dual_norm, sparse_project_bruteforce
 
 rng = np.random.default_rng(42)
 
