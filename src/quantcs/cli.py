@@ -69,7 +69,7 @@ def _cmd_recover(args) -> int:
 def _cmd_verify(args) -> int:
     from .verify import SUITES, run_suite
 
-    names = [args.suite] if args.suite else sorted(SUITES)
+    names = sorted(SUITES) if args.suite is None else [args.suite]
     failures = 0
     for name in names:
         for check in run_suite(name):

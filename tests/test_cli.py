@@ -289,10 +289,12 @@ class TestVerify:
         assert "[FAIL]" not in out
 
     def test_unknown_suite_rejected(self, capsys):
-        assert main(["verify", "--suite", "nope"]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.splitlines() == [f"error: unknown suite 'nope'; choose from {sorted(SUITES)}"]
-        assert captured.out == ""
+        # an empty name is an unknown suite too, not the default of every suite
+        for name in ("nope", ""):
+            assert main(["verify", "--suite", name]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.splitlines() == [f"error: unknown suite {name!r}; choose from {sorted(SUITES)}"]
+            assert captured.out == ""
 
 
 class TestUsageErrors:
