@@ -12,6 +12,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .harness import (
@@ -29,9 +30,24 @@ from .signals import SignalModel, Sparse
 __all__ = ["main"]
 
 
+def _check_writable(*paths: str) -> None:
+    """Open each path for appending, then remove it if this check created it.
+
+    An unwritable ``--out`` or ``--svg`` then fails before any trial is
+    drawn, and the failure leaves no file of the run behind.
+    """
+    for path in paths:
+        existed = os.path.lexists(path)
+        with open(path, "a", encoding="utf-8"):
+            pass
+        if not existed:
+            os.remove(path)
+
+
 def _cmd_run(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         plan = plan_from_json(fh.read())
+    _check_writable(*(p for p in (args.out, args.svg) if p is not None))
     result = run_experiment(plan, threads=args.threads)
     emit_csv(plan, result.cells, args.out)
     if args.svg is not None:

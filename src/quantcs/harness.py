@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import mmap
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -235,6 +236,11 @@ def run_trial(plan: ExperimentPlan, cell: int, trial: int, workspace: np.ndarray
     return TrialRecord(m=m, per_iterate_errors=res.errors)
 
 
+def _mapped(entries: int, dtype: np.dtype) -> np.ndarray:
+    """A writeable array of ``entries`` zeros of ``dtype`` over a new anonymous mapping, unmapped with its last view."""
+    return np.frombuffer(mmap.mmap(-1, entries * dtype.itemsize), dtype=dtype)
+
+
 def run_experiment(plan: ExperimentPlan, threads: int = 1) -> ExperimentResult:
     """Run every (cell, trial) of the plan and aggregate per cell.
 
@@ -243,11 +249,14 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> ExperimentResult:
     output is bit-identical for any ``threads``.
 
     Each worker (the caller when ``threads`` is 1, else each pool thread)
-    allocates one buffer of ``max(m_grid) * n`` entries of the plan's matrix
-    dtype (float64 Gaussian, one-byte Rademacher) and draws the sensing
-    matrix of every trial it runs into that buffer, so a run holds one matrix
-    per worker.  This relies on the invariant that no trial keeps its
-    instance after it returns.
+    maps one buffer of ``max(m_grid) * n`` entries of the plan's matrix dtype
+    (float64 Gaussian, one-byte Rademacher) and draws the sensing matrix of
+    every trial it runs into that buffer, so a run holds one matrix per
+    worker.  This relies on the invariant that no trial keeps its instance
+    after it returns.  Each buffer is its own anonymous memory mapping, never
+    a block of the allocator's heap, so it goes back to the OS when the run
+    returns: what a run leaves resident does not depend on the sizes of
+    earlier runs' buffers.
     """
     if not 1 <= check_int(threads, "threads") <= THREADS_CAP:
         raise ValueError(f"threads must be in [1, {THREADS_CAP}], got {threads}")
@@ -255,13 +264,13 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> ExperimentResult:
     entries = plan.m_grid[-1] * plan.model.ambient_dim  # the grid increases strictly
     dtype = family_setup(plan).matrix_kind.dtype
     if threads == 1:
-        workspace = np.empty(entries, dtype=dtype)
+        workspace = _mapped(entries, dtype)
         records = [run_trial(plan, ci, ti, workspace) for ci, ti in tasks]
     else:
         local = threading.local()
 
         def allocate():
-            local.workspace = np.empty(entries, dtype=dtype)
+            local.workspace = _mapped(entries, dtype)
 
         with ThreadPoolExecutor(max_workers=threads, initializer=allocate) as pool:
             records = list(pool.map(lambda t: run_trial(plan, *t, local.workspace), tasks))
@@ -330,17 +339,23 @@ def emit_svg_loglog(
 
     The line is labelled with the plan's slope group; decade gridlines, one
     colour and fixed float formatting mean the same cells always produce the
-    same bytes.
+    same bytes.  A cell whose mean error is not positive (every trial
+    recovered exactly) has no place on a log scale: it is left out, and the
+    label counts the cells left out.  The x axis spans every cell's ``m``, so
+    a plan with no positive mean error gives axes and the label, with no
+    points.
     """
     cells = sorted(cells, key=lambda c: c.m)
     if not cells:
         raise ValueError("nothing to plot")
-    if any(c.mean_err <= 0 for c in cells):
-        raise ValueError("log-log plot needs positive mean errors")
+    shown = [c for c in cells if c.mean_err > 0]
+    label = _slope_group(plan)[1]
+    if len(shown) < len(cells):
+        label += f" ({len(cells) - len(shown)} of {len(cells)} cells with mean error 0 omitted)"
     width, height = 640.0, 480.0
     left, right, top, bottom = 70.0, 20.0, 40.0, 55.0
     xs = np.log10([c.m for c in cells])
-    ys = np.log10([c.mean_err for c in cells])
+    ys = np.log10([c.mean_err for c in shown]) if shown else np.zeros(1)
     xmin, xmax = float(xs.min()), float(xs.max())
     ymin, ymax = float(ys.min()), float(ys.max())
     xpad = 0.05 * max(xmax - xmin, 0.2)
@@ -398,16 +413,17 @@ def emit_svg_loglog(
         f'transform="rotate(-90 16 {(top + height - bottom) / 2:.2f})">mean error (log scale)</text>'
     )
     color = "#1f77b4"
-    coords = " ".join(f"{sx(math.log10(c.m)):.2f},{sy(math.log10(c.mean_err)):.2f}" for c in cells)
-    out.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>')
-    for c in cells:
+    if shown:
+        coords = " ".join(f"{sx(math.log10(c.m)):.2f},{sy(math.log10(c.mean_err)):.2f}" for c in shown)
+        out.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>')
+    for c in shown:
         out.append(
             f'<circle cx="{sx(math.log10(c.m)):.2f}" cy="{sy(math.log10(c.mean_err)):.2f}" '
             f'r="3" fill="{color}"/>'
         )
     out.append(
         f'<text x="{width - right - 4:.2f}" y="{top + 14:.2f}" text-anchor="end" '
-        f'font-family="sans-serif" font-size="11" fill="{color}">{_slope_group(plan)[1]}</text>'
+        f'font-family="sans-serif" font-size="11" fill="{color}">{label}</text>'
     )
     out.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

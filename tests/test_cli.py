@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import quantcs.cli
 import quantcs.harness
 from quantcs.cli import main
 from quantcs.harness import ERRORS_CAP, THREADS_CAP
@@ -67,6 +68,38 @@ class TestRun:
         (line,) = capsys.readouterr().err.splitlines()
         assert line == f"error: stored errors {ERRORS_CAP + 2} (len(m_grid)*trials*iterations) exceed the cap {ERRORS_CAP}"
         assert not out.exists()
+
+    def test_zero_mean_errors_plot_without_points(self, tmp_path, capsys):
+        # a 1-sparse signal in n = 1 is recovered exactly, so every cell's mean error is 0
+        config = tmp_path / "plan.json"
+        model = {"structure": "sparse", "n": 1, "k": 1, "alpha": 1, "beta": 1}
+        config.write_text(json.dumps({"family": "one_bit_gaussian", "model": model, "m_grid": [5, 10], "trials": 2}))
+        svgs = []
+        for name in ("a", "b"):
+            out, svg = tmp_path / f"{name}.csv", tmp_path / f"{name}.svg"
+            assert main(["run", "--config", str(config), "--out", str(out), "--svg", str(svg)]) == 0
+            assert [row.split(",")[9] for row in out.read_text().splitlines()[1:]] == ["0", "0"]
+            svgs.append(svg.read_bytes())
+        assert capsys.readouterr().err == ""
+        assert svgs[0] == svgs[1]
+        text = svgs[0].decode()
+        assert "<circle " not in text and "<polyline " not in text
+        assert ">one_bit_gaussian:k_or_r=1:L=2 (2 of 2 cells with mean error 0 omitted)</text>" in text
+
+    @pytest.mark.parametrize("bad", ["out", "svg"])
+    def test_unwritable_path_exits_2_before_any_trial(self, tmp_path, capsys, monkeypatch, bad):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the output paths must be checked before any trial runs")
+
+        monkeypatch.setattr(quantcs.cli, "run_experiment", no_run)
+        config = tmp_path / "plan.json"
+        config.write_text(tiny_plan_json())
+        paths = {"out": tmp_path / "cells.csv", "svg": tmp_path / "plot.svg"}
+        paths[bad] = tmp_path / "missing" / paths[bad].name
+        before = sorted(tmp_path.iterdir())
+        assert main(["run", "--config", str(config), "--out", str(paths["out"]), "--svg", str(paths["svg"])]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: [Errno 2] No such file or directory: '{paths[bad]}'"]
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         config = tmp_path / "plan.json"

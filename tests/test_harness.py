@@ -1,11 +1,14 @@
 import csv
 import json
+import mmap
+import weakref
 
 import numpy as np
 import pytest
 
 from quantcs import (
     CSV_COLUMNS,
+    CellStats,
     ExperimentPlan,
     Family,
     L1Ball,
@@ -308,6 +311,27 @@ class TestRunExperiment:
         for a, b in zip(res.records, fresh, strict=True):
             assert a.per_iterate_errors.tobytes() == b.per_iterate_errors.tobytes()
 
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_workspace_is_a_mapping_released_on_return(self, monkeypatch, threads):
+        # each worker's buffer is its own anonymous mapping, unmapped once the run returns
+        plan = tiny_plan(trials=4, m_grid=(30, 45, 60))
+        fresh = [run_trial(plan, ci, ti) for ci in range(3) for ti in range(4)]
+        real, mappings = sample_instance, []
+
+        def spy(*args, out=None):
+            mapping = out.base.obj
+            assert isinstance(mapping, mmap.mmap)
+            if not any(ref() is mapping for ref in mappings):
+                mappings.append(weakref.ref(mapping))
+            return real(*args, out=out)
+
+        monkeypatch.setattr("quantcs.harness.sample_instance", spy)
+        res = run_experiment(plan, threads=threads)
+        assert 1 <= len(mappings) <= threads
+        assert all(ref() is None for ref in mappings)
+        for a, b in zip(res.records, fresh, strict=True):
+            assert a.per_iterate_errors.tobytes() == b.per_iterate_errors.tobytes()
+
     @pytest.mark.parametrize("family, dtype", [(Family.ONE_BIT_GAUSSIAN, np.float64), (Family.DITHERED_ONE_BIT, np.int8)])
     def test_workspace_dtype_follows_matrix_kind(self, monkeypatch, family, dtype):
         # a Rademacher plan's buffer holds one byte per entry
@@ -434,6 +458,18 @@ class TestEmission:
         assert text.startswith("<svg ")
         assert text.count("<polyline ") == 1 and text.count("<circle ") == 2
         assert ">one_bit_gaussian:k_or_r=3:L=2</text>" in text  # the line's label is the plan's slope group
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_svg_omits_zero_error_cells(self, tmp_path):
+        # a cell recovered exactly has no place on a log scale; the label counts what was left out
+        plan = tiny_plan(m_grid=(30, 60, 120))
+        cells = [CellStats(30, 0.2, 0.01), CellStats(60, 0.0, 0.0), CellStats(120, 0.05, 0.002)]
+        p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"
+        emit_svg_loglog(plan, cells, str(p1))
+        emit_svg_loglog(plan, cells, str(p2))
+        text = p1.read_text()
+        assert text.count("<polyline ") == 1 and text.count("<circle ") == 2
+        assert ">one_bit_gaussian:k_or_r=3:L=2 (1 of 3 cells with mean error 0 omitted)</text>" in text
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_svg_rejects_empty(self, tmp_path):
