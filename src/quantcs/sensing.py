@@ -18,13 +18,11 @@ written chunk by chunk into the one ``m x n`` buffer, so the draw allocates
 no ``m x n`` temporary.  A Gaussian matrix is float64; ``MatrixKind.dtype``
 names each kind's entry type.
 
-Products keep the bits of the float64 matrix's: ``_matvec`` multiplies a
-one-byte matrix in blocks of ``_block_rows(n)`` rows, so that it never casts
-more than about ``_BLOCK_ENTRIES`` entries to float64 at a time.
-
-``instance_rows`` yields an instance's rows in blocks drawn one after another
-into one buffer, and ``sample_instance`` is its one-block case; a caller may
-also hand in the buffer, so that repeated draws reuse one allocation.
+``_matvec`` casts a one-byte matrix to float64 one block at a time, and
+``instance_rows`` yields an instance in blocks, both by one rule,
+``_row_blocks``; ``sample_instance`` is the one-block case of
+``instance_rows``, and a caller may hand in the buffer, so that repeated
+draws reuse one allocation.
 """
 
 from __future__ import annotations
@@ -111,11 +109,11 @@ def instance_rows(
 ) -> Iterator[SensingInstance]:
     """The instance ``sample_instance(matrix_kind, dither, m, n, seed)`` in blocks of ``rows`` rows.
 
-    Each block holds the next ``rows`` rows (the last block the rest) and
-    their dithers, bit for bit those of the one draw.  Every block's matrix is
-    drawn into the same buffer, ``out`` if given (as in ``sample_instance``,
-    with at least ``min(rows, m) * n`` entries), so a block is valid only
-    until the next one is drawn.  ``rows`` is even unless it covers all ``m``
+    The blocks are ``_row_blocks(m, rows)`` and their dithers, bit for bit
+    those of the one draw.  Every block's matrix is drawn into one buffer,
+    ``out`` if given (as in ``sample_instance``, with room for the largest
+    block, ``rows + 1`` rows if a last row is joined), so a block is valid
+    until the next is drawn.  ``rows`` is even unless it covers all ``m``
     rows, so that no Rademacher block leaves half a PCG64 word behind.
     """
     if check_int(m, "m") < 1 or check_int(n, "n") < 1:
@@ -126,19 +124,19 @@ def instance_rows(
         raise ValueError(f"unknown matrix kind {matrix_kind!r}")
     if check_int(rows, "rows") < 1 or (rows < m and rows % 2):
         raise ValueError(f"rows must be even and >= 2, or cover all m={m} rows, got {rows}")
-    rows = min(rows, m)
+    largest = min(m, rows + (m % rows == 1))
     dtype = matrix_kind.dtype
     if out is None:
-        out = np.empty(rows * n, dtype=dtype)
+        out = np.empty(largest * n, dtype=dtype)
     elif not (
-        isinstance(out, np.ndarray) and out.ndim == 1 and out.dtype == dtype and out.size >= rows * n
+        isinstance(out, np.ndarray) and out.ndim == 1 and out.dtype == dtype and out.size >= largest * n
         and out.flags.c_contiguous and out.flags.writeable
     ):
-        raise ValueError(f"out must be a 1-D C-contiguous writeable {dtype} array of at least {rows * n} entries")
+        raise ValueError(f"out must be a 1-D C-contiguous writeable {dtype} array of at least {largest * n} entries")
     mat_rng = stream(seed, "matrix")
     dither_rng = stream(seed, "dither") if dither != 0.0 else None
-    for start in range(0, m, rows):
-        size = min(rows, m - start)
+    for block in _row_blocks(m, rows):
+        size = block.stop - block.start
         A = out[: size * n].reshape(size, n)
         if matrix_kind is MatrixKind.GAUSSIAN:
             mat_rng.standard_normal(out=A)
@@ -176,29 +174,32 @@ def _block_rows(n: int) -> int:
     return max(4, _BLOCK_ENTRIES // n // 4 * 4)
 
 
+def _row_blocks(m: int, rows: int) -> list[slice]:
+    """Consecutive slices of ``rows`` rows of ``m``; a last block of one row joins the block before it.
+
+    (numpy takes a one-row product as a dot product, in another sum order.)
+    """
+    stops = [*range(rows, m - 1, rows), m]
+    return [slice(a, b) for a, b in zip([0, *stops], stops)]
+
+
 def _matvec(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``matrix @ x`` for a float64 vector ``x``.
 
-    A float64 matrix takes one product.  Any other matrix (a one-byte
-    Rademacher one) is cast to float64 and multiplied ``_block_rows(n)`` rows
-    at a time, so no cast holds more than about ``_BLOCK_ENTRIES`` floats.
-    numpy takes a one-row product as a dot product, whose sum order is not
-    the matrix-vector kernel's, so a last block of one row joins the block
-    before it.  The result then has the bits of the float64 copy's one-shot
-    product on one BLAS thread, and the same bits on two (OpenBLAS 0.3.31, a
-    probe of 300 shapes up to 700 columns), where the one-shot float64
-    product on two threads differed from it in the last bit for 24 of them.
+    A float64 matrix takes one product.  A one-byte (Rademacher) one is cast
+    to float64 and multiplied in the blocks of ``_row_blocks(m,
+    _block_rows(n))``, so no cast holds more than about ``_BLOCK_ENTRIES``
+    floats.  The result has the bits of the float64 copy's one-shot product
+    on one BLAS thread, and the same bits on two (OpenBLAS 0.3.31, a probe of
+    300 shapes up to 700 columns), where the one-shot float64 product on two
+    threads differed from it in the last bit for 24 of them.
     """
     if matrix.dtype == np.float64:
         return matrix @ x
     m, n = matrix.shape
-    rows = _block_rows(n)
     out = np.empty(m)
-    start = 0
-    while start < m:
-        stop = m if m - start <= rows + 1 else start + rows
-        out[start:stop] = matrix[start:stop] @ x
-        start = stop
+    for block in _row_blocks(m, _block_rows(n)):
+        out[block] = matrix[block] @ x
     return out
 
 

@@ -42,7 +42,7 @@ from .oracles import enumerate_net, estimate_puv, geodesic_puv, hdm_decode
 from .pgd import _SPARSE_D, _SPARSE_U, PgdConfig, _adjoint, _forward, gradient, pgd_recover
 from .quantizers import QuantizerSpec, level_index, make_saturated, make_sign, quantize_vec
 from .rng import derive_seed, stream
-from .sensing import _BLOCK_ENTRIES, _CHUNK, MatrixKind, SensingInstance, _block_rows, measure, sample_instance
+from .sensing import _BLOCK_ENTRIES, _CHUNK, MatrixKind, SensingInstance, _block_rows, _matvec, measure, sample_instance
 from .signals import (
     L1Ball,
     LowRank,
@@ -801,12 +801,11 @@ def puv_suite() -> list[Check]:
                 if not (same and np.shares_memory(inst.matrix, buf) and buf[m * n :].tobytes() == blank[m * n :].tobytes()):
                     bad.append((kind.value, dither, m, n))
     draws = 2 * len(MatrixKind) * len(shapes)
-    # estimate_puv counts block by block; the count must be the one-shot count
-    # at an odd n, with the sample count below, at and past the block size.
-    # That holds by construction on one BLAS thread only: on two OpenBLAS
-    # threads, 15 of about 4.2e6 block rows have had a product whose last bit
-    # differs from the one-shot one, and the counts agree only while no such
-    # row falls on a threshold.  The one-shot instance goes before the blocks
+    # estimate_puv counts in the blocks of _matvec, so its count must be that
+    # of _matvec on the one-shot instance (dropped before the blocks are
+    # drawn), at an odd n and the sample counts below, at and past the block
+    # size; on two BLAS threads, OpenBLAS 0.3.31 kept the Gaussian one-shot
+    # product's bits at n = 7 up to 6.3e5 entries, past the 3.9e5 here
     n = 7
     rows = _block_rows(n)
     families = [(sign, MatrixKind.GAUSSIAN, 0.0), (sat, MatrixKind.RADEMACHER, delta / 2)]
@@ -815,7 +814,7 @@ def puv_suite() -> list[Check]:
         for samples in (1, rows - 1, rows, rows + 1, 3 * rows + 5):
             seed = int(rng.integers(0, 2**32))
             inst = sample_instance(kind, dither, samples, n, seed)
-            q = [quantize_vec(spec, inst.matrix @ w - inst.dither) for w in (u, v)]
+            q = [quantize_vec(spec, _matvec(inst.matrix, w) - inst.dither) for w in (u, v)]
             one_shot = np.count_nonzero(q[0] != q[1])
             del inst, q
             if estimate_puv(spec, kind, dither, u, v, samples, seed).p_hat != one_shot / samples:

@@ -8,6 +8,7 @@ from quantcs import (
     SensingInstance,
     corrupt,
     derive_seed,
+    estimate_puv,
     make_saturated,
     make_sign,
     measure,
@@ -171,10 +172,14 @@ class TestInstanceRows:
     @pytest.mark.parametrize("kind", list(MatrixKind))
     @pytest.mark.parametrize("m,n,rows", [(7, 3, 2), (317, 161, 100), (_CHUNK + 1, 1, 2**12), (5, 4, 5), (5, 4, 8)])
     def test_blocks_are_the_one_draw(self, kind, m, n, rows):
+        # blocks of rows rows, and a last block of one row joins the block before it
+        sizes = [min(rows, m - s) for s in range(0, m, rows)]
+        if len(sizes) > 1 and sizes[-1] == 1:
+            sizes[-2:] = [rows + 1]
         fresh = sample_instance(kind, 1.5, m, n, 4)
-        buf = np.full(min(rows, m) * n, np.nan if kind is MatrixKind.GAUSSIAN else 0, dtype=kind.dtype)
+        buf = np.full(max(sizes) * n, np.nan if kind is MatrixKind.GAUSSIAN else 0, dtype=kind.dtype)
         blocks = [(b.matrix.copy(), b.dither) for b in instance_rows(kind, 1.5, m, n, 4, rows, out=buf)]
-        assert [a.shape[0] for a, _ in blocks] == [min(rows, m - s) for s in range(0, m, rows)]
+        assert [a.shape[0] for a, _ in blocks] == sizes
         assert np.concatenate([a for a, _ in blocks]).tobytes() == fresh.matrix.tobytes()
         assert np.concatenate([t for _, t in blocks]).tobytes() == fresh.dither.tobytes()
 
@@ -182,8 +187,30 @@ class TestInstanceRows:
         for rows in (0, 3, 2.0):
             with pytest.raises(ValueError, match="rows must be"):
                 next(instance_rows(MatrixKind.RADEMACHER, 0.0, 5, 3, 0, rows))
-        with pytest.raises(ValueError, match="at least 6 entries"):
-            next(instance_rows(MatrixKind.RADEMACHER, 0.0, 5, 3, 0, 2, out=np.empty(5, dtype=np.int8)))
+        # 5 rows in blocks of 2 end in a joined block of 3 rows, 9 entries
+        with pytest.raises(ValueError, match="at least 9 entries"):
+            next(instance_rows(MatrixKind.RADEMACHER, 0.0, 5, 3, 0, 2, out=np.empty(6, dtype=np.int8)))
+
+    @pytest.mark.parametrize("kind", list(MatrixKind))
+    @pytest.mark.parametrize("n", [5, 7, 8])
+    def test_block_products_are_the_matvec(self, kind, n):
+        # two full blocks and one row: the last row joins the second block, so
+        # the block products and the puv count are _matvec's, bit for bit (a
+        # Gaussian _matvec is one BLAS call, which kept its bits on two
+        # OpenBLAS threads at these 2.6e5 entries)
+        rows = _block_rows(n)
+        samples = 2 * rows + 1
+        rng = stream(8, "uv", n)
+        u, v = rng.standard_normal((2, n))
+        one = sample_instance(kind, 1.5, samples, n, 9)
+        whole = _matvec(one.matrix, u)
+        blocks = [b.matrix @ u for b in instance_rows(kind, 1.5, samples, n, 9, rows)]
+        assert [b.size for b in blocks] == [rows, rows + 1]
+        assert np.concatenate(blocks).tobytes() == whole.tobytes()
+        spec = make_saturated(1.0, 4)
+        q = [quantize_vec(spec, p - one.dither) for p in (whole, _matvec(one.matrix, v))]
+        count = np.count_nonzero(q[0] != q[1])
+        assert estimate_puv(spec, kind, 1.5, u, v, samples, 9).p_hat == count / samples
 
 
 def _fixed_instance(matrix, dither):
