@@ -11,11 +11,9 @@ when the dither range fails to cover the signal norm.
 import numpy as np
 
 from quantcs import (
-    Family,
     PgdConfig,
     SignalModel,
     Sparse,
-    default_step_size,
     gen_signal,
     make_sign,
     measure,
@@ -31,7 +29,7 @@ def main():
     model = SignalModel(Sparse(k=k, n=n), alpha=1.0, beta=1.0)
     direction = gen_signal(model, seed=3)
     ball = SignalModel(Sparse(k=k, n=n), alpha=0.0, beta=1.0)
-    eta = default_step_size(Family.DITHERED_ONE_BIT, lam=lam)
+    eta = lam  # the dithered one-bit step size is the dither level
 
     print("true norm   dithered estimate norm   plain-sign estimate norm")
     for scale in (0.25, 0.5, 0.9):

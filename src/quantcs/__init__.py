@@ -17,7 +17,7 @@ from .harness import (
     FamilySetup,
     SlopeFit,
     TrialRecord,
-    default_step_size,
+    draw_trial,
     emit_csv,
     emit_svg_loglog,
     family_setup,

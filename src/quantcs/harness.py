@@ -24,18 +24,18 @@ import numpy as np
 from .pgd import ERRORS_CAP, PgdConfig, pgd_recover
 from .quantizers import QuantizerSpec, make_saturated, make_sign
 from .rng import derive_seed
-from .sensing import MatrixKind, corrupt, measure, sample_instance
+from .sensing import MatrixKind, SensingInstance, corrupt, measure, sample_instance
 from .signals import L1Ball, LowRank, SignalModel, Sparse, check_int, check_real, gen_signal, random_in_model
 
 __all__ = [
     "Family",
-    "default_step_size",
     "ExperimentPlan",
     "TrialRecord",
     "CellStats",
     "ExperimentResult",
     "FamilySetup",
     "family_setup",
+    "draw_trial",
     "run_trial",
     "run_experiment",
     "SlopeFit",
@@ -75,23 +75,6 @@ class Family(enum.Enum):
     ONE_BIT_GAUSSIAN = "one_bit_gaussian"
     DITHERED_ONE_BIT = "dithered_one_bit"
     DITHERED_MULTI_BIT = "dithered_multi_bit"
-
-
-def default_step_size(family: Family, lam: float | None = None) -> float:
-    """Theorem-backed step size per family.
-
-    One-bit Gaussian: ``sqrt(pi/2)``. Dithered one-bit: ``lam`` (the dither
-    level). Dithered multi-bit: ``1``.
-    """
-    if family is Family.ONE_BIT_GAUSSIAN:
-        return math.sqrt(math.pi / 2.0)
-    if family is Family.DITHERED_ONE_BIT:
-        if lam is None or not (math.isfinite(check_real(lam, "dither level lam")) and lam > 0):
-            raise ValueError("dithered one-bit needs a positive dither level lam")
-        return float(lam)
-    if family is Family.DITHERED_MULTI_BIT:
-        return 1.0
-    raise ValueError(f"unknown family {family!r}")
 
 
 @dataclass(frozen=True)
@@ -193,13 +176,16 @@ class FamilySetup:
 
 
 def family_setup(plan: ExperimentPlan) -> FamilySetup:
-    eta = default_step_size(plan.family, lam=plan.lam)
+    """The quantizer, ensemble, dither level and PGD step size of the plan's family.
+
+    Step sizes: ``sqrt(pi/2)`` one-bit Gaussian, ``lam`` dithered one-bit, ``1`` dithered multi-bit.
+    """
     if plan.family is Family.ONE_BIT_GAUSSIAN:
-        return FamilySetup(make_sign(), MatrixKind.GAUSSIAN, 0.0, eta)
+        return FamilySetup(make_sign(), MatrixKind.GAUSSIAN, 0.0, math.sqrt(math.pi / 2.0))
     if plan.family is Family.DITHERED_ONE_BIT:
-        return FamilySetup(make_sign(), MatrixKind.RADEMACHER, float(plan.lam), eta)
+        return FamilySetup(make_sign(), MatrixKind.RADEMACHER, float(plan.lam), float(plan.lam))
     delta = 5.0 / plan.L if plan.delta is None else float(plan.delta)
-    return FamilySetup(make_saturated(delta, plan.L), MatrixKind.RADEMACHER, delta / 2.0, eta)
+    return FamilySetup(make_saturated(delta, plan.L), MatrixKind.RADEMACHER, delta / 2.0, 1.0)
 
 
 def _slope_group(plan: ExperimentPlan) -> tuple[float, str]:
@@ -209,31 +195,43 @@ def _slope_group(plan: ExperimentPlan) -> tuple[float, str]:
     return k_or_r, f"{plan.family.value}:k_or_r={k_or_r:.12g}:L={family_setup(plan).spec.levels}"
 
 
-def run_trial(plan: ExperimentPlan, cell: int, trial: int, workspace: np.ndarray | None = None) -> TrialRecord:
-    """Draw, measure, corrupt and recover trial ``trial`` of grid cell ``cell``.
+def draw_trial(
+    plan: ExperimentPlan, cell: int, trial: int, workspace: np.ndarray | None = None
+) -> tuple[np.ndarray, SensingInstance, np.ndarray, np.ndarray]:
+    """Draw trial ``trial`` of grid cell ``cell``: ``(x, instance, y, start)``.
 
     Every random object comes from ``derive_seed(plan.master_seed, cell, trial)``,
-    so a trial's record depends only on the plan and its two indices.  PGD
-    starts at a random model member on the sphere (``alpha > 0``, one-bit
-    Gaussian) and at zero on the unit ball (the dithered families).
+    so a trial depends only on the plan and its two indices.  ``y`` holds the
+    measurements of ``x``, corrupted when ``plan.corruption_zeta > 0``.  The
+    decoder's start is a random model member on the sphere (``alpha > 0``,
+    one-bit Gaussian) and zero on the unit ball (the dithered families).
 
     With ``workspace``, the sensing matrix is drawn into it, as the ``out`` of
-    ``sample_instance``.  The record keeps nothing of the instance, so the
-    caller may draw the next trial into the same buffer once this one returns.
+    ``sample_instance``.
     """
     setup = family_setup(plan)
     seed = derive_seed(plan.master_seed, cell, trial)
-    m = plan.m_grid[cell]
     n = plan.model.ambient_dim
     x = gen_signal(plan.model, seed)
-    inst = sample_instance(setup.matrix_kind, setup.dither, m, n, seed, out=workspace)
+    inst = sample_instance(setup.matrix_kind, setup.dither, plan.m_grid[cell], n, seed, out=workspace)
     y = measure(inst, setup.spec, x)
     if plan.corruption_zeta > 0.0:
         y = corrupt(y, setup.spec, plan.corruption_zeta, seed)
     start = random_in_model(plan.model, seed) if plan.model.alpha > 0 else np.zeros(n)
+    return x, inst, y, start
+
+
+def run_trial(plan: ExperimentPlan, cell: int, trial: int, workspace: np.ndarray | None = None) -> TrialRecord:
+    """Recover trial ``trial`` of grid cell ``cell`` by PGD from its ``draw_trial``.
+
+    The record keeps nothing of the instance, so the caller may draw the next
+    trial into the same ``workspace`` once this one returns.
+    """
+    x, inst, y, start = draw_trial(plan, cell, trial, workspace)
+    setup = family_setup(plan)
     config = PgdConfig(eta=setup.eta, iterations=plan.iterations)
     res = pgd_recover(config, plan.model, setup.spec, inst, y, start, truth=x)
-    return TrialRecord(m=m, per_iterate_errors=res.errors)
+    return TrialRecord(m=plan.m_grid[cell], per_iterate_errors=res.errors)
 
 
 def _mapped(entries: int, dtype: np.dtype) -> np.ndarray:

@@ -114,12 +114,12 @@ def estimate_puv(
     Draws ``samples`` fresh measurement rows and dithers uniform on
     ``[-dither, dither]``, the rows of ``sample_instance(matrix_kind, dither,
     samples, n, seed)``, and reports the disagreement frequency with its
-    binomial standard error.  The rows come in ``_matvec``'s blocks, drawn
-    into one buffer, and the disagreements are summed per block.  On one BLAS
-    thread the count is that of the one-shot instance bit for bit.  On two
-    OpenBLAS threads, 15 of about 4.2e6 block rows have had a product whose
-    last bit differs from the one-shot ``A @ u``, so there the counts agree
-    only while no such row falls on a threshold.
+    binomial standard error.  The rows come in the blocks of ``_row_blocks(samples,
+    _block_rows(n))``, drawn into one buffer, and the disagreements are summed
+    per block.  On one BLAS thread the count is that of the one-shot instance
+    bit for bit.  On two OpenBLAS threads, 15 of about 4.2e6 block rows have
+    had a product whose last bit differs from the one-shot ``A @ u``, so
+    there the counts agree only while no such row falls on a threshold.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)

@@ -253,6 +253,8 @@ def gen_signal(model: SignalModel, seed: int) -> np.ndarray:
         k = s.radius * s.radius
         if k > s.n:
             raise ValueError(f"l1 radius {s.radius} exceeds sqrt(n) = {math.sqrt(s.n):.6g}: no unit vector has that l1 norm")
+        if s.radius < 1:
+            raise ValueError(f"l1 radius {s.radius} is below 1: no unit vector has that l1 norm")
         cmax = max(1, math.ceil(0.6 * k))
         for _ in range(1000):
             c = int(rng.integers(1, cmax + 1))

@@ -154,6 +154,10 @@ class TestRun:
                 {"model": {"structure": "l1_ball", "n": 12, "radius": 1e10, "alpha": 1.0, "beta": 1.0}},
                 "l1 radius 10000000000.0 exceeds sqrt(n)",
             ),
+            (
+                {"model": {"structure": "l1_ball", "n": 12, "radius": 0.5, "alpha": 1.0, "beta": 1.0}},
+                "l1 radius 0.5 is below 1",
+            ),
         ],
         ids=[
             "float_trials",
@@ -170,6 +174,7 @@ class TestRun:
             "huge_lambda",
             "huge_radius",
             "large_radius",
+            "small_radius",
         ],
     )
     def test_malformed_plan_exits_2(self, tmp_path, capsys, edit, message):

@@ -17,7 +17,9 @@ from quantcs import (
     PgdConfig,
     SignalModel,
     Sparse,
+    corrupt,
     derive_seed,
+    draw_trial,
     emit_csv,
     emit_svg_loglog,
     family_setup,
@@ -88,6 +90,14 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match=message):
             plan_from_json(text)
         assert ExperimentPlan(family=Family.DITHERED_ONE_BIT, model=model, m_grid=(30,), lam=lam / 2).lam == lam / 2
+
+    @pytest.mark.parametrize(
+        "lam, message",
+        [(-1.0, "needs a positive dither level"), (0.0, "needs a positive dither level"), (True, "lambda must be a number")],
+    )
+    def test_dither_level_checked(self, lam, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentPlan(Family.DITHERED_ONE_BIT, SignalModel(Sparse(k=1, n=12), 0.0, 1.0), (30,), lam=lam)
 
     def test_grid_must_increase(self):
         with pytest.raises(ValueError):
@@ -229,6 +239,7 @@ class TestFamilySetup:
         "plan, start",
         [
             (tiny_plan(m_grid=(60,)), "random"),
+            (tiny_plan(m_grid=(60,), corruption_zeta=0.05), "random"),
             (tiny_plan(family=Family.DITHERED_ONE_BIT, model=SignalModel(Sparse(k=3, n=12), 0.0, 1.0), m_grid=(60,), lam=1.5), "zero"),
             (
                 tiny_plan(
@@ -240,16 +251,27 @@ class TestFamilySetup:
                 "zero",
             ),
         ],
-        ids=["one_bit_gaussian", "dithered_one_bit", "dithered_multi_bit"],
+        ids=["one_bit_gaussian", "one_bit_gaussian_corrupted", "dithered_one_bit", "dithered_multi_bit"],
     )
     def test_start(self, plan, start):
-        # a trial starts PGD at a random model member on the sphere and at zero on the ball
+        # a trial starts PGD at a random model member on the sphere and at zero on the ball;
+        # draw_trial is this by-hand draw bit for bit, into a given workspace too
         setup, seed = family_setup(plan), derive_seed(plan.master_seed, 0, 0)
+        m, n = plan.m_grid[0], plan.model.ambient_dim
         x = gen_signal(plan.model, seed)
-        inst = sample_instance(setup.matrix_kind, setup.dither, plan.m_grid[0], plan.model.ambient_dim, seed)
-        u = random_in_model(plan.model, seed) if start == "random" else np.zeros(plan.model.ambient_dim)
+        inst = sample_instance(setup.matrix_kind, setup.dither, m, n, seed)
+        y = measure(inst, setup.spec, x)
+        if plan.corruption_zeta > 0:
+            y = corrupt(y, setup.spec, plan.corruption_zeta, seed)
+        u = random_in_model(plan.model, seed) if start == "random" else np.zeros(n)
+        workspace = np.empty(m * n, dtype=setup.matrix_kind.dtype)
+        for buffer in (None, workspace):
+            dx, dinst, dy, du = draw_trial(plan, 0, 0, buffer)
+            for got, want in ((dx, x), (dinst.matrix, inst.matrix), (dinst.dither, inst.dither), (dy, y), (du, u)):
+                assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert np.shares_memory(dinst.matrix, workspace)
         config = PgdConfig(eta=setup.eta, iterations=plan.iterations)
-        by_hand = pgd_recover(config, plan.model, setup.spec, inst, measure(inst, setup.spec, x), u, truth=x)
+        by_hand = pgd_recover(config, plan.model, setup.spec, inst, y, u, truth=x)
         assert run_trial(plan, 0, 0).per_iterate_errors.tobytes() == by_hand.errors.tobytes()
 
     def test_delta_rule_validation(self):

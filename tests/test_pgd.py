@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from quantcs import (
-    Family,
     L1Ball,
     LowRank,
     PgdConfig,
     SignalModel,
     Sparse,
-    default_step_size,
     gen_signal,
     gradient,
     make_saturated,
@@ -235,7 +233,7 @@ class TestPgdRecover:
         x = gen_signal(model, 1)
         inst = sample_instance(MatrixKind.GAUSSIAN, 0.0, 300, 20, seed=2)
         y = measure(inst, make_sign(), x)
-        eta = default_step_size(Family.ONE_BIT_GAUSSIAN)
+        eta = np.sqrt(np.pi / 2)
         config = PgdConfig(eta=eta, iterations=100)
         res = pgd_recover(config, model, make_sign(), inst, y, random_in_model(model, seed=3), truth=x)
         assert np.linalg.norm(res.estimate - x) < 0.35
@@ -248,8 +246,7 @@ class TestPgdRecover:
         x = gen_signal(model, 4)
         inst = sample_instance(MatrixKind.RADEMACHER, lam, 400, 20, seed=5)
         y = measure(inst, make_sign(), x)
-        eta = default_step_size(Family.DITHERED_ONE_BIT, lam=lam)
-        res = pgd_recover(PgdConfig(eta=eta, iterations=100), model, make_sign(), inst, y, np.zeros(20), truth=x)
+        res = pgd_recover(PgdConfig(eta=lam, iterations=100), model, make_sign(), inst, y, np.zeros(20), truth=x)
         assert np.linalg.norm(res.estimate - x) < 0.35
 
     def test_deterministic(self):
@@ -327,7 +324,7 @@ class TestPgdRecover:
 def _stopping_case(name, seed, iterations):
     """A small recovery problem of each family and structure: (config, model, spec, instance, y, start, truth)."""
     sign, fine = make_sign(), make_saturated(5.0 / 32, 32)
-    eta = default_step_size(Family.ONE_BIT_GAUSSIAN)
+    eta = np.sqrt(np.pi / 2)
     sphere, ball = SignalModel(Sparse(k=2, n=20), 1.0, 1.0), SignalModel(Sparse(k=2, n=20), 0.0, 1.0)
     model, spec, kind, dither, m, step = {
         "one_bit_gaussian": (sphere, sign, MatrixKind.GAUSSIAN, 0.0, 200, eta),
@@ -431,23 +428,6 @@ class TestStoppingRule:
         assert res.errors.tobytes() == errors.tobytes()
 
 
-class TestDefaultStepSize:
-    def test_frozen_values(self):
-        assert default_step_size(Family.ONE_BIT_GAUSSIAN) == pytest.approx(np.sqrt(np.pi / 2))
-        assert default_step_size(Family.DITHERED_ONE_BIT, lam=2.5) == 2.5
-        assert default_step_size(Family.DITHERED_MULTI_BIT) == 1.0
-
-    def test_dither_level_required(self):
-        with pytest.raises(ValueError):
-            default_step_size(Family.DITHERED_ONE_BIT)
-        with pytest.raises(ValueError):
-            default_step_size(Family.DITHERED_ONE_BIT, lam=-1.0)
-        with pytest.raises(ValueError, match="lam must be a number"):
-            default_step_size(Family.DITHERED_ONE_BIT, lam="1.5")
-        with pytest.raises(ValueError, match="lam must be a number"):
-            default_step_size(Family.DITHERED_ONE_BIT, lam=True)
-
-
 class TestRaicResidual:
     def test_zero_when_points_coincide(self):
         model = SignalModel(Sparse(k=2, n=10), 1.0, 1.0)
@@ -530,7 +510,7 @@ class TestPgdVsBruteForce:
         spec = make_sign()
         net = enumerate_net(model, r=0.05)
         assert net.shape == (8316, n)
-        eta = default_step_size(Family.ONE_BIT_GAUSSIAN)
+        eta = np.sqrt(np.pi / 2)
         wins = 0
         for t in range(trials):
             x = gen_signal(model, derive_seed(2026, "net-vs-pgd", t, "signal"))

@@ -233,6 +233,12 @@ class TestGenSignal:
         with pytest.raises(ValueError, match=r"exceeds sqrt\(n\)"):
             gen_signal(sphere(L1Ball(radius=radius, n=10)), 0)
 
+    @pytest.mark.parametrize("radius", [0.5, 0.99, 1 - 2**-53])
+    def test_l1ball_radius_below_one_rejected(self, radius):
+        # every unit vector has an l1 norm of at least 1
+        with pytest.raises(ValueError, match="is below 1"):
+            gen_signal(sphere(L1Ball(radius=radius, n=10)), 0)
+
     def test_magnitude_formula(self):
         a, b = l1ball_magnitudes(1.0, 4, 1)
         assert a == 1.0 and b == 0.0
