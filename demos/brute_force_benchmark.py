@@ -14,14 +14,13 @@ import numpy as np
 from quantcs import (
     ExperimentPlan,
     Family,
-    PgdConfig,
     SignalModel,
     Sparse,
     draw_trial,
     enumerate_net,
     family_setup,
     hdm_decode,
-    pgd_recover,
+    run_trial,
 )
 
 n, k, m, trials, radius = 6, 1, 200, 50, 0.05
@@ -33,13 +32,12 @@ def main():
     print(f"exact net with {len(net)} candidates (covering radius {radius})")
 
     plan = ExperimentPlan(Family.ONE_BIT_GAUSSIAN, model, (m,), trials=trials, master_seed=23)
-    setup = family_setup(plan)
-    config = PgdConfig(eta=setup.eta, iterations=plan.iterations)
+    spec = family_setup(plan).spec
     pgd_errs, hdm_errs, agree = [], [], 0
     for t in range(trials):
-        x, inst, y, start = draw_trial(plan, 0, t)
-        ref = net[hdm_decode(net, setup.spec, inst, y).index]
-        est = pgd_recover(config, model, setup.spec, inst, y, start).estimate
+        x, inst, y, _ = draw_trial(plan, 0, t)
+        ref = net[hdm_decode(net, spec, inst, y).index]
+        est = run_trial(plan, 0, t).estimate
         pgd_errs.append(np.linalg.norm(est - x))
         hdm_errs.append(np.linalg.norm(ref - x))
         agree += int(np.linalg.norm(est - ref) < 0.1)

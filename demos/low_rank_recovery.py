@@ -9,7 +9,7 @@ plan, and prints the error alongside the spectrum of the estimate.
 
 import numpy as np
 
-from quantcs import ExperimentPlan, Family, LowRank, PgdConfig, SignalModel, draw_trial, family_setup, pgd_recover
+from quantcs import ExperimentPlan, Family, LowRank, SignalModel, draw_trial, run_trial
 
 n1 = n2 = 16
 rank, m = 2, 2000
@@ -18,13 +18,11 @@ rank, m = 2, 2000
 def main():
     model = SignalModel(LowRank(r=rank, n1=n1, n2=n2), alpha=1.0, beta=1.0)
     plan = ExperimentPlan(Family.ONE_BIT_GAUSSIAN, model, (m,), trials=1, master_seed=19)
-    x, inst, y, start = draw_trial(plan, 0, 0)
+    x = draw_trial(plan, 0, 0)[0]
     print("true singular values:",
           np.round(np.linalg.svd(x.reshape(n1, n2), compute_uv=False)[:4], 4))
 
-    setup = family_setup(plan)
-    config = PgdConfig(eta=setup.eta, iterations=plan.iterations)
-    est = pgd_recover(config, model, setup.spec, inst, y, start).estimate
+    est = run_trial(plan, 0, 0).estimate
     print("estimate singular values:",
           np.round(np.linalg.svd(est.reshape(n1, n2), compute_uv=False)[:4], 4))
     print(f"l2 error {np.linalg.norm(est - x):.5f} from {m} one-bit measurements "

@@ -9,7 +9,7 @@ quantization-limited error floor.
 
 import numpy as np
 
-from quantcs import ExperimentPlan, Family, PgdConfig, SignalModel, Sparse, draw_trial, family_setup, pgd_recover
+from quantcs import ExperimentPlan, Family, SignalModel, Sparse, draw_trial, run_trial
 
 n, k, m, iterations = 200, 3, 1000, 60
 
@@ -17,12 +17,11 @@ n, k, m, iterations = 200, 3, 1000, 60
 def main():
     model = SignalModel(Sparse(k=k, n=n), alpha=1.0, beta=1.0)
     plan = ExperimentPlan(Family.ONE_BIT_GAUSSIAN, model, (m,), trials=1, iterations=iterations, master_seed=7)
-    x, inst, y, start = draw_trial(plan, 0, 0)
+    x, _, y, _ = draw_trial(plan, 0, 0)
     print("true support:", np.flatnonzero(x), "values:", np.round(x[np.flatnonzero(x)], 4))
     print(f"measured {m} bits, {np.mean(y > 0):.1%} positive")
 
-    setup = family_setup(plan)
-    res = pgd_recover(PgdConfig(eta=setup.eta, iterations=iterations), model, setup.spec, inst, y, start, truth=x)
+    res = run_trial(plan, 0, 0)
     for t in range(0, iterations, 6):
         print(f"iter {t + 1:3d}  error {res.errors[t]:.5f}")
 

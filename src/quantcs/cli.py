@@ -74,11 +74,11 @@ def _cmd_recover(args) -> int:
         iterations=args.iters,
         master_seed=args.seed,
     )
-    record = run_trial(plan, 0, 0)
+    errors = run_trial(plan, 0, 0).errors
     print("iter,error")
-    for t, err in enumerate(record.per_iterate_errors, start=1):
+    for t, err in enumerate(errors, start=1):
         print(f"{t},{err:.12g}")
-    print(f"final,{record.final_error:.12g}")
+    print(f"final,{errors[-1]:.12g}")
     return 0
 
 

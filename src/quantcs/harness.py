@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .pgd import ERRORS_CAP, PgdConfig, pgd_recover
+from .pgd import ERRORS_CAP, PgdConfig, PgdResult, pgd_recover
 from .quantizers import QuantizerSpec, make_saturated, make_sign
 from .rng import derive_seed
 from .sensing import MatrixKind, SensingInstance, corrupt, measure, sample_instance
@@ -142,14 +142,9 @@ class ExperimentPlan:
             raise ValueError(f"stored errors {errors} (len(m_grid)*trials*iterations) exceed the cap {ERRORS_CAP}")
 
 
-@dataclass(frozen=True, eq=False)
-class TrialRecord:
+class TrialRecord(NamedTuple):
     m: int
-    per_iterate_errors: np.ndarray
-
-    @property
-    def final_error(self) -> float:
-        return float(self.per_iterate_errors[-1])
+    final_error: float
 
 
 class CellStats(NamedTuple):
@@ -221,17 +216,16 @@ def draw_trial(
     return x, inst, y, start
 
 
-def run_trial(plan: ExperimentPlan, cell: int, trial: int, workspace: np.ndarray | None = None) -> TrialRecord:
-    """Recover trial ``trial`` of grid cell ``cell`` by PGD from its ``draw_trial``.
+def run_trial(plan: ExperimentPlan, cell: int, trial: int, workspace: np.ndarray | None = None) -> PgdResult:
+    """PGD's result on ``draw_trial(plan, cell, trial, workspace)``, with ``errors`` to its ``x``.
 
-    The record keeps nothing of the instance, so the caller may draw the next
+    The result holds no view of the instance, so the caller may draw the next
     trial into the same ``workspace`` once this one returns.
     """
     x, inst, y, start = draw_trial(plan, cell, trial, workspace)
     setup = family_setup(plan)
     config = PgdConfig(eta=setup.eta, iterations=plan.iterations)
-    res = pgd_recover(config, plan.model, setup.spec, inst, y, start, truth=x)
-    return TrialRecord(m=plan.m_grid[cell], per_iterate_errors=res.errors)
+    return pgd_recover(config, plan.model, setup.spec, inst, y, start, truth=x)
 
 
 def _mapped(entries: int, dtype: np.dtype) -> np.ndarray:
@@ -261,17 +255,20 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> ExperimentResult:
     tasks = [(ci, ti) for ci in range(len(plan.m_grid)) for ti in range(plan.trials)]
     entries = plan.m_grid[-1] * plan.model.ambient_dim  # the grid increases strictly
     dtype = family_setup(plan).matrix_kind.dtype
+    local = threading.local()
+
+    def allocate():
+        local.workspace = _mapped(entries, dtype)
+
+    def record(task: tuple[int, int]) -> TrialRecord:
+        return TrialRecord(plan.m_grid[task[0]], float(run_trial(plan, *task, local.workspace).errors[-1]))
+
     if threads == 1:
-        workspace = _mapped(entries, dtype)
-        records = [run_trial(plan, ci, ti, workspace) for ci, ti in tasks]
+        allocate()
+        records = list(map(record, tasks))
     else:
-        local = threading.local()
-
-        def allocate():
-            local.workspace = _mapped(entries, dtype)
-
         with ThreadPoolExecutor(max_workers=threads, initializer=allocate) as pool:
-            records = list(pool.map(lambda t: run_trial(plan, *t, local.workspace), tasks))
+            records = list(pool.map(record, tasks))
     cells = []
     for ci, m in enumerate(plan.m_grid):
         errs = np.array([r.final_error for r in records[ci * plan.trials : (ci + 1) * plan.trials]])

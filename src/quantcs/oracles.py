@@ -17,7 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from .quantizers import QuantizerSpec, quantize_vec
-from .sensing import MatrixKind, SensingInstance, _block_rows, instance_rows
+from .sensing import MatrixKind, SensingInstance, _block_rows, instance_rows, measure
 from .signals import SignalModel, Sparse, UnsupportedModelError, check_int, check_real
 
 __all__ = [
@@ -115,8 +115,9 @@ def estimate_puv(
     ``[-dither, dither]``, the rows of ``sample_instance(matrix_kind, dither,
     samples, n, seed)``, and reports the disagreement frequency with its
     binomial standard error.  The rows come in the blocks of ``_row_blocks(samples,
-    _block_rows(n))``, drawn into one buffer, and the disagreements are summed
-    per block.  On one BLAS thread the count is that of the one-shot instance
+    _block_rows(n))``, drawn into one buffer, and the disagreements of
+    ``measure(block, spec, u)`` and ``measure(block, spec, v)`` are summed per
+    block.  On one BLAS thread the count is that of the one-shot instance
     bit for bit.  On two OpenBLAS threads, 15 of about 4.2e6 block rows have
     had a product whose last bit differs from the one-shot ``A @ u``, so
     there the counts agree only while no such row falls on a threshold.
@@ -129,9 +130,7 @@ def estimate_puv(
         raise ValueError("samples must be >= 1")
     count = 0
     for block in instance_rows(matrix_kind, dither, samples, u.size, seed, _block_rows(u.size)):
-        qu = quantize_vec(spec, block.matrix @ u - block.dither)
-        qv = quantize_vec(spec, block.matrix @ v - block.dither)
-        count += int(np.count_nonzero(qu != qv))
+        count += int(np.count_nonzero(measure(block, spec, u) != measure(block, spec, v)))
     p_hat = count / samples
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / samples)
     return PuvEstimate(p_hat=p_hat, stderr=stderr)

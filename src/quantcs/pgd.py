@@ -48,7 +48,8 @@ __all__ = [
 
 # largest admissible count of stored per-iterate errors: 1 GiB of float64.  A
 # run with a ground truth keeps one error per iteration, so this caps the
-# iterations of a run, and the harness caps a plan's records by it
+# iterations of a run, and the harness caps by it the errors a plan's trials
+# compute, len(m_grid) * trials * iterations, of which a run keeps the last ones
 ERRORS_CAP = 2**27
 
 

@@ -233,8 +233,8 @@ def gen_signal(model: SignalModel, seed: int) -> np.ndarray:
     L1Ball: the two-valued construction with ``c`` large entries,
     ``c ~ U{1..ceil(0.6 k)}`` resampled while infeasible, where
     ``k = radius * radius`` in floating point: radius ``sqrt(10)`` gives
-    ``k = 10.000000000000002`` and ``c`` up to 7, not 6.  It has unit l2
-    norm and l1 norm exactly ``radius``.
+    ``k = 10.000000000000002`` and ``c`` up to 7, not 6.  It has l1 norm
+    exactly ``radius`` and unit l2 norm, so ``[alpha, beta]`` must hold 1.
     """
     rng = stream(seed, "signal")
     s = model.structure
@@ -255,6 +255,8 @@ def gen_signal(model: SignalModel, seed: int) -> np.ndarray:
             raise ValueError(f"l1 radius {s.radius} exceeds sqrt(n) = {math.sqrt(s.n):.6g}: no unit vector has that l1 norm")
         if s.radius < 1:
             raise ValueError(f"l1 radius {s.radius} is below 1: no unit vector has that l1 norm")
+        if not model.alpha <= 1.0 <= model.beta:
+            raise ValueError(f"the l1-ball draw has unit l2 norm, outside the model's [{model.alpha}, {model.beta}]")
         cmax = max(1, math.ceil(0.6 * k))
         for _ in range(1000):
             c = int(rng.integers(1, cmax + 1))

@@ -3,8 +3,9 @@
 Each test prints a single summary line with the measured numbers (visible
 under ``pytest -s``) and fails if a stated tolerance is violated. All the
 experiment-backed checks run at one fixed master seed, so every number
-below is reproducible bit for bit. The file took about 130 s on a two-core
-VM (Python 3.11, NumPy 2.4 with OpenBLAS); the slope fits need many trials
+below is reproducible bit for bit. The file took about 90 s on a two-core
+x86-64 VM (Python 3.11, NumPy 2.4 with OpenBLAS 0.3.31 at its default
+thread count), 57 s of it criterion 05; the slope fits need many trials
 because cell means inherit the heavy upper tail of the per-trial error
 distribution.
 """

@@ -17,6 +17,7 @@ from quantcs import (
     PgdConfig,
     SignalModel,
     Sparse,
+    TrialRecord,
     corrupt,
     derive_seed,
     draw_trial,
@@ -272,7 +273,9 @@ class TestFamilySetup:
         assert np.shares_memory(dinst.matrix, workspace)
         config = PgdConfig(eta=setup.eta, iterations=plan.iterations)
         by_hand = pgd_recover(config, plan.model, setup.spec, inst, y, u, truth=x)
-        assert run_trial(plan, 0, 0).per_iterate_errors.tobytes() == by_hand.errors.tobytes()
+        res = run_trial(plan, 0, 0)
+        for got, want in ((res.estimate, by_hand.estimate), (res.errors, by_hand.errors)):
+            assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_delta_rule_validation(self):
         def multi_bit(**overrides):
@@ -298,8 +301,13 @@ def csv_rows(plan, tmp_path):
 
 class TestRunExperiment:
     def test_mean_matches_trial_errors(self):
-        res = run_experiment(tiny_plan())
+        plan = tiny_plan()
+        res = run_experiment(plan)
         assert len(res.records) == 6 and len(res.cells) == 2
+        for i, r in enumerate(res.records):
+            # a record is its trial's (m, final error), two Python numbers and no array
+            assert type(r) is TrialRecord and r == (plan.m_grid[i // 3], run_trial(plan, i // 3, i % 3).errors[-1])
+            assert type(r.m) is int and type(r.final_error) is float
         for ci, cell in enumerate(res.cells):
             errs = [r.final_error for r in res.records[ci * 3 : (ci + 1) * 3]]
             assert cell.mean_err == pytest.approx(np.mean(errs), abs=1e-12)
@@ -310,11 +318,12 @@ class TestRunExperiment:
         plan = tiny_plan()
         serial = run_experiment(plan, threads=1)
         threaded = run_experiment(plan, threads=3)
-        by_index = [run_trial(plan, ci, ti) for ci in range(2) for ti in range(3)]
-        for a, b, c in zip(serial.records, threaded.records, by_index, strict=True):
-            assert a.m == b.m == c.m
-            assert a.per_iterate_errors.tobytes() == b.per_iterate_errors.tobytes() == c.per_iterate_errors.tobytes()
+        indices = [(ci, ti) for ci in range(2) for ti in range(3)]
+        by_index = [run_trial(plan, *i).errors for i in indices]
+        assert serial.records == threaded.records == [(plan.m_grid[i[0]], e[-1]) for i, e in zip(indices, by_index)]
         assert serial.cells == threaded.cells
+        # a trial's per-iterate errors repeat bit for bit
+        assert [run_trial(plan, *i).errors.tobytes() for i in indices] == [e.tobytes() for e in by_index]
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_trials_draw_into_one_buffer_per_worker(self, monkeypatch, threads):
@@ -330,8 +339,7 @@ class TestRunExperiment:
         monkeypatch.setattr("quantcs.harness.sample_instance", spy)
         res = run_experiment(plan, threads=threads)
         assert len(addresses) == 12 and len(set(addresses)) <= threads
-        for a, b in zip(res.records, fresh, strict=True):
-            assert a.per_iterate_errors.tobytes() == b.per_iterate_errors.tobytes()
+        assert [r.final_error for r in res.records] == [f.errors[-1] for f in fresh]
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_workspace_is_a_mapping_released_on_return(self, monkeypatch, threads):
@@ -351,8 +359,7 @@ class TestRunExperiment:
         res = run_experiment(plan, threads=threads)
         assert 1 <= len(mappings) <= threads
         assert all(ref() is None for ref in mappings)
-        for a, b in zip(res.records, fresh, strict=True):
-            assert a.per_iterate_errors.tobytes() == b.per_iterate_errors.tobytes()
+        assert [r.final_error for r in res.records] == [f.errors[-1] for f in fresh]
 
     @pytest.mark.parametrize("family, dtype", [(Family.ONE_BIT_GAUSSIAN, np.float64), (Family.DITHERED_ONE_BIT, np.int8)])
     def test_workspace_dtype_follows_matrix_kind(self, monkeypatch, family, dtype):
@@ -390,10 +397,11 @@ class TestRunExperiment:
                 run_experiment(plan, threads=threads)
 
     def test_trajectory_lengths(self):
-        res = run_experiment(tiny_plan(trials=1))
-        for r in res.records:
-            assert r.per_iterate_errors.shape == (10,)
-            assert r.per_iterate_errors[-1] == r.final_error
+        plan = tiny_plan(trials=1)
+        for ci, r in enumerate(run_experiment(plan).records):
+            errors = run_trial(plan, ci, 0).errors
+            assert errors.shape == (10,)
+            assert errors[-1] == r.final_error
 
     def test_l1ball_group_key_uses_squared_radius(self, tmp_path):
         plan = ExperimentPlan(

@@ -239,6 +239,16 @@ class TestGenSignal:
         with pytest.raises(ValueError, match="is below 1"):
             gen_signal(sphere(L1Ball(radius=radius, n=10)), 0)
 
+    @pytest.mark.parametrize("alpha, beta", [(2.0, 2.0), (0.0, 0.5), (0.5, 2.0)])
+    def test_l1ball_norm_range_must_hold_one(self, alpha, beta):
+        # the l1-ball draw has unit l2 norm whatever the model's norm range, so the range must hold 1
+        model = SignalModel(L1Ball(radius=np.sqrt(10), n=300), alpha, beta)
+        if alpha <= 1.0 <= beta:
+            assert gen_signal(model, 1).tobytes() == gen_signal(sphere(model.structure), 1).tobytes()
+        else:
+            with pytest.raises(ValueError, match="unit l2 norm"):
+                gen_signal(model, 1)
+
     def test_magnitude_formula(self):
         a, b = l1ball_magnitudes(1.0, 4, 1)
         assert a == 1.0 and b == 0.0
