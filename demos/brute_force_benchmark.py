@@ -35,9 +35,9 @@ def main():
     spec = family_setup(plan).spec
     pgd_errs, hdm_errs, agree = [], [], 0
     for t in range(trials):
-        x, inst, y, _ = draw_trial(plan, 0, t)
+        x, inst, y, start = draw_trial(plan, 0, t)
         ref = net[hdm_decode(net, spec, inst, y).index]
-        est = run_trial(plan, 0, t).estimate
+        est = run_trial(plan, x, inst, y, start).estimate
         pgd_errs.append(np.linalg.norm(est - x))
         hdm_errs.append(np.linalg.norm(ref - x))
         agree += int(np.linalg.norm(est - ref) < 0.1)

@@ -17,11 +17,11 @@ n, k, m, iterations = 200, 3, 1000, 60
 def main():
     model = SignalModel(Sparse(k=k, n=n), alpha=1.0, beta=1.0)
     plan = ExperimentPlan(Family.ONE_BIT_GAUSSIAN, model, (m,), trials=1, iterations=iterations, master_seed=7)
-    x, _, y, _ = draw_trial(plan, 0, 0)
+    x, inst, y, start = draw_trial(plan, 0, 0)
     print("true support:", np.flatnonzero(x), "values:", np.round(x[np.flatnonzero(x)], 4))
     print(f"measured {m} bits, {np.mean(y > 0):.1%} positive")
 
-    res = run_trial(plan, 0, 0)
+    res = run_trial(plan, x, inst, y, start)
     for t in range(0, iterations, 6):
         print(f"iter {t + 1:3d}  error {res.errors[t]:.5f}")
 

@@ -19,6 +19,7 @@ from .harness import (
     THREADS_CAP,
     ExperimentPlan,
     Family,
+    draw_trial,
     emit_csv,
     emit_svg_loglog,
     plan_from_json,
@@ -74,7 +75,7 @@ def _cmd_recover(args) -> int:
         iterations=args.iters,
         master_seed=args.seed,
     )
-    errors = run_trial(plan, 0, 0).errors
+    errors = run_trial(plan, *draw_trial(plan, 0, 0)).errors
     print("iter,error")
     for t, err in enumerate(errors, start=1):
         print(f"{t},{err:.12g}")

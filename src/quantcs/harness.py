@@ -99,6 +99,8 @@ class ExperimentPlan:
         object.__setattr__(self, "m_grid", grid)
         if check_int(self.trials, "trials") < 1 or check_int(self.iterations, "iterations") < 1:
             raise ValueError("trials and iterations must be >= 1")
+        if self.iterations > ERRORS_CAP:  # PgdConfig's bound, checked before any draw
+            raise ValueError(f"iterations = {self.iterations} exceeds the cap {ERRORS_CAP}")
         if not -(2**127) <= check_int(self.master_seed, "master_seed") < 2**127:
             raise ValueError(f"master_seed must lie in [-2**127, 2**127), got {self.master_seed}")
         if not 0.0 <= check_real(self.corruption_zeta, "corruption_zeta") <= 1.0:
@@ -137,9 +139,9 @@ class ExperimentPlan:
         cost = sum(m * n * self.trials * self.iterations for m in grid)
         if cost > PLAN_COST_CAP:
             raise ValueError(f"plan cost {cost} (sum of m*n*trials*iterations) exceeds the cap {PLAN_COST_CAP}")
-        errors = len(grid) * self.trials * self.iterations
+        errors = len(grid) * self.trials  # a run keeps one final error per trial
         if errors > ERRORS_CAP:
-            raise ValueError(f"stored errors {errors} (len(m_grid)*trials*iterations) exceed the cap {ERRORS_CAP}")
+            raise ValueError(f"stored errors {errors} (len(m_grid)*trials) exceed the cap {ERRORS_CAP}")
 
 
 class TrialRecord(NamedTuple):
@@ -216,21 +218,15 @@ def draw_trial(
     return x, inst, y, start
 
 
-def run_trial(plan: ExperimentPlan, cell: int, trial: int, workspace: np.ndarray | None = None) -> PgdResult:
-    """PGD's result on ``draw_trial(plan, cell, trial, workspace)``, with ``errors`` to its ``x``.
+def run_trial(plan: ExperimentPlan, x: np.ndarray, instance: SensingInstance, y: np.ndarray, start: np.ndarray) -> PgdResult:
+    """PGD's result on the trial ``draw_trial`` returned, at the family's step size, with ``errors`` to ``x``.
 
-    The result holds no view of the instance, so the caller may draw the next
-    trial into the same ``workspace`` once this one returns.
+    It draws nothing, and the result holds no view of ``instance``, so the
+    caller may draw the next trial into the same workspace.
     """
-    x, inst, y, start = draw_trial(plan, cell, trial, workspace)
     setup = family_setup(plan)
     config = PgdConfig(eta=setup.eta, iterations=plan.iterations)
-    return pgd_recover(config, plan.model, setup.spec, inst, y, start, truth=x)
-
-
-def _mapped(entries: int, dtype: np.dtype) -> np.ndarray:
-    """A writeable array of ``entries`` zeros of ``dtype`` over a new anonymous mapping, unmapped with its last view."""
-    return np.frombuffer(mmap.mmap(-1, entries * dtype.itemsize), dtype=dtype)
+    return pgd_recover(config, plan.model, setup.spec, instance, y, start, truth=x)
 
 
 def run_experiment(plan: ExperimentPlan, threads: int = 1) -> ExperimentResult:
@@ -258,10 +254,10 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> ExperimentResult:
     local = threading.local()
 
     def allocate():
-        local.workspace = _mapped(entries, dtype)
+        local.workspace = np.frombuffer(mmap.mmap(-1, entries * dtype.itemsize), dtype=dtype)
 
     def record(task: tuple[int, int]) -> TrialRecord:
-        return TrialRecord(plan.m_grid[task[0]], float(run_trial(plan, *task, local.workspace).errors[-1]))
+        return TrialRecord(plan.m_grid[task[0]], float(run_trial(plan, *draw_trial(plan, *task, local.workspace)).errors[-1]))
 
     if threads == 1:
         allocate()

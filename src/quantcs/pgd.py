@@ -6,10 +6,10 @@ With measurements ``y_i = Q(<a_i, x> - tau_i)`` the loss at ``u`` is
 
 where ``b_j`` are the quantizer thresholds and ``y_ij`` is the sign of
 ``<a_i, x> - tau_i - b_j`` implied by ``y_i``.  Its subgradient collapses to
-``(1/m) A^T d`` with ``d = Q(Au - tau) - y``.  Only the support columns of
-``u`` and the rows where ``d`` is nonzero enter it, so one iteration costs
-``O(m nnz(u) + nnz(d) n)`` when those are few and two dense matrix-vector
-products ``O(mn)`` otherwise; the recovery iteration alternates a gradient
+``(1/m) A^T d`` with ``d = Q(Au - tau) - y``.  Its products (``sensing._forward``
+and ``_adjoint``) take only the support columns of ``u`` and the rows where
+``d`` is nonzero, so one iteration costs ``O(m nnz(u) + nnz(d) n)`` when those
+are few and ``O(mn)`` otherwise; the recovery iteration alternates a gradient
 step with the two-stage model projection.  On the sphere with the sign
 quantizer this is exactly normalized binary iterative hard thresholding.
 
@@ -21,9 +21,10 @@ then a replay, so the per-iterate errors are copied forward and a few more
 steps land on the final iterate: the outputs are those of the full loop, bit
 for bit, and the check keeps two extra iterates in memory.
 
-This module is the solver alone: the loss value and the other forms of its
-gradient that cross-check this one live in ``quantcs.verify``, and each
-family's step size and start in ``quantcs.harness``.
+This module is the solver alone: the matrix products live in
+``quantcs.sensing``, the loss value and the other forms of its gradient that
+cross-check this one in ``quantcs.verify``, and each family's step size and
+start in ``quantcs.harness``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quantizers import QuantizerSpec, quantize_vec
-from .sensing import _BLOCK_ENTRIES, SensingInstance, _matvec
+from .sensing import SensingInstance, _adjoint, _forward
 from .signals import SignalModel, check_int, check_real, project_model
 
 __all__ = [
@@ -46,10 +47,10 @@ __all__ = [
 ]
 
 
-# largest admissible count of stored per-iterate errors: 1 GiB of float64.  A
-# run with a ground truth keeps one error per iteration, so this caps the
-# iterations of a run, and the harness caps by it the errors a plan's trials
-# compute, len(m_grid) * trials * iterations, of which a run keeps the last ones
+# largest admissible count of stored errors: 1 GiB of float64.  A run with a
+# ground truth keeps one error per iteration, so this caps the iterations of a
+# run; the harness caps by it the final errors a plan's run keeps, one per
+# trial, len(m_grid) * trials
 ERRORS_CAP = 2**27
 
 
@@ -77,48 +78,6 @@ class PgdResult:
 
     estimate: np.ndarray
     errors: np.ndarray | None = None
-
-
-# Gather the support columns of u when at most 1/_SPARSE_U of u is nonzero, and
-# the nonzero rows of d when at most 1/_SPARSE_D of d is; at 4800 x 500 on one
-# BLAS thread the gathers beat the dense products below about 5% and 30%.
-_SPARSE_U = 20
-_SPARSE_D = 4
-
-
-def _forward(matrix: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``matrix @ u``, through the support columns alone when ``u`` is sparse.
-
-    The gathered columns of a one-byte matrix are cast to float64 whole (at
-    most ``m * n / _SPARSE_U`` entries); the dense product goes by ``_matvec``.
-    """
-    supp = np.flatnonzero(u)
-    if supp.size * _SPARSE_U > u.size:
-        return _matvec(matrix, u)
-    return matrix[:, supp] @ u[supp]
-
-
-def _adjoint(matrix: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """``matrix.T @ d`` summed in a fixed order over blocks of rows.
-
-    The blocks cover the nonzero rows of ``d`` alone when they are few, and
-    all rows in contiguous slices otherwise.  A block of ``_BLOCK_ENTRIES``
-    entries (1 MB of float64) is too small for OpenBLAS to split over
-    threads, so the fixed block order makes ``A^T d`` bitwise the same for
-    every BLAS thread count; it also bounds the float64 cast of a one-byte
-    matrix's block.
-    """
-    m, n = matrix.shape
-    step = max(1, _BLOCK_ENTRIES // n)
-    rows = np.flatnonzero(d)
-    if rows.size * _SPARSE_D > m:
-        blocks = (slice(i, i + step) for i in range(0, m, step))
-    else:
-        blocks = (rows[i : i + step] for i in range(0, rows.size, step))
-    g = np.zeros(n)
-    for b in blocks:
-        g += d[b] @ matrix[b]
-    return g
 
 
 def gradient(spec: QuantizerSpec, instance: SensingInstance, y, u) -> np.ndarray:

@@ -39,10 +39,11 @@ from itertools import combinations
 import numpy as np
 
 from .oracles import enumerate_net, estimate_puv, geodesic_puv, hdm_decode
-from .pgd import _SPARSE_D, _SPARSE_U, PgdConfig, _adjoint, _forward, gradient, pgd_recover
+from .pgd import PgdConfig, gradient, pgd_recover
 from .quantizers import QuantizerSpec, level_index, make_saturated, make_sign, quantize_vec
 from .rng import derive_seed, stream
-from .sensing import _BLOCK_ENTRIES, _CHUNK, MatrixKind, SensingInstance, _block_rows, _matvec, measure, sample_instance
+from .sensing import _BLOCK_ENTRIES, _CHUNK, _SPARSE_D, _SPARSE_U, MatrixKind, SensingInstance, _adjoint, _block_rows
+from .sensing import _forward, _matvec, measure, sample_instance
 from .signals import (
     L1Ball,
     LowRank,
@@ -671,7 +672,9 @@ def gradient_suite() -> list[Check]:
     # gradient and its two products on every path must give the bits of its
     # float64 copy (a product's last bit seldom moves a quantized value, so
     # the products are compared too).  m * n exceeds _BLOCK_ENTRIES, so the
-    # dense forward product takes several blocks
+    # dense forward product takes several blocks; a 12-sparse iterate takes
+    # the gathered forward product past 3 columns, where numpy's mixed
+    # int8 x float64 product would sum in another order
     rng = stream(SEED, "verify", "gradient", "one_byte")
     spec = make_sign()
     m, n = 1200, 300
@@ -682,8 +685,10 @@ def gradient_suite() -> list[Check]:
     ys, yd = measure(inst, spec, xs), measure(inst, spec, xd)
     differ = (ys.tobytes() != measure(copy, spec, xs).tobytes()) + (yd.tobytes() != measure(copy, spec, xd).tobytes())
     near_s, near_d = xs * (1.0 + 0.05 * rng.standard_normal(n)), xd + 1e-3 * rng.standard_normal(n)
+    xw = gen_signal(SignalModel(Sparse(k=12, n=n), alpha=1.0, beta=1.0), int(rng.integers(0, 2**32)))
+    cases = [(near_s, ys), (-xs, ys), (near_d, yd), (-xd, yd), (xw, ys), (-xw, yd)]
     paths = set()
-    for u, y in [(near_s, ys), (-xs, ys), (near_d, yd), (-xd, yd)]:
+    for u, y in cases:
         d = quantize_vec(spec, _forward(copy.matrix, u) - copy.dither) - y
         differ += _forward(inst.matrix, u).tobytes() != _forward(copy.matrix, u).tobytes()
         differ += _adjoint(inst.matrix, d).tobytes() != _adjoint(copy.matrix, d).tobytes()
@@ -693,7 +698,7 @@ def gradient_suite() -> list[Check]:
         Check(
             "one_byte_matrix_matches_float64",
             differ == 0 and len(paths) == 4 and inst.matrix.dtype == np.int8,
-            f"{differ} of 14 measure, product and gradient calls differ, bitwise, between the int8 matrix "
+            f"{differ} of {2 + 3 * len(cases)} measure, product and gradient calls differ, bitwise, between the int8 matrix "
             f"and its float64 copy; {len(paths)} of 4 product paths, {-(-m // _block_rows(n))} blocks per dense forward product",
         )
     )

@@ -62,11 +62,11 @@ class TestRun:
     def test_stored_errors_cap_exits_2(self, tmp_path, capsys):
         config = tmp_path / "plan.json"
         plan = {**json.loads(tiny_plan_json()), "model": {"structure": "sparse", "n": 1, "k": 1, "alpha": 1.0, "beta": 1.0}}
-        config.write_text(json.dumps({**plan, "m_grid": [1], "trials": 2, "iterations": ERRORS_CAP // 2 + 1}))
+        config.write_text(json.dumps({**plan, "m_grid": [1], "trials": ERRORS_CAP + 1, "iterations": 1}))
         out = tmp_path / "x.csv"
         assert main(["run", "--config", str(config), "--out", str(out)]) == 2
         (line,) = capsys.readouterr().err.splitlines()
-        assert line == f"error: stored errors {ERRORS_CAP + 2} (len(m_grid)*trials*iterations) exceed the cap {ERRORS_CAP}"
+        assert line == f"error: stored errors {ERRORS_CAP + 1} (len(m_grid)*trials) exceed the cap {ERRORS_CAP}"
         assert not out.exists()
 
     def test_zero_mean_errors_plot_without_points(self, tmp_path, capsys):
@@ -273,11 +273,11 @@ class TestRecover:
         assert line.startswith("error: sensing matrix m x n = 1 x 100000000000 exceeds the cap")
 
     def test_huge_iteration_count_exits_2(self, capsys):
-        # m * n = 1 keeps the plan cost under its cap, so the stored errors must stop it
+        # m * n = 1 keeps the plan cost under its cap, so the iteration cap must stop it
         args = ["recover", "--family", "one_bit_gaussian", "--n", "1", "--k", "1", "--m", "1"]
         assert main(args + ["--iters", "400000000000"]) == 2
         (line,) = capsys.readouterr().err.splitlines()
-        assert line == f"error: stored errors 400000000000 (len(m_grid)*trials*iterations) exceed the cap {ERRORS_CAP}"
+        assert line == f"error: iterations = 400000000000 exceeds the cap {ERRORS_CAP}"
 
     def test_deterministic_for_fixed_seed(self, capsys):
         args = ["recover", "--family", "one_bit_gaussian", "--n", "15", "--k", "1", "--m", "40", "--iters", "5", "--seed", "3"]

@@ -118,19 +118,25 @@ class TestPlanValidation:
             tiny_plan(m_grid=(m,), iterations=iterations + 1)
 
     def test_stored_errors_cap(self):
-        # a run keeps len(m_grid) * trials * iterations errors; m * n = 1 keeps
-        # the cost cap from bounding them first
-        def plan(m_grid, iterations):
+        # a run keeps one final error per trial, len(m_grid) * trials, and a
+        # trial's PGD run one error per iteration; m * n = 1 keeps the cost
+        # cap from bounding them first
+        def plan(m_grid, trials, iterations=1):
             model = SignalModel(Sparse(k=1, n=1), 1.0, 1.0)
-            return ExperimentPlan(Family.ONE_BIT_GAUSSIAN, model, m_grid, trials=2, iterations=iterations)
+            return ExperimentPlan(Family.ONE_BIT_GAUSSIAN, model, m_grid, trials=trials, iterations=iterations)
 
-        assert plan((1,), ERRORS_CAP // 2).iterations == ERRORS_CAP // 2
+        assert plan((1,), 2**20, 200).trials == 2**20  # 2**20 finals, 200 errors a trial
+        assert plan((1,), ERRORS_CAP).trials == ERRORS_CAP
+        assert plan((1, 2), ERRORS_CAP // 2).trials == ERRORS_CAP // 2
+        with pytest.raises(ValueError, match=f"stored errors {ERRORS_CAP + 1} .* exceed the cap {ERRORS_CAP}"):
+            plan((1,), ERRORS_CAP + 1)
         with pytest.raises(ValueError, match=f"stored errors {ERRORS_CAP + 2} .* exceed the cap {ERRORS_CAP}"):
-            plan((1,), ERRORS_CAP // 2 + 1)
-        with pytest.raises(ValueError, match="stored errors .* exceed the cap"):
-            plan((1, 2), ERRORS_CAP // 4 + 1)
-        with pytest.raises(ValueError, match="stored errors .* exceed the cap"):
-            plan((1,), 400_000_000_000 // 2)
+            plan((1, 2), ERRORS_CAP // 2 + 1)
+        assert plan((1,), 2, ERRORS_CAP).iterations == ERRORS_CAP
+        with pytest.raises(ValueError, match=f"iterations = {ERRORS_CAP + 1} exceeds the cap {ERRORS_CAP}"):
+            plan((1,), 2, ERRORS_CAP + 1)
+        with pytest.raises(ValueError, match="iterations = 400000000000 exceeds the cap"):
+            plan((1,), 1, 400_000_000_000)
 
     def test_level_cap(self):
         # a quantizer stores L levels, so an over-cap L must fail before family_setup builds it
@@ -273,7 +279,7 @@ class TestFamilySetup:
         assert np.shares_memory(dinst.matrix, workspace)
         config = PgdConfig(eta=setup.eta, iterations=plan.iterations)
         by_hand = pgd_recover(config, plan.model, setup.spec, inst, y, u, truth=x)
-        res = run_trial(plan, 0, 0)
+        res = run_trial(plan, *draw_trial(plan, 0, 0))
         for got, want in ((res.estimate, by_hand.estimate), (res.errors, by_hand.errors)):
             assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -306,7 +312,7 @@ class TestRunExperiment:
         assert len(res.records) == 6 and len(res.cells) == 2
         for i, r in enumerate(res.records):
             # a record is its trial's (m, final error), two Python numbers and no array
-            assert type(r) is TrialRecord and r == (plan.m_grid[i // 3], run_trial(plan, i // 3, i % 3).errors[-1])
+            assert type(r) is TrialRecord and r == (plan.m_grid[i // 3], run_trial(plan, *draw_trial(plan, i // 3, i % 3)).errors[-1])
             assert type(r.m) is int and type(r.final_error) is float
         for ci, cell in enumerate(res.cells):
             errs = [r.final_error for r in res.records[ci * 3 : (ci + 1) * 3]]
@@ -319,16 +325,16 @@ class TestRunExperiment:
         serial = run_experiment(plan, threads=1)
         threaded = run_experiment(plan, threads=3)
         indices = [(ci, ti) for ci in range(2) for ti in range(3)]
-        by_index = [run_trial(plan, *i).errors for i in indices]
+        by_index = [run_trial(plan, *draw_trial(plan, *i)).errors for i in indices]
         assert serial.records == threaded.records == [(plan.m_grid[i[0]], e[-1]) for i, e in zip(indices, by_index)]
         assert serial.cells == threaded.cells
         # a trial's per-iterate errors repeat bit for bit
-        assert [run_trial(plan, *i).errors.tobytes() for i in indices] == [e.tobytes() for e in by_index]
+        assert [run_trial(plan, *draw_trial(plan, *i)).errors.tobytes() for i in indices] == [e.tobytes() for e in by_index]
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_trials_draw_into_one_buffer_per_worker(self, monkeypatch, threads):
         plan = tiny_plan(trials=4, m_grid=(30, 45, 60))
-        fresh = [run_trial(plan, ci, ti) for ci in range(3) for ti in range(4)]
+        fresh = [run_trial(plan, *draw_trial(plan, ci, ti)) for ci in range(3) for ti in range(4)]
         real, addresses = sample_instance, []
 
         def spy(*args, out=None):
@@ -345,7 +351,7 @@ class TestRunExperiment:
     def test_workspace_is_a_mapping_released_on_return(self, monkeypatch, threads):
         # each worker's buffer is its own anonymous mapping, unmapped once the run returns
         plan = tiny_plan(trials=4, m_grid=(30, 45, 60))
-        fresh = [run_trial(plan, ci, ti) for ci in range(3) for ti in range(4)]
+        fresh = [run_trial(plan, *draw_trial(plan, ci, ti)) for ci in range(3) for ti in range(4)]
         real, mappings = sample_instance, []
 
         def spy(*args, out=None):
@@ -396,10 +402,29 @@ class TestRunExperiment:
             with pytest.raises(ValueError, match=message):
                 run_experiment(plan, threads=threads)
 
+    def test_each_trial_is_drawn_once(self, monkeypatch):
+        # a comparison draws a trial once and hands it to run_trial, which
+        # draws nothing; a run draws each of its trials once
+        plan = tiny_plan()
+        real, calls = sample_instance, []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr("quantcs.harness.sample_instance", spy)
+        for ti in range(plan.trials):
+            x, inst, y, start = draw_trial(plan, 1, ti)
+            run_trial(plan, x, inst, y, start)
+            assert len(calls) == ti + 1
+        calls.clear()
+        run_experiment(plan)
+        assert len(calls) == len(plan.m_grid) * plan.trials
+
     def test_trajectory_lengths(self):
         plan = tiny_plan(trials=1)
         for ci, r in enumerate(run_experiment(plan).records):
-            errors = run_trial(plan, ci, 0).errors
+            errors = run_trial(plan, *draw_trial(plan, ci, 0)).errors
             assert errors.shape == (10,)
             assert errors[-1] == r.final_error
 

@@ -19,9 +19,9 @@ from quantcs import (
     sample_instance,
 )
 import quantcs.pgd
-from quantcs.pgd import ERRORS_CAP, _BLOCK_ENTRIES, _SPARSE_D, _SPARSE_U
+from quantcs.pgd import ERRORS_CAP
 from quantcs.quantizers import quantize_vec
-from quantcs.sensing import MatrixKind, SensingInstance
+from quantcs.sensing import _BLOCK_ENTRIES, _SPARSE_D, _SPARSE_U, MatrixKind, SensingInstance, _adjoint, _forward
 from quantcs.verify import (
     clipped_gradient,
     fd_gradient,
@@ -370,6 +370,32 @@ class TestOneByteMatrix:
         assert one_byte.errors.tobytes() == wide.errors.tobytes()
         if name == "dithered_l1_ball":
             assert np.count_nonzero(one_byte.estimate) * _SPARSE_U > n
+
+    @pytest.mark.parametrize("support", [*range(1, 13), "dense"])
+    def test_products_match_float64_copy(self, support):
+        # both products and the gradient of an int8 matrix have the bits of its
+        # float64 copy's for every support size: numpy's mixed int8 x float64
+        # product of 4 or more gathered columns sums in another order
+        m, n = 1200, 300
+        inst = sample_instance(MatrixKind.RADEMACHER, 1.5, m, n, seed=support if support != "dense" else 0)
+        copy = SensingInstance(inst.matrix.astype(float), inst.dither)
+        rng = np.random.default_rng(41)
+        spec = make_sign()
+        few_rows = set()
+        for i in range(6):
+            u = rng.standard_normal(n)
+            if support != "dense":
+                u[rng.permutation(n)[support:]] = 0.0
+            assert (np.count_nonzero(u) * _SPARSE_U <= n) == (support != "dense")
+            u *= 3.0 / np.linalg.norm(u)  # well past the dither level 1.5
+            # the measurements of a point near u mismatch few rows, those of -u many
+            y = measure(copy, spec, u + 0.03 * rng.standard_normal(n) / np.sqrt(n) if i % 2 else -u)
+            d = quantize_vec(spec, _forward(copy.matrix, u) - copy.dither) - y
+            few_rows.add(np.count_nonzero(d) * _SPARSE_D <= m)
+            assert _forward(inst.matrix, u).tobytes() == _forward(copy.matrix, u).tobytes()
+            assert _adjoint(inst.matrix, d).tobytes() == _adjoint(copy.matrix, d).tobytes()
+            assert gradient(spec, inst, y, u).tobytes() == gradient(spec, copy, y, u).tobytes()
+        assert few_rows == {True, False}  # both adjoint paths
 
 
 class TestStoppingRule:
