@@ -3,21 +3,27 @@
 A plan fixes one measurement family, one signal model, and a grid of
 measurement counts; each grid cell runs independent trials of
 draw-measure-recover and reports the mean recovery error with its standard
-error.  Trial seeds are derived from ``(master_seed, cell, trial)``, and
-every random object inside a trial comes from its own purpose-tagged
-stream, so results are bit-identical across reruns and thread counts.
+error.  Trial ``t`` has the seed ``derive_seed(master_seed, 0, t)``, and
+every random object inside it comes from its own purpose-tagged stream.
+Every cell of the trial sees the same signal and start, and the trial's
+sensing matrix is drawn once, at the grid's largest ``m``: cell ``c``
+decodes its first ``m_grid[c]`` rows and dithers, which are bit for bit a
+fresh ``m_grid[c]``-row draw from the same seed.  So a cell's numbers depend
+on its ``m``, the trial count and the seed alone, not on the rest of the
+grid, and results are bit-identical across reruns and thread counts.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 import math
 import mmap
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -192,30 +198,50 @@ def _slope_group(plan: ExperimentPlan) -> tuple[float, str]:
     return k_or_r, f"{plan.family.value}:k_or_r={k_or_r:.12g}:L={family_setup(plan).spec.levels}"
 
 
+def _trial_cells(
+    plan: ExperimentPlan, trial: int, workspace: np.ndarray | None = None
+) -> Iterator[tuple[np.ndarray, SensingInstance, np.ndarray, np.ndarray]]:
+    """Trial ``trial``'s ``draw_trial`` for each grid cell in turn, from one matrix draw into ``workspace``.
+
+    Each cell draws its signal and start again from the trial's seed, the
+    same vectors every time, so that each cell's decode follows its own
+    ``gen_signal`` call, where ``perfbench/spans.py`` opens a trial.
+    """
+    setup = family_setup(plan)
+    seed = derive_seed(plan.master_seed, 0, trial)
+    n = plan.model.ambient_dim
+    for cell, m in enumerate(plan.m_grid):
+        x = gen_signal(plan.model, seed)
+        if cell == 0:
+            drawn = sample_instance(setup.matrix_kind, setup.dither, plan.m_grid[-1], n, seed, out=workspace)
+        inst = SensingInstance(matrix=drawn.matrix[:m], dither=drawn.dither[:m])
+        y = measure(inst, setup.spec, x)
+        if plan.corruption_zeta > 0.0:
+            y = corrupt(y, setup.spec, plan.corruption_zeta, seed)
+        start = random_in_model(plan.model, seed) if plan.model.alpha > 0 else np.zeros(n)
+        yield x, inst, y, start
+
+
 def draw_trial(
     plan: ExperimentPlan, cell: int, trial: int, workspace: np.ndarray | None = None
 ) -> tuple[np.ndarray, SensingInstance, np.ndarray, np.ndarray]:
-    """Draw trial ``trial`` of grid cell ``cell``: ``(x, instance, y, start)``.
+    """Draw trial ``trial`` of grid cell ``cell``: ``(x, instance, y, start)``, as ``run_experiment`` decodes it.
 
-    Every random object comes from ``derive_seed(plan.master_seed, cell, trial)``,
-    so a trial depends only on the plan and its two indices.  ``y`` holds the
-    measurements of ``x``, corrupted when ``plan.corruption_zeta > 0``.  The
-    decoder's start is a random model member on the sphere (``alpha > 0``,
-    one-bit Gaussian) and zero on the unit ball (the dithered families).
+    Every random object comes from ``derive_seed(plan.master_seed, 0, trial)``,
+    so every cell of a trial sees the same ``x`` and ``start``, and its
+    instance is the first ``m_grid[cell]`` rows and dithers of the trial's
+    draw at the grid's largest ``m``: bit for bit, a fresh draw of
+    ``m_grid[cell]`` rows from that seed.  ``y`` holds the measurements of
+    ``x``, corrupted when ``plan.corruption_zeta > 0``.  The decoder's start
+    is a random model member on the sphere (``alpha > 0``, one-bit Gaussian)
+    and zero on the unit ball (the dithered families).
 
-    With ``workspace``, the sensing matrix is drawn into it, as the ``out`` of
-    ``sample_instance``.
+    With ``workspace``, the trial's matrix is drawn into it, as the ``out``
+    of ``sample_instance``; it needs room for ``max(m_grid) * n`` entries.
     """
-    setup = family_setup(plan)
-    seed = derive_seed(plan.master_seed, cell, trial)
-    n = plan.model.ambient_dim
-    x = gen_signal(plan.model, seed)
-    inst = sample_instance(setup.matrix_kind, setup.dither, plan.m_grid[cell], n, seed, out=workspace)
-    y = measure(inst, setup.spec, x)
-    if plan.corruption_zeta > 0.0:
-        y = corrupt(y, setup.spec, plan.corruption_zeta, seed)
-    start = random_in_model(plan.model, seed) if plan.model.alpha > 0 else np.zeros(n)
-    return x, inst, y, start
+    if not 0 <= check_int(cell, "cell") < len(plan.m_grid):
+        raise ValueError(f"cell must be in [0, {len(plan.m_grid)}), got {cell}")
+    return next(itertools.islice(_trial_cells(plan, trial, workspace), cell, None))
 
 
 def run_trial(plan: ExperimentPlan, x: np.ndarray, instance: SensingInstance, y: np.ndarray, start: np.ndarray) -> PgdResult:
@@ -230,9 +256,12 @@ def run_trial(plan: ExperimentPlan, x: np.ndarray, instance: SensingInstance, y:
 
 
 def run_experiment(plan: ExperimentPlan, threads: int = 1) -> ExperimentResult:
-    """Run every (cell, trial) of the plan and aggregate per cell.
+    """Run every trial of the plan, decoding each of its cells, and aggregate per cell.
 
-    Trials are independent and may run on several threads; records come back
+    A task is one trial: its matrix is drawn once, at the grid's largest
+    ``m``, and every cell decodes a row prefix of it (see ``draw_trial``), so
+    a run draws ``trials`` matrices, not ``len(m_grid) * trials``.  Trials
+    are independent and may run on several threads; records come back
     sorted by (cell, trial) and all randomness is keyed by indices, so the
     output is bit-identical for any ``threads``.
 
@@ -248,7 +277,6 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> ExperimentResult:
     """
     if not 1 <= check_int(threads, "threads") <= THREADS_CAP:
         raise ValueError(f"threads must be in [1, {THREADS_CAP}], got {threads}")
-    tasks = [(ci, ti) for ci in range(len(plan.m_grid)) for ti in range(plan.trials)]
     entries = plan.m_grid[-1] * plan.model.ambient_dim  # the grid increases strictly
     dtype = family_setup(plan).matrix_kind.dtype
     local = threading.local()
@@ -256,15 +284,17 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> ExperimentResult:
     def allocate():
         local.workspace = np.frombuffer(mmap.mmap(-1, entries * dtype.itemsize), dtype=dtype)
 
-    def record(task: tuple[int, int]) -> TrialRecord:
-        return TrialRecord(plan.m_grid[task[0]], float(run_trial(plan, *draw_trial(plan, *task, local.workspace)).errors[-1]))
+    def trial_records(trial: int) -> list[TrialRecord]:
+        cells = _trial_cells(plan, trial, local.workspace)
+        return [TrialRecord(inst.m, float(run_trial(plan, x, inst, y, start).errors[-1])) for x, inst, y, start in cells]
 
     if threads == 1:
         allocate()
-        records = list(map(record, tasks))
+        by_trial = list(map(trial_records, range(plan.trials)))
     else:
         with ThreadPoolExecutor(max_workers=threads, initializer=allocate) as pool:
-            records = list(pool.map(record, tasks))
+            by_trial = list(pool.map(trial_records, range(plan.trials)))
+    records = [r for cell_records in zip(*by_trial) for r in cell_records]
     cells = []
     for ci, m in enumerate(plan.m_grid):
         errs = np.array([r.final_error for r in records[ci * plan.trials : (ci + 1) * plan.trials]])

@@ -791,7 +791,9 @@ def puv_suite() -> list[Check]:
 
     # a draw into a reused buffer must be the fresh draw, and must write its
     # m * n entries and no others: the buffer starts as a value no entry takes
-    # (NaN, or 0 for the int8 Rademacher entries) and runs past them
+    # (NaN, or 0 for the int8 Rademacher entries) and runs past them; and the
+    # fresh draw must be the first m rows and dithers of a draw of 2m + 1 rows
+    # from the same seed, as every cell of a plan's trial decodes one
     rng = stream(SEED, "verify", "buffered")
     bad = []
     for kind in MatrixKind:
@@ -804,6 +806,9 @@ def puv_suite() -> list[Check]:
                 inst = sample_instance(kind, dither, m, n, seed, out=buf)
                 same = fresh.matrix.tobytes() == buf[: m * n].tobytes() and fresh.dither.tobytes() == inst.dither.tobytes()
                 if not (same and np.shares_memory(inst.matrix, buf) and buf[m * n :].tobytes() == blank[m * n :].tobytes()):
+                    bad.append((kind.value, dither, m, n))
+                larger = sample_instance(kind, dither, 2 * m + 1, n, seed)
+                if not (fresh.matrix.tobytes() == larger.matrix[:m].tobytes() and fresh.dither.tobytes() == larger.dither[:m].tobytes()):
                     bad.append((kind.value, dither, m, n))
     draws = 2 * len(MatrixKind) * len(shapes)
     # estimate_puv counts in the blocks of _matvec, so its count must be that
@@ -830,7 +835,8 @@ def puv_suite() -> list[Check]:
             not bad,
             f"first mismatch at (kind, dither, m, n) = {bad[0]}"
             if bad
-            else f"{draws} buffered draws bitwise equal to fresh ones, blank tail (NaN or int8 0) untouched; "
+            else f"{draws} buffered draws bitwise equal to fresh ones, blank tail (NaN or int8 0) untouched, "
+            f"and the first m rows of draws of 2m + 1 rows; "
             f"block counts of {len(families)} families x 5 sample counts equal to one-shot counts ({rows} rows per block)",
         )
     )

@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import hashlib
 import json
 import mmap
 import weakref
@@ -339,12 +341,12 @@ class TestRunExperiment:
 
         def spy(*args, out=None):
             addresses.append(out.ctypes.data)
-            assert out.size == 60 * 12
+            assert args[2] == 60 and out.size == 60 * 12  # each trial is drawn once, at the largest m
             return real(*args, out=out)
 
         monkeypatch.setattr("quantcs.harness.sample_instance", spy)
         res = run_experiment(plan, threads=threads)
-        assert len(addresses) == 12 and len(set(addresses)) <= threads
+        assert len(addresses) == 4 and len(set(addresses)) <= threads
         assert [r.final_error for r in res.records] == [f.errors[-1] for f in fresh]
 
     @pytest.mark.parametrize("threads", [1, 3])
@@ -380,10 +382,10 @@ class TestRunExperiment:
 
         monkeypatch.setattr("quantcs.harness.sample_instance", spy)
         run_experiment(plan)
-        assert dtypes == [np.dtype(dtype)] * 4
+        assert dtypes == [np.dtype(dtype)] * 2
 
     def test_thread_count_checked_before_any_pool(self, monkeypatch):
-        plan = tiny_plan(trials=1)  # two tasks, so no call here can start more than two threads
+        plan = tiny_plan(trials=1)  # one task per trial, so no call here can start more than one thread
         serial = run_experiment(plan)
         assert run_experiment(plan, threads=THREADS_CAP).cells == serial.cells
         assert run_experiment(plan, threads=np.int64(2)).cells == serial.cells
@@ -404,7 +406,7 @@ class TestRunExperiment:
 
     def test_each_trial_is_drawn_once(self, monkeypatch):
         # a comparison draws a trial once and hands it to run_trial, which
-        # draws nothing; a run draws each of its trials once
+        # draws nothing; a run draws each trial's matrix once, for all its cells
         plan = tiny_plan()
         real, calls = sample_instance, []
 
@@ -419,7 +421,7 @@ class TestRunExperiment:
             assert len(calls) == ti + 1
         calls.clear()
         run_experiment(plan)
-        assert len(calls) == len(plan.m_grid) * plan.trials
+        assert len(calls) == plan.trials
 
     def test_trajectory_lengths(self):
         plan = tiny_plan(trials=1)
@@ -442,6 +444,90 @@ class TestRunExperiment:
 
     def test_corrupted_runs_record_zeta(self, tmp_path):
         assert [row["zeta"] for row in csv_rows(tiny_plan(corruption_zeta=0.1), tmp_path)] == ["0.1", "0.1"]
+
+
+def three_cell_plans():
+    # n = 13 and odd m give odd m * n, so a Rademacher draw ends on half a PCG64 word
+    ball = SignalModel(Sparse(k=3, n=13), 0.0, 1.0)
+    common = dict(model=SignalModel(Sparse(k=3, n=13), 1.0, 1.0), m_grid=(31, 46, 61), trials=3)
+    return [
+        tiny_plan(**common),
+        tiny_plan(**common, corruption_zeta=0.1),
+        tiny_plan(**{**common, "model": ball}, family=Family.DITHERED_ONE_BIT, lam=1.5),
+        tiny_plan(**{**common, "model": ball}, family=Family.DITHERED_MULTI_BIT, L=4),
+    ]
+
+
+THREE_CELL_IDS = ["one_bit_gaussian", "one_bit_gaussian_corrupted", "dithered_one_bit", "dithered_multi_bit"]
+
+
+class TestTrialDraws:
+    """Every cell of a trial decodes a row prefix of the trial's one draw."""
+
+    @pytest.mark.parametrize("plan", three_cell_plans(), ids=THREE_CELL_IDS)
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_cells_do_not_depend_on_the_grid(self, plan, threads):
+        cells = run_experiment(plan, threads=threads).cells
+        for ci, m in enumerate(plan.m_grid):
+            alone = run_experiment(dataclasses.replace(plan, m_grid=(m,)), threads=threads).cells
+            assert cells[ci] == alone[0]
+
+    @pytest.mark.parametrize("plan", three_cell_plans(), ids=THREE_CELL_IDS)
+    def test_draw_trial_is_a_row_prefix(self, plan):
+        setup, n = family_setup(plan), plan.model.ambient_dim
+        for ti in range(2):
+            lx, linst, _, lstart = draw_trial(plan, len(plan.m_grid) - 1, ti)
+            for ci, m in enumerate(plan.m_grid):
+                x, inst, y, start = draw_trial(plan, ci, ti)
+                fresh = sample_instance(setup.matrix_kind, setup.dither, m, n, derive_seed(plan.master_seed, 0, ti))
+                assert x.tobytes() == lx.tobytes() and start.tobytes() == lstart.tobytes()
+                for got, prefix, want in ((inst.matrix, linst.matrix, fresh.matrix), (inst.dither, linst.dither, fresh.dither)):
+                    assert got.dtype == want.dtype and got.shape == want.shape == prefix[:m].shape
+                    assert got.tobytes() == prefix[:m].tobytes() == want.tobytes()
+                assert (inst.dither != 0).all() == (setup.dither > 0)
+                assert y.size == m
+
+    def test_cell_checked(self):
+        plan = tiny_plan()
+        for cell in (-1, 2):
+            with pytest.raises(ValueError, match=rf"cell must be in \[0, 2\), got {cell}"):
+                draw_trial(plan, cell, 0)
+
+    @pytest.mark.parametrize(
+        "plan, pins",
+        [
+            (
+                tiny_plan(),
+                [
+                    ("58764cb0738a", "38fe3d0fa4d7", "2dfba6338170", "a2439f763a01"),
+                    ("58764cb0738a", "9d190c6fd020", "4b48f21a4b7a", "ee488c8dbfee"),
+                ],
+            ),
+            (
+                tiny_plan(family=Family.DITHERED_ONE_BIT, model=SignalModel(Sparse(k=3, n=12), 0.0, 1.0), lam=1.5),
+                [
+                    ("1629901221f4", "22a5e90e392d", "5e1fed87cbec", "a437a2c72eb6"),
+                    ("1629901221f4", "1ac1672248e5", "3d7f9aff2297", "4541d112f0a2"),
+                ],
+            ),
+            (
+                tiny_plan(family=Family.DITHERED_MULTI_BIT, model=SignalModel(Sparse(k=3, n=12), 0.0, 1.0), L=4),
+                [
+                    ("1629901221f4", "22a5e90e392d", "9091ef6e9cb7", "5decc80476ee"),
+                    ("1629901221f4", "1ac1672248e5", "277e3065421d", "2102aa437393"),
+                ],
+            ),
+        ],
+        ids=["one_bit_gaussian", "dithered_one_bit", "dithered_multi_bit"],
+    )
+    def test_trial_draws_are_pinned(self, plan, pins):
+        # SHA-256 prefixes of (x, matrix, dither, y) of trial 0 in cells 0 and 1: a
+        # change to any trial stream must update these and say so
+        got = []
+        for ci in range(2):
+            x, inst, y, _ = draw_trial(plan, ci, 0)
+            got.append(tuple(hashlib.sha256(a.tobytes()).hexdigest()[:12] for a in (x, inst.matrix, inst.dither, y)))
+        assert got == pins
 
 
 class TestFitSlope:
