@@ -18,7 +18,7 @@ rank, m = 2, 2000
 def main():
     model = SignalModel(LowRank(r=rank, n1=n1, n2=n2), alpha=1.0, beta=1.0)
     plan = ExperimentPlan(Family.ONE_BIT_GAUSSIAN, model, (m,), trials=1, master_seed=19)
-    x, inst, y, start = draw_trial(plan, 0, 0)
+    x, inst, y, start = next(draw_trial(plan, 0))
     print("true singular values:",
           np.round(np.linalg.svd(x.reshape(n1, n2), compute_uv=False)[:4], 4))
 

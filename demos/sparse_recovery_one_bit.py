@@ -17,7 +17,7 @@ n, k, m, iterations = 200, 3, 1000, 60
 def main():
     model = SignalModel(Sparse(k=k, n=n), alpha=1.0, beta=1.0)
     plan = ExperimentPlan(Family.ONE_BIT_GAUSSIAN, model, (m,), trials=1, iterations=iterations, master_seed=7)
-    x, inst, y, start = draw_trial(plan, 0, 0)
+    x, inst, y, start = next(draw_trial(plan, 0))
     print("true support:", np.flatnonzero(x), "values:", np.round(x[np.flatnonzero(x)], 4))
     print(f"measured {m} bits, {np.mean(y > 0):.1%} positive")
 

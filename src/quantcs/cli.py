@@ -53,7 +53,7 @@ def _cmd_run(args) -> int:
     emit_csv(plan, result.cells, args.out)
     if args.svg is not None:
         emit_svg_loglog(plan, result.cells, args.svg)
-    print(f"wrote {len(result.cells)} cells ({len(result.records)} trials) to {args.out}")
+    print(f"wrote {len(result.cells)} cells of {plan.trials} trials to {args.out}")
     return 0
 
 
@@ -75,7 +75,7 @@ def _cmd_recover(args) -> int:
         iterations=args.iters,
         master_seed=args.seed,
     )
-    errors = run_trial(plan, *draw_trial(plan, 0, 0)).errors
+    errors = run_trial(plan, *next(draw_trial(plan, 0))).errors
     print("iter,error")
     for t, err in enumerate(errors, start=1):
         print(f"{t},{err:.12g}")

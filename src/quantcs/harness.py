@@ -16,7 +16,6 @@ grid, and results are bit-identical across reruns and thread counts.
 from __future__ import annotations
 
 import enum
-import itertools
 import json
 import math
 import mmap
@@ -145,7 +144,7 @@ class ExperimentPlan:
         cost = sum(m * n * self.trials * self.iterations for m in grid)
         if cost > PLAN_COST_CAP:
             raise ValueError(f"plan cost {cost} (sum of m*n*trials*iterations) exceeds the cap {PLAN_COST_CAP}")
-        errors = len(grid) * self.trials  # a run keeps one final error per trial
+        errors = len(grid) * self.trials  # a run keeps one final error per cell and trial
         if errors > ERRORS_CAP:
             raise ValueError(f"stored errors {errors} (len(m_grid)*trials) exceed the cap {ERRORS_CAP}")
 
@@ -198,14 +197,27 @@ def _slope_group(plan: ExperimentPlan) -> tuple[float, str]:
     return k_or_r, f"{plan.family.value}:k_or_r={k_or_r:.12g}:L={family_setup(plan).spec.levels}"
 
 
-def _trial_cells(
+def draw_trial(
     plan: ExperimentPlan, trial: int, workspace: np.ndarray | None = None
 ) -> Iterator[tuple[np.ndarray, SensingInstance, np.ndarray, np.ndarray]]:
-    """Trial ``trial``'s ``draw_trial`` for each grid cell in turn, from one matrix draw into ``workspace``.
+    """Trial ``trial`` of every grid cell in turn: ``(x, instance, y, start)``, as ``run_experiment`` decodes it.
 
-    Each cell draws its signal and start again from the trial's seed, the
-    same vectors every time, so that each cell's decode follows its own
-    ``gen_signal`` call, where ``perfbench/spans.py`` opens a trial.
+    Every random object comes from ``derive_seed(plan.master_seed, 0, trial)``;
+    the ``0`` is the former cell index, kept so that no stream moves.  Every
+    cell sees the same ``x`` and ``start``, and the trial's matrix is drawn
+    once, at the grid's largest ``m``: cell ``c``'s instance is its first
+    ``m_grid[c]`` rows and dithers, bit for bit a fresh draw of ``m_grid[c]``
+    rows from that seed.  ``y`` holds the measurements of ``x``, corrupted
+    when ``plan.corruption_zeta > 0``.  The decoder's start is a random model
+    member on the sphere (``alpha > 0``, one-bit Gaussian) and zero on the
+    unit ball (the dithered families).  ``next(draw_trial(plan, t))`` is the
+    trial's first cell.
+
+    The generator is lazy and draws the signal and start again for each cell,
+    the same vectors every time, so that each cell's decode follows its own
+    ``gen_signal`` call, where ``perfbench/spans.py`` opens a trial.  With
+    ``workspace``, the trial's matrix is drawn into it, as the ``out`` of
+    ``sample_instance``; it needs room for ``max(m_grid) * n`` entries.
     """
     setup = family_setup(plan)
     seed = derive_seed(plan.master_seed, 0, trial)
@@ -222,30 +234,8 @@ def _trial_cells(
         yield x, inst, y, start
 
 
-def draw_trial(
-    plan: ExperimentPlan, cell: int, trial: int, workspace: np.ndarray | None = None
-) -> tuple[np.ndarray, SensingInstance, np.ndarray, np.ndarray]:
-    """Draw trial ``trial`` of grid cell ``cell``: ``(x, instance, y, start)``, as ``run_experiment`` decodes it.
-
-    Every random object comes from ``derive_seed(plan.master_seed, 0, trial)``,
-    so every cell of a trial sees the same ``x`` and ``start``, and its
-    instance is the first ``m_grid[cell]`` rows and dithers of the trial's
-    draw at the grid's largest ``m``: bit for bit, a fresh draw of
-    ``m_grid[cell]`` rows from that seed.  ``y`` holds the measurements of
-    ``x``, corrupted when ``plan.corruption_zeta > 0``.  The decoder's start
-    is a random model member on the sphere (``alpha > 0``, one-bit Gaussian)
-    and zero on the unit ball (the dithered families).
-
-    With ``workspace``, the trial's matrix is drawn into it, as the ``out``
-    of ``sample_instance``; it needs room for ``max(m_grid) * n`` entries.
-    """
-    if not 0 <= check_int(cell, "cell") < len(plan.m_grid):
-        raise ValueError(f"cell must be in [0, {len(plan.m_grid)}), got {cell}")
-    return next(itertools.islice(_trial_cells(plan, trial, workspace), cell, None))
-
-
 def run_trial(plan: ExperimentPlan, x: np.ndarray, instance: SensingInstance, y: np.ndarray, start: np.ndarray) -> PgdResult:
-    """PGD's result on the trial ``draw_trial`` returned, at the family's step size, with ``errors`` to ``x``.
+    """PGD's result on a cell ``draw_trial`` yielded, at the family's step size, with ``errors`` to ``x``.
 
     It draws nothing, and the result holds no view of ``instance``, so the
     caller may draw the next trial into the same workspace.
@@ -258,8 +248,8 @@ def run_trial(plan: ExperimentPlan, x: np.ndarray, instance: SensingInstance, y:
 def run_experiment(plan: ExperimentPlan, threads: int = 1) -> ExperimentResult:
     """Run every trial of the plan, decoding each of its cells, and aggregate per cell.
 
-    A task is one trial: its matrix is drawn once, at the grid's largest
-    ``m``, and every cell decodes a row prefix of it (see ``draw_trial``), so
+    A task is one trial: it decodes every cell ``draw_trial`` yields, each a
+    row prefix of the trial's one matrix draw at the grid's largest ``m``, so
     a run draws ``trials`` matrices, not ``len(m_grid) * trials``.  Trials
     are independent and may run on several threads; records come back
     sorted by (cell, trial) and all randomness is keyed by indices, so the
@@ -285,7 +275,7 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> ExperimentResult:
         local.workspace = np.frombuffer(mmap.mmap(-1, entries * dtype.itemsize), dtype=dtype)
 
     def trial_records(trial: int) -> list[TrialRecord]:
-        cells = _trial_cells(plan, trial, local.workspace)
+        cells = draw_trial(plan, trial, local.workspace)
         return [TrialRecord(inst.m, float(run_trial(plan, x, inst, y, start).errors[-1])) for x, inst, y, start in cells]
 
     if threads == 1:

@@ -50,7 +50,7 @@ __all__ = [
 # largest admissible count of stored errors: 1 GiB of float64.  A run with a
 # ground truth keeps one error per iteration, so this caps the iterations of a
 # run; the harness caps by it the final errors a plan's run keeps, one per
-# trial, len(m_grid) * trials
+# cell and trial, len(m_grid) * trials
 ERRORS_CAP = 2**27
 
 

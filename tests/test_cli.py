@@ -37,7 +37,7 @@ class TestRun:
         svg = tmp_path / "plot.svg"
         rc = main(["run", "--config", str(config), "--out", str(out), "--svg", str(svg)])
         assert rc == 0
-        assert "wrote 2 cells (4 trials)" in capsys.readouterr().out
+        assert f"wrote 2 cells of 2 trials to {out}" in capsys.readouterr().out
         header = out.read_text().split("\n")[0]
         assert header == "family,n,k_or_r,m,L,delta,lambda,zeta,trials,mean_err,stderr,slope_group"
         assert svg.read_text().startswith("<svg ")

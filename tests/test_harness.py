@@ -54,6 +54,12 @@ def tiny_plan(**overrides):
     return ExperimentPlan(**kwargs)
 
 
+def cell_runs(plan):
+    """PGD's result on every cell of every trial, by hand from ``draw_trial``, in (cell, trial) order."""
+    by_trial = [[run_trial(plan, *cell) for cell in draw_trial(plan, ti)] for ti in range(plan.trials)]
+    return [res for cell in zip(*by_trial) for res in cell]
+
+
 class TestPlanValidation:
     def test_family_parameter_rules(self):
         with pytest.raises(ValueError):
@@ -275,13 +281,13 @@ class TestFamilySetup:
         u = random_in_model(plan.model, seed) if start == "random" else np.zeros(n)
         workspace = np.empty(m * n, dtype=setup.matrix_kind.dtype)
         for buffer in (None, workspace):
-            dx, dinst, dy, du = draw_trial(plan, 0, 0, buffer)
+            dx, dinst, dy, du = next(draw_trial(plan, 0, buffer))
             for got, want in ((dx, x), (dinst.matrix, inst.matrix), (dinst.dither, inst.dither), (dy, y), (du, u)):
                 assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
         assert np.shares_memory(dinst.matrix, workspace)
         config = PgdConfig(eta=setup.eta, iterations=plan.iterations)
         by_hand = pgd_recover(config, plan.model, setup.spec, inst, y, u, truth=x)
-        res = run_trial(plan, *draw_trial(plan, 0, 0))
+        res = run_trial(plan, *next(draw_trial(plan, 0)))
         for got, want in ((res.estimate, by_hand.estimate), (res.errors, by_hand.errors)):
             assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -312,9 +318,9 @@ class TestRunExperiment:
         plan = tiny_plan()
         res = run_experiment(plan)
         assert len(res.records) == 6 and len(res.cells) == 2
-        for i, r in enumerate(res.records):
+        for i, (r, by_hand) in enumerate(zip(res.records, cell_runs(plan), strict=True)):
             # a record is its trial's (m, final error), two Python numbers and no array
-            assert type(r) is TrialRecord and r == (plan.m_grid[i // 3], run_trial(plan, *draw_trial(plan, i // 3, i % 3)).errors[-1])
+            assert type(r) is TrialRecord and r == (plan.m_grid[i // 3], by_hand.errors[-1])
             assert type(r.m) is int and type(r.final_error) is float
         for ci, cell in enumerate(res.cells):
             errs = [r.final_error for r in res.records[ci * 3 : (ci + 1) * 3]]
@@ -326,17 +332,16 @@ class TestRunExperiment:
         plan = tiny_plan()
         serial = run_experiment(plan, threads=1)
         threaded = run_experiment(plan, threads=3)
-        indices = [(ci, ti) for ci in range(2) for ti in range(3)]
-        by_index = [run_trial(plan, *draw_trial(plan, *i)).errors for i in indices]
-        assert serial.records == threaded.records == [(plan.m_grid[i[0]], e[-1]) for i, e in zip(indices, by_index)]
+        by_hand = [res.errors for res in cell_runs(plan)]
+        assert serial.records == threaded.records == [(plan.m_grid[i // 3], e[-1]) for i, e in enumerate(by_hand)]
         assert serial.cells == threaded.cells
         # a trial's per-iterate errors repeat bit for bit
-        assert [run_trial(plan, *draw_trial(plan, *i)).errors.tobytes() for i in indices] == [e.tobytes() for e in by_index]
+        assert [res.errors.tobytes() for res in cell_runs(plan)] == [e.tobytes() for e in by_hand]
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_trials_draw_into_one_buffer_per_worker(self, monkeypatch, threads):
         plan = tiny_plan(trials=4, m_grid=(30, 45, 60))
-        fresh = [run_trial(plan, *draw_trial(plan, ci, ti)) for ci in range(3) for ti in range(4)]
+        fresh = cell_runs(plan)
         real, addresses = sample_instance, []
 
         def spy(*args, out=None):
@@ -353,7 +358,7 @@ class TestRunExperiment:
     def test_workspace_is_a_mapping_released_on_return(self, monkeypatch, threads):
         # each worker's buffer is its own anonymous mapping, unmapped once the run returns
         plan = tiny_plan(trials=4, m_grid=(30, 45, 60))
-        fresh = [run_trial(plan, *draw_trial(plan, ci, ti)) for ci in range(3) for ti in range(4)]
+        fresh = cell_runs(plan)
         real, mappings = sample_instance, []
 
         def spy(*args, out=None):
@@ -405,30 +410,29 @@ class TestRunExperiment:
                 run_experiment(plan, threads=threads)
 
     def test_each_trial_is_drawn_once(self, monkeypatch):
-        # a comparison draws a trial once and hands it to run_trial, which
-        # draws nothing; a run draws each trial's matrix once, for all its cells
-        plan = tiny_plan()
-        real, calls = sample_instance, []
+        # a comparison over every cell of every trial draws each trial's matrix
+        # once, at the largest m, and run_trial draws nothing; so does a run
+        plan = tiny_plan(m_grid=(30, 45, 60))
+        real, rows = sample_instance, []
 
         def spy(*args, **kwargs):
-            calls.append(args)
+            rows.append(args[2])
             return real(*args, **kwargs)
 
         monkeypatch.setattr("quantcs.harness.sample_instance", spy)
         for ti in range(plan.trials):
-            x, inst, y, start = draw_trial(plan, 1, ti)
-            run_trial(plan, x, inst, y, start)
-            assert len(calls) == ti + 1
-        calls.clear()
+            for x, inst, y, start in draw_trial(plan, ti):
+                run_trial(plan, x, inst, y, start)
+            assert rows == [60] * (ti + 1)
+        rows.clear()
         run_experiment(plan)
-        assert len(calls) == plan.trials
+        assert rows == [60] * plan.trials
 
     def test_trajectory_lengths(self):
         plan = tiny_plan(trials=1)
-        for ci, r in enumerate(run_experiment(plan).records):
-            errors = run_trial(plan, *draw_trial(plan, ci, 0)).errors
-            assert errors.shape == (10,)
-            assert errors[-1] == r.final_error
+        for r, by_hand in zip(run_experiment(plan).records, cell_runs(plan), strict=True):
+            assert by_hand.errors.shape == (10,)
+            assert by_hand.errors[-1] == r.final_error
 
     def test_l1ball_group_key_uses_squared_radius(self, tmp_path):
         plan = ExperimentPlan(
@@ -476,9 +480,9 @@ class TestTrialDraws:
     def test_draw_trial_is_a_row_prefix(self, plan):
         setup, n = family_setup(plan), plan.model.ambient_dim
         for ti in range(2):
-            lx, linst, _, lstart = draw_trial(plan, len(plan.m_grid) - 1, ti)
-            for ci, m in enumerate(plan.m_grid):
-                x, inst, y, start = draw_trial(plan, ci, ti)
+            cells = list(draw_trial(plan, ti))
+            lx, linst, _, lstart = cells[-1]
+            for (x, inst, y, start), m in zip(cells, plan.m_grid, strict=True):
                 fresh = sample_instance(setup.matrix_kind, setup.dither, m, n, derive_seed(plan.master_seed, 0, ti))
                 assert x.tobytes() == lx.tobytes() and start.tobytes() == lstart.tobytes()
                 for got, prefix, want in ((inst.matrix, linst.matrix, fresh.matrix), (inst.dither, linst.dither, fresh.dither)):
@@ -487,11 +491,24 @@ class TestTrialDraws:
                 assert (inst.dither != 0).all() == (setup.dither > 0)
                 assert y.size == m
 
-    def test_cell_checked(self):
-        plan = tiny_plan()
-        for cell in (-1, 2):
-            with pytest.raises(ValueError, match=rf"cell must be in \[0, 2\), got {cell}"):
-                draw_trial(plan, cell, 0)
+    def test_each_decode_follows_its_own_signal_draw(self, monkeypatch):
+        # perfbench/spans.py opens a trial at each gen_signal call, so a run must
+        # call it once before each decode, and draw the matrix right after the first
+        plan = tiny_plan(m_grid=(30, 45, 60))
+        events = []
+
+        def spy(name, real):
+            def call(*args, **kwargs):
+                events.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(f"quantcs.harness.{real.__name__}", call)
+
+        spy("gen", gen_signal)
+        spy("draw", sample_instance)
+        spy("decode", pgd_recover)
+        run_experiment(plan)
+        assert events == ["gen", "draw", "decode", "gen", "decode", "gen", "decode"] * plan.trials
 
     @pytest.mark.parametrize(
         "plan, pins",
@@ -524,8 +541,7 @@ class TestTrialDraws:
         # SHA-256 prefixes of (x, matrix, dither, y) of trial 0 in cells 0 and 1: a
         # change to any trial stream must update these and say so
         got = []
-        for ci in range(2):
-            x, inst, y, _ = draw_trial(plan, ci, 0)
+        for x, inst, y, _ in draw_trial(plan, 0):
             got.append(tuple(hashlib.sha256(a.tobytes()).hexdigest()[:12] for a in (x, inst.matrix, inst.dither, y)))
         assert got == pins
 
