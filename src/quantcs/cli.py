@@ -1,11 +1,11 @@
-"""Command line front end: run experiment plans, recover one signal, verify.
+"""Command line front end: run experiment plans, trace one trial, verify.
 
 Subcommands:
 
 * ``run``: execute a JSON experiment plan, write per-cell aggregates as CSV
   and optionally a log-log SVG plot.
-* ``recover``: one draw-measure-recover trial for a sparse model, printing
-  the per-iterate errors as CSV on stdout.
+* ``recover``: decode trial 0 of every cell of a JSON experiment plan,
+  printing the per-iterate errors as CSV on stdout.
 * ``verify``: run the oracle cross-check suites; exit 0 iff all pass.
 """
 
@@ -17,8 +17,6 @@ import sys
 
 from .harness import (
     THREADS_CAP,
-    ExperimentPlan,
-    Family,
     draw_trial,
     emit_csv,
     emit_svg_loglog,
@@ -26,7 +24,6 @@ from .harness import (
     run_experiment,
     run_trial,
 )
-from .signals import SignalModel, Sparse
 
 __all__ = ["main"]
 
@@ -45,9 +42,13 @@ def _check_writable(*paths: str) -> None:
             os.remove(path)
 
 
+def _read_plan(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        return plan_from_json(fh.read())
+
+
 def _cmd_run(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        plan = plan_from_json(fh.read())
+    plan = _read_plan(args.config)
     _check_writable(*(p for p in (args.out, args.svg) if p is not None))
     result = run_experiment(plan, threads=args.threads)
     emit_csv(plan, result.cells, args.out)
@@ -58,28 +59,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_recover(args) -> int:
-    family = Family(args.family)
-    model = SignalModel(
-        Sparse(k=args.k, n=args.n),
-        alpha=1.0 if family is Family.ONE_BIT_GAUSSIAN else 0.0,
-        beta=1.0,
-    )
-    plan = ExperimentPlan(
-        family=family,
-        model=model,
-        m_grid=(args.m,),
-        L=args.L,
-        delta=args.delta,
-        lam=getattr(args, "lambda"),
-        trials=1,
-        iterations=args.iters,
-        master_seed=args.seed,
-    )
-    errors = run_trial(plan, *next(draw_trial(plan, 0))).errors
-    print("iter,error")
-    for t, err in enumerate(errors, start=1):
-        print(f"{t},{err:.12g}")
-    print(f"final,{errors[-1]:.12g}")
+    plan = _read_plan(args.config)
+    print("m,iter,error")
+    for m, cell in zip(plan.m_grid, draw_trial(plan, 0)):
+        for t, err in enumerate(run_trial(plan, *cell).errors, start=1):
+            print(f"{m},{t},{err:.12g}")
     return 0
 
 
@@ -124,16 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.set_defaults(func=_cmd_run)
 
-    p_rec = sub.add_parser("recover", help="single recovery trial for a sparse model")
-    p_rec.add_argument("--family", required=True, choices=[f.value for f in Family])
-    p_rec.add_argument("--n", type=int, required=True, help="ambient dimension")
-    p_rec.add_argument("--k", type=int, required=True, help="sparsity level")
-    p_rec.add_argument("--m", type=int, required=True, help="number of measurements")
-    p_rec.add_argument("--L", type=int, default=None, help="quantizer levels (multi-bit)")
-    p_rec.add_argument("--delta", type=float, default=None, help="fixed cell width (multi-bit; default 5/L)")
-    p_rec.add_argument("--lambda", type=float, default=None, help="dither level (dithered one-bit)")
-    p_rec.add_argument("--seed", type=int, default=0)
-    p_rec.add_argument("--iters", type=int, default=100)
+    p_rec = sub.add_parser("recover", help="per-iterate errors of trial 0 of every cell of a plan")
+    p_rec.add_argument("--config", required=True, help="path to the plan JSON")
     p_rec.set_defaults(func=_cmd_recover)
 
     p_ver = sub.add_parser("verify", help="run oracle cross-check suites")

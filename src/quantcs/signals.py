@@ -211,11 +211,13 @@ def l1ball_magnitudes(radius: float, n: int, c: int) -> tuple[float, float]:
     With ``k = radius**2``, the vector with ``c`` entries of magnitude ``a``
     and ``n - c`` of magnitude ``b`` has unit l2 norm and l1 norm ``sqrt(k)``.
     ``b`` may come out negative for unlucky ``c``; callers resample then.
+    At ``radius = sqrt(n)`` the square ``k`` may round above ``n``; ``n - k``
+    is then taken as 0, its value at the exact ``sqrt(n)``.
     """
     k = radius * radius
     if c < 1 or c >= n:
         raise ValueError(f"need 1 <= c < n, got c={c}, n={n}")
-    disc = k + n * (n - k - c) / c
+    disc = k + n * (max(n - k, 0.0) - c) / c
     if disc < 0:
         raise ValueError(f"no real solution: n={n} too small for radius**2={k} with c={c}")
     a = (math.sqrt(k) + math.sqrt(disc)) / n
@@ -251,7 +253,7 @@ def gen_signal(model: SignalModel, seed: int) -> np.ndarray:
         x = (M / np.linalg.norm(M)).reshape(-1, order="F")
     else:
         k = s.radius * s.radius
-        if k > s.n:
+        if s.radius > math.sqrt(s.n):
             raise ValueError(f"l1 radius {s.radius} exceeds sqrt(n) = {math.sqrt(s.n):.6g}: no unit vector has that l1 norm")
         if s.radius < 1:
             raise ValueError(f"l1 radius {s.radius} is below 1: no unit vector has that l1 norm")

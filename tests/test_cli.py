@@ -29,6 +29,73 @@ def tiny_plan_json():
     )
 
 
+def write_plan(tmp_path, plan):
+    config = tmp_path / "plan.json"
+    config.write_text(json.dumps(plan))
+    return str(config)
+
+
+# (id, plan edit, error message): each plan exits 2, before any draw unless the l1-ball draw rejects its radius
+MALFORMED_PLANS = [
+    ("unknown_family", {"family": "nope"}, "unknown family 'nope'"),
+    ("float_trials", {"trials": 2.5}, "trials must be an integer"),
+    ("string_iterations", {"iterations": "7"}, "iterations must be an integer"),
+    ("model_without_alpha", {"model": {"structure": "sparse", "n": 12, "k": 3, "beta": 1.0}}, "missing required keys: ['alpha']"),
+    ("bool_trials", {"trials": True}, "trials must be an integer"),
+    ("float_m", {"m_grid": [40.7]}, "m_grid entry must be an integer"),
+    ("resource_cap", {"resource_cap": 1e18}, "unknown plan keys: ['resource_cap']"),
+    ("huge_seed", {"master_seed": 2**127}, "master_seed must lie in [-2**127, 2**127)"),
+    ("huge_zeta", {"corruption_zeta": 10**400}, "corruption_zeta must be a number within the float range"),
+    (
+        "huge_L",
+        {
+            "family": "dithered_multi_bit",
+            "model": {"structure": "sparse", "n": 12, "k": 3, "alpha": 0.0, "beta": 1.0},
+            "L": 10**12,
+            "delta_rule": {"rule": "five_over_l"},
+        },
+        "level count L = 1000000000000 exceeds the cap",
+    ),
+    (
+        "huge_n",
+        {"model": {"structure": "sparse", "n": 10**11, "k": 1, "alpha": 1.0, "beta": 1.0}, "m_grid": [1], "trials": 1, "iterations": 1},
+        "sensing matrix m x n = 1 x 100000000000 exceeds the cap",
+    ),
+    (
+        # m * n = 1 keeps the plan cost under its cap, so the iteration cap must stop it
+        "huge_iterations",
+        {
+            "model": {"structure": "sparse", "n": 1, "k": 1, "alpha": 1.0, "beta": 1.0},
+            "m_grid": [1],
+            "trials": 1,
+            "iterations": 400000000000,
+        },
+        f"iterations = 400000000000 exceeds the cap {ERRORS_CAP}",
+    ),
+    ("one_bit_delta_rule", {"delta_rule": {"rule": "five_over_l"}}, "one_bit_gaussian takes no delta rule"),
+    (
+        "huge_lambda",
+        {"family": "dithered_one_bit", "model": {"structure": "sparse", "n": 12, "k": 3, "alpha": 0.0, "beta": 1.0}, "lambda": 1e308},
+        "dither level must be a real >= 0 with 2 * level finite",
+    ),
+    (
+        "huge_radius",
+        {"model": {"structure": "l1_ball", "n": 12, "radius": 1e200, "alpha": 1.0, "beta": 1.0}},
+        "l1 radius 1e+200 exceeds sqrt(n)",
+    ),
+    (
+        "large_radius",
+        {"model": {"structure": "l1_ball", "n": 12, "radius": 1e10, "alpha": 1.0, "beta": 1.0}},
+        "l1 radius 10000000000.0 exceeds sqrt(n)",
+    ),
+    (
+        "small_radius",
+        {"model": {"structure": "l1_ball", "n": 12, "radius": 0.5, "alpha": 1.0, "beta": 1.0}},
+        "l1 radius 0.5 is below 1",
+    ),
+]
+
+
 class TestRun:
     def test_writes_csv_and_svg(self, tmp_path, capsys):
         config = tmp_path / "plan.json"
@@ -109,78 +176,24 @@ class TestRun:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "edit, message",
+        "command, edit, message",
+        # run's cases keep their ids; recover reads the same plans through the same helper
         [
-            ({"trials": 2.5}, "trials must be an integer"),
-            ({"iterations": "7"}, "iterations must be an integer"),
-            ({"model": {"structure": "sparse", "n": 12, "k": 3, "beta": 1.0}}, "missing required keys: ['alpha']"),
-            ({"trials": True}, "trials must be an integer"),
-            ({"m_grid": [40.7]}, "m_grid entry must be an integer"),
-            ({"resource_cap": 1e18}, "unknown plan keys: ['resource_cap']"),
-            ({"master_seed": 2**127}, "master_seed must lie in [-2**127, 2**127)"),
-            ({"corruption_zeta": 10**400}, "corruption_zeta must be a number within the float range"),
-            (
-                {
-                    "family": "dithered_multi_bit",
-                    "model": {"structure": "sparse", "n": 12, "k": 3, "alpha": 0.0, "beta": 1.0},
-                    "L": 10**12,
-                    "delta_rule": {"rule": "five_over_l"},
-                },
-                "level count L = 1000000000000 exceeds the cap",
-            ),
-            (
-                {
-                    "model": {"structure": "sparse", "n": 10**11, "k": 1, "alpha": 1.0, "beta": 1.0},
-                    "m_grid": [1],
-                    "trials": 1,
-                    "iterations": 1,
-                },
-                "sensing matrix m x n = 1 x 100000000000 exceeds the cap",
-            ),
-            ({"delta_rule": {"rule": "five_over_l"}}, "one_bit_gaussian takes no delta rule"),
-            (
-                {
-                    "family": "dithered_one_bit",
-                    "model": {"structure": "sparse", "n": 12, "k": 3, "alpha": 0.0, "beta": 1.0},
-                    "lambda": 1e308,
-                },
-                "dither level must be a real >= 0 with 2 * level finite",
-            ),
-            (
-                {"model": {"structure": "l1_ball", "n": 12, "radius": 1e200, "alpha": 1.0, "beta": 1.0}},
-                "l1 radius 1e+200 exceeds sqrt(n)",
-            ),
-            (
-                {"model": {"structure": "l1_ball", "n": 12, "radius": 1e10, "alpha": 1.0, "beta": 1.0}},
-                "l1 radius 10000000000.0 exceeds sqrt(n)",
-            ),
-            (
-                {"model": {"structure": "l1_ball", "n": 12, "radius": 0.5, "alpha": 1.0, "beta": 1.0}},
-                "l1 radius 0.5 is below 1",
-            ),
-        ],
-        ids=[
-            "float_trials",
-            "string_iterations",
-            "model_without_alpha",
-            "bool_trials",
-            "float_m",
-            "resource_cap",
-            "huge_seed",
-            "huge_zeta",
-            "huge_L",
-            "huge_n",
-            "one_bit_delta_rule",
-            "huge_lambda",
-            "huge_radius",
-            "large_radius",
-            "small_radius",
+            pytest.param(command, edit, message, id=name if command == "run" else f"{name}-recover")
+            for command in ("run", "recover")
+            for name, edit, message in MALFORMED_PLANS
         ],
     )
-    def test_malformed_plan_exits_2(self, tmp_path, capsys, edit, message):
+    def test_malformed_plan_exits_2(self, tmp_path, capsys, monkeypatch, command, edit, message):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("the plan check must come before any draw")
+
+        if not message.startswith("l1 radius"):  # the l1-ball draw itself checks the radius
+            monkeypatch.setattr(quantcs.harness, "gen_signal", no_draw)
         config = tmp_path / "plan.json"
         config.write_text(json.dumps({**json.loads(tiny_plan_json()), **edit}))
-        rc = main(["run", "--config", str(config), "--out", str(tmp_path / "x.csv")])
+        argv = {"run": ["run", "--config", str(config), "--out", str(tmp_path / "x.csv")], "recover": ["recover", "--config", str(config)]}
+        rc = main(argv[command])
         (line,) = capsys.readouterr().err.splitlines()
         assert rc == 2
         assert line.startswith("error:") and message in line
@@ -210,111 +223,78 @@ class TestRun:
         assert "error:" in capsys.readouterr().err
 
 
+def sparse_plan(family, **extra):
+    """The one-cell, one-trial plan n = 20, k = 2, m = 80, 10 iterations, seed 11."""
+    alpha = 1.0 if family == "one_bit_gaussian" else 0.0
+    model = {"structure": "sparse", "n": 20, "k": 2, "alpha": alpha, "beta": 1.0}
+    return {"family": family, "model": model, "m_grid": [80], "trials": 1, "iterations": 10, "master_seed": 11, **extra}
+
+
+# one-trial plans over every structure, on one cell or several; recover decodes trial 0 of each cell
+ONE_TRIAL_PLANS = {
+    "sparse_3_cells": {**sparse_plan("one_bit_gaussian"), "m_grid": [40, 80, 120]},
+    "l1_ball": {
+        "family": "dithered_multi_bit",
+        "model": {"structure": "l1_ball", "n": 30, "radius": 2.0, "alpha": 0.0, "beta": 1.0},
+        "m_grid": [60, 120],
+        "L": 4,
+        "trials": 1,
+        "iterations": 10,
+        "master_seed": 3,
+    },
+    "low_rank": {
+        "family": "one_bit_gaussian",
+        "model": {"structure": "low_rank", "n1": 5, "n2": 6, "r": 1, "alpha": 1.0, "beta": 1.0},
+        "m_grid": [50, 100],
+        "trials": 1,
+        "iterations": 10,
+        "master_seed": 4,
+    },
+    "corrupted_dithered": {**sparse_plan("dithered_one_bit", **{"lambda": 1.5}), "m_grid": [80, 160], "corruption_zeta": 0.05},
+    "multi_bit_fixed_delta": sparse_plan("dithered_multi_bit", L=8, delta_rule={"rule": "fixed", "delta": 0.3}),
+}
+
+
 class TestRecover:
-    def _lines(self, capsys):
-        return capsys.readouterr().out.strip().split("\n")
+    def _rows(self, capsys):
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "m,iter,error"
+        return [line.split(",") for line in lines[1:]]
 
-    def test_one_bit_gaussian(self, capsys):
-        rc = main(["recover", "--family", "one_bit_gaussian", "--n", "20", "--k", "1", "--m", "80", "--iters", "10"])
-        assert rc == 0
-        lines = self._lines(capsys)
-        assert lines[0] == "iter,error"
-        assert len(lines) == 12  # header + 10 iterates + final
-        assert lines[1].startswith("1,")
-        tag, value = lines[-1].split(",")
-        assert tag == "final"
-        assert 0.0 <= float(value) <= 2.0
+    def test_one_bit_gaussian(self, tmp_path, capsys):
+        # the rows that recover --family one_bit_gaussian --n 20 --k 2 --m 80 --iters 10 --seed 11 printed
+        assert main(["recover", "--config", write_plan(tmp_path, sparse_plan("one_bit_gaussian"))]) == 0
+        errors = ["0.618675223584"] + ["0.0270011607785"] * 9
+        assert self._rows(capsys) == [["80", str(t), err] for t, err in enumerate(errors, start=1)]
 
-    def test_final_matches_last_iterate(self, capsys):
-        rc = main(["recover", "--family", "one_bit_gaussian", "--n", "20", "--k", "1", "--m", "80", "--iters", "5"])
-        assert rc == 0
-        lines = self._lines(capsys)
-        assert float(lines[-2].split(",")[1]) == pytest.approx(float(lines[-1].split(",")[1]), abs=1e-12)
+    def test_dithered_one_bit_needs_lambda(self, tmp_path, capsys):
+        assert main(["recover", "--config", write_plan(tmp_path, sparse_plan("dithered_one_bit"))]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert main(["recover", "--config", write_plan(tmp_path, sparse_plan("dithered_one_bit", **{"lambda": 1.5}))]) == 0
 
-    def test_dithered_one_bit_needs_lambda(self, capsys):
-        args = ["recover", "--family", "dithered_one_bit", "--n", "20", "--k", "1", "--m", "80", "--iters", "5"]
-        assert main(args) == 2
-        assert "error:" in capsys.readouterr().err
-        assert main(args + ["--lambda", "1.5"]) == 0
+    def test_dithered_multi_bit(self, tmp_path, capsys):
+        assert main(["recover", "--config", write_plan(tmp_path, sparse_plan("dithered_multi_bit", L=4))]) == 0
+        assert len(self._rows(capsys)) == 10
 
-    def test_dithered_multi_bit(self, capsys):
-        rc = main(
-            ["recover", "--family", "dithered_multi_bit", "--n", "20", "--k", "1", "--m", "80", "--L", "4", "--iters", "5"]
-        )
-        assert rc == 0
-        assert self._lines(capsys)[-1].startswith("final,")
-
-    def test_huge_seed_exits_2(self, capsys):
-        args = ["recover", "--family", "one_bit_gaussian", "--n", "15", "--k", "1", "--m", "40", "--iters", "5"]
-        assert main(args + ["--seed", str(2**127)]) == 2
-        (line,) = capsys.readouterr().err.splitlines()
-        assert line.startswith("error: master_seed must lie in")
-
-    def test_huge_level_count_exits_2(self, capsys):
-        args = ["recover", "--family", "dithered_multi_bit", "--n", "10", "--k", "3", "--m", "5"]
-        assert main(args + ["--L", str(10**12)]) == 2
-        (line,) = capsys.readouterr().err.splitlines()
-        assert line.startswith("error: level count L = 1000000000000 exceeds the cap")
-
-    def test_huge_lambda_exits_2_before_drawing(self, capsys, monkeypatch):
-        def no_draw(*args, **kwargs):
-            raise AssertionError("the plan check must come before any draw")
-
-        monkeypatch.setattr(quantcs.harness, "gen_signal", no_draw)
-        args = ["recover", "--family", "dithered_one_bit", "--n", "5", "--k", "1", "--m", "4"]
-        assert main(args + ["--lambda", "1e308"]) == 2
-        (line,) = capsys.readouterr().err.splitlines()
-        assert line == "error: dither level must be a real >= 0 with 2 * level finite, got 1e+308"
-
-    def test_huge_dimension_exits_2(self, capsys):
-        args = ["recover", "--family", "one_bit_gaussian", "--n", str(10**11), "--k", "1", "--m", "1", "--iters", "1"]
-        assert main(args) == 2
-        (line,) = capsys.readouterr().err.splitlines()
-        assert line.startswith("error: sensing matrix m x n = 1 x 100000000000 exceeds the cap")
-
-    def test_huge_iteration_count_exits_2(self, capsys):
-        # m * n = 1 keeps the plan cost under its cap, so the iteration cap must stop it
-        args = ["recover", "--family", "one_bit_gaussian", "--n", "1", "--k", "1", "--m", "1"]
-        assert main(args + ["--iters", "400000000000"]) == 2
-        (line,) = capsys.readouterr().err.splitlines()
-        assert line == f"error: iterations = 400000000000 exceeds the cap {ERRORS_CAP}"
-
-    def test_deterministic_for_fixed_seed(self, capsys):
-        args = ["recover", "--family", "one_bit_gaussian", "--n", "15", "--k", "1", "--m", "40", "--iters", "5", "--seed", "3"]
-        assert main(args) == 0
+    def test_deterministic_for_fixed_seed(self, tmp_path, capsys):
+        argv = ["recover", "--config", write_plan(tmp_path, ONE_TRIAL_PLANS["sparse_3_cells"])]
+        assert main(argv) == 0
         first = capsys.readouterr().out
-        assert main(args) == 0
+        assert main(argv) == 0
         assert capsys.readouterr().out == first
 
-    @pytest.mark.parametrize(
-        "family, flags, plan_extra",
-        [
-            ("one_bit_gaussian", [], {}),
-            ("dithered_one_bit", ["--lambda", "1.5"], {"lambda": 1.5}),
-            ("dithered_multi_bit", ["--L", "4"], {"L": 4, "delta_rule": {"rule": "five_over_l"}}),
-        ],
-    )
-    def test_matches_one_trial_run(self, tmp_path, capsys, family, flags, plan_extra):
-        # recover is trial (0, 0) of the one-cell, one-trial plan with the same seed
-        n, k, m, iters, seed = 20, 2, 80, 10, 11
-        args = ["--family", family, "--n", str(n), "--k", str(k), "--m", str(m), "--iters", str(iters), "--seed", str(seed)]
-        assert main(["recover", *args, *flags]) == 0
-        final = self._lines(capsys)[-1]
-        plan = {
-            "family": family,
-            "model": {"structure": "sparse", "n": n, "k": k, "alpha": 1.0 if family == "one_bit_gaussian" else 0.0, "beta": 1.0},
-            "m_grid": [m],
-            "trials": 1,
-            "iterations": iters,
-            "master_seed": seed,
-            **plan_extra,
-        }
-        config, out = tmp_path / "plan.json", tmp_path / "cells.csv"
-        config.write_text(json.dumps(plan))
-        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    @pytest.mark.parametrize("name", sorted(ONE_TRIAL_PLANS))
+    def test_last_row_is_run_mean_err(self, tmp_path, capsys, name):
+        # recover is trial 0 of run: on a one-trial plan, each cell's last error is its mean_err string
+        plan = ONE_TRIAL_PLANS[name]
+        config, out = write_plan(tmp_path, plan), tmp_path / "cells.csv"
+        assert main(["recover", "--config", config]) == 0
+        rows = self._rows(capsys)
+        assert [m for m, _, _ in rows] == [str(m) for m in plan["m_grid"] for _ in range(plan["iterations"])]
+        last = {m: err for m, _, err in rows}
+        assert main(["run", "--config", config, "--out", str(out)]) == 0
         with open(out, newline="") as fh:
-            (row,) = list(csv.DictReader(fh))
-        assert final == f"final,{row['mean_err']}"
+            assert last == {row["m"]: row["mean_err"] for row in csv.DictReader(fh)}
 
 
 class TestVerify:
@@ -340,11 +320,10 @@ class TestUsageErrors:
         "argv",
         [
             ["run", "--config", "plan.json"],
-            ["recover", "--family", "one_bit_gaussian", "--n", "5", "--k", "1", "--m", "abc"],
             ["run", "--config", "plan.json", "--out", "x.csv", "--threads", "two"],
-            ["recover", "--family", "nope", "--n", "5", "--k", "1", "--m", "4"],
+            ["recover"],
         ],
-        ids=["missing_out", "non_integer_m", "non_integer_threads", "unknown_family"],
+        ids=["missing_out", "non_integer_threads", "recover_missing_config"],
     )
     def test_one_error_line_and_exit_2(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -367,7 +346,7 @@ class TestRefereeImport:
         config.write_text(tiny_plan_json())
         argv = {
             "run": ["run", "--config", str(config), "--out", str(tmp_path / "x.csv")],
-            "recover": RECOVER_ARGS,
+            "recover": ["recover", "--config", str(config)],
             "verify": ["verify", "--suite", "quantizer"],
         }[command]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
@@ -377,7 +356,10 @@ class TestRefereeImport:
 
 
 REPO = Path(__file__).resolve().parents[1]
-RECOVER_ARGS = ["recover", "--family", "one_bit_gaussian", "--n", "10", "--k", "1", "--m", "30", "--iters", "3"]
+
+
+def recover_args(tmp_path):
+    return ["recover", "--config", write_plan(tmp_path, json.loads(tiny_plan_json()))]
 
 
 def _declared_entry_point(name):
@@ -407,7 +389,7 @@ def _write_console_script(directory, name, value):
 
 def _assert_recover_ran(proc):
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("iter,error")
+    assert proc.stdout.startswith("m,iter,error\n")
 
 
 class TestEntryPoint:
@@ -416,12 +398,12 @@ class TestEntryPoint:
         env = dict(os.environ)
         env["PATH"] = os.pathsep.join(filter(None, [str(tmp_path), env.get("PATH")]))
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
-        proc = subprocess.run(["quantcs", *RECOVER_ARGS], capture_output=True, text=True, env=env)
+        proc = subprocess.run(["quantcs", *recover_args(tmp_path)], capture_output=True, text=True, env=env)
         _assert_recover_ran(proc)
 
     @pytest.mark.skipif(shutil.which("quantcs") is None, reason="no installed quantcs executable on PATH")
-    def test_installed_console_script(self):
-        proc = subprocess.run(["quantcs", *RECOVER_ARGS], capture_output=True, text=True)
+    def test_installed_console_script(self, tmp_path):
+        proc = subprocess.run(["quantcs", *recover_args(tmp_path)], capture_output=True, text=True)
         _assert_recover_ran(proc)
 
     def test_module_invocation(self):
@@ -489,3 +471,4 @@ class TestReadme:
         config = tmp_path / "plan.json"
         config.write_text(json.dumps(plan))
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "results.csv")]) == 0
+        assert main(["recover", "--config", str(config)]) == 0

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -226,6 +228,17 @@ class TestGenSignal:
         model = sphere(L1Ball(radius=1.0, n=4))
         x = gen_signal(model, 11)
         np.testing.assert_array_equal(np.sort(np.abs(x)), [0.0, 0.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("n", [2, 5, 10])
+    def test_l1ball_radius_at_sqrt_n_draws(self, n):
+        # sqrt(n) * sqrt(n) rounds above n for these n, yet radius sqrt(n) is the
+        # largest l1 norm of a unit vector: every entry has magnitude about 1/sqrt(n)
+        x = gen_signal(sphere(L1Ball(radius=math.sqrt(n), n=n)), 0)
+        np.testing.assert_allclose(np.linalg.norm(x), 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.abs(x).sum(), math.sqrt(n), atol=1e-12)
+        np.testing.assert_allclose(np.abs(x), 1 / math.sqrt(n), atol=1e-7)
+        with pytest.raises(ValueError, match=r"exceeds sqrt\(n\)"):
+            gen_signal(sphere(L1Ball(radius=float(np.nextafter(math.sqrt(n), n)), n=n)), 0)
 
     @pytest.mark.parametrize("radius", [1e10, 1e200, 3.2])
     def test_l1ball_radius_beyond_sqrt_n_rejected(self, radius):
