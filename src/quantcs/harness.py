@@ -30,7 +30,7 @@ from .pgd import ERRORS_CAP, PgdConfig, PgdResult, pgd_recover
 from .quantizers import QuantizerSpec, make_saturated, make_sign
 from .rng import derive_seed
 from .sensing import MatrixKind, SensingInstance, corrupt, measure, sample_instance
-from .signals import L1Ball, LowRank, SignalModel, Sparse, check_int, check_real, gen_signal, random_in_model
+from .signals import L1Ball, LowRank, SignalModel, Sparse, check_int, check_l1_ball_draw, check_real, gen_signal, random_in_model
 
 __all__ = [
     "Family",
@@ -138,6 +138,7 @@ class ExperimentPlan:
                 raise ValueError("dithered_multi_bit expects the unit-ball model: (alpha, beta) = (0, 1)")
         else:
             raise ValueError(f"unknown family {self.family!r}")
+        check_l1_ball_draw(self.model)  # so that no l1-ball plan fails at its first draw
         n = self.model.ambient_dim
         if grid[-1] * n > MATRIX_ENTRIES_CAP:
             raise ValueError(f"sensing matrix m x n = {grid[-1]} x {n} exceeds the cap of {MATRIX_ENTRIES_CAP} entries")

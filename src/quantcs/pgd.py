@@ -6,12 +6,13 @@ With measurements ``y_i = Q(<a_i, x> - tau_i)`` the loss at ``u`` is
 
 where ``b_j`` are the quantizer thresholds and ``y_ij`` is the sign of
 ``<a_i, x> - tau_i - b_j`` implied by ``y_i``.  Its subgradient collapses to
-``(1/m) A^T d`` with ``d = Q(Au - tau) - y``.  Its products (``sensing._forward``
-and ``_adjoint``) take only the support columns of ``u`` and the rows where
-``d`` is nonzero, so one iteration costs ``O(m nnz(u) + nnz(d) n)`` when those
-are few and ``O(mn)`` otherwise; the recovery iteration alternates a gradient
-step with the two-stage model projection.  On the sphere with the sign
-quantizer this is exactly normalized binary iterative hard thresholding.
+``(1/m) A^T d`` with ``d = measure(u) - y``, by the map that made ``y``.  Its
+products (``sensing._forward`` in ``measure``, and ``_adjoint``) take only the
+support columns of ``u`` and the rows where ``d`` is nonzero, so one iteration
+costs ``O(m nnz(u) + nnz(d) n)`` when those are few and ``O(mn)`` otherwise;
+the recovery iteration alternates a gradient step with the two-stage model
+projection.  On the sphere with the sign quantizer this is exactly
+normalized binary iterative hard thresholding.
 
 A step is a fixed function of the iterate's bits, so ``pgd_recover`` stops as
 soon as an iterate repeats an earlier one bit for bit: a consistent iterate
@@ -21,10 +22,10 @@ then a replay, so the per-iterate errors are copied forward and a few more
 steps land on the final iterate: the outputs are those of the full loop, bit
 for bit, and the check keeps two extra iterates in memory.
 
-This module is the solver alone: the matrix products live in
-``quantcs.sensing``, the loss value and the other forms of its gradient that
-cross-check this one in ``quantcs.verify``, and each family's step size and
-start in ``quantcs.harness``.
+This module is the solver alone: the measurement map and the matrix products
+live in ``quantcs.sensing``, the loss value and the other forms of its
+gradient that cross-check this one in ``quantcs.verify``, and each family's
+step size and start in ``quantcs.harness``.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantizers import QuantizerSpec, quantize_vec
-from .sensing import SensingInstance, _adjoint, _forward
+from .quantizers import QuantizerSpec
+from .sensing import SensingInstance, _adjoint, measure
 from .signals import SignalModel, check_int, check_real, project_model
 
 __all__ = [
@@ -81,15 +82,11 @@ class PgdResult:
 
 
 def gradient(spec: QuantizerSpec, instance: SensingInstance, y, u) -> np.ndarray:
-    """Subgradient ``(1/m) A^T (Q(Au - tau) - y)`` of the one-sided loss."""
+    """Subgradient ``(1/m) A^T (measure(u) - y)`` of the one-sided loss: zero at every ``u`` consistent with ``y``."""
     y = np.asarray(y, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if u.shape != (instance.n,):
-        raise ValueError(f"iterate shape {u.shape} does not match n={instance.n}")
     if y.shape != (instance.m,):
         raise ValueError(f"measurement shape {y.shape} does not match m={instance.m}")
-    d = quantize_vec(spec, _forward(instance.matrix, u) - instance.dither) - y
-    return _adjoint(instance.matrix, d) / instance.m
+    return _adjoint(instance.matrix, measure(instance, spec, u) - y) / instance.m
 
 
 def pgd_recover(

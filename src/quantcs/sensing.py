@@ -18,13 +18,13 @@ written chunk by chunk into the one ``m x n`` buffer, so the draw allocates
 no ``m x n`` temporary.  A Gaussian matrix is float64; ``MatrixKind.dtype``
 names each kind's entry type.
 
-``_matvec`` casts a one-byte matrix to float64 one block at a time, and
-``instance_rows`` yields an instance in blocks, both by one rule,
-``_row_blocks``; ``sample_instance`` is the one-block case of
-``instance_rows``, and a caller may hand in the buffer, so that repeated
-draws reuse one allocation.  A decoder's products are here too: ``_forward``
-(gathered support columns, or ``_matvec``) and ``_adjoint`` (gathered rows,
-or row slices), which keeps its own blocks of ``_BLOCK_ENTRIES // n`` rows.
+``_forward``, the one forward product, casts a one-byte matrix to float64
+one block at a time, and ``instance_rows`` yields an instance in blocks,
+both by one rule, ``_row_blocks``; ``sample_instance`` is the one-block case
+of ``instance_rows``, and a caller may hand in the buffer, so that repeated
+draws reuse one allocation.  ``measure`` takes ``A x`` from ``_forward``, and
+the decoder's residual is ``measure`` of its iterate; ``_adjoint`` (gathered
+rows, or row slices) keeps its own blocks of ``_BLOCK_ENTRIES // n`` rows.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .signals import check_int, check_real
 # Entries per chunk of the Rademacher draw: even, so that no chunk leaves a
 # half word behind in the stream.
 _CHUNK = 2**14
-# Entries per block of the products taken in blocks (``_matvec``,
+# Entries per block of the products taken in blocks (``_forward``,
 # ``_adjoint``, ``oracles.estimate_puv``): 1 MB of float64.
 _BLOCK_ENTRIES = 2**17
 # Gather the support columns of u when at most 1/_SPARSE_U of u is nonzero, and
@@ -190,37 +190,28 @@ def _row_blocks(m: int, rows: int) -> list[slice]:
     return [slice(a, b) for a, b in zip([0, *stops], stops)]
 
 
-def _matvec(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``matrix @ x`` for a float64 vector ``x``.
+def _forward(matrix: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``matrix @ u`` for a float64 vector ``u``: the one forward product, behind ``measure``.
 
-    A float64 matrix takes one product.  A one-byte (Rademacher) one is cast
-    to float64 and multiplied in the blocks of ``_row_blocks(m,
-    _block_rows(n))``, so no cast holds more than about ``_BLOCK_ENTRIES``
-    floats.  The result has the bits of the float64 copy's one-shot product
-    on one BLAS thread, and the same bits on two (OpenBLAS 0.3.31, a probe of
-    300 shapes up to 700 columns), where the one-shot float64 product on two
-    threads differed from it in the last bit for 24 of them.
+    A ``u`` with at most ``1/_SPARSE_U`` nonzeros takes its support columns,
+    a one-byte matrix's cast to float64 whole (a mixed int8 x float64 product
+    sums in another order).  Otherwise a float64 matrix takes one product, and
+    a one-byte one is cast in the blocks of ``_row_blocks(m, _block_rows(n))``,
+    about ``_BLOCK_ENTRIES`` floats each: the bits of the float64 copy's
+    one-shot product on one BLAS thread and on two (OpenBLAS 0.3.31, 300
+    shapes up to 700 columns), where that product on two threads differed
+    in the last bit for 24 shapes.
     """
+    supp = np.flatnonzero(u)
+    if supp.size * _SPARSE_U <= u.size:
+        return matrix[:, supp].astype(np.float64, copy=False) @ u[supp]
     if matrix.dtype == np.float64:
-        return matrix @ x
+        return matrix @ u
     m, n = matrix.shape
     out = np.empty(m)
     for block in _row_blocks(m, _block_rows(n)):
-        out[block] = matrix[block] @ x
+        out[block] = matrix[block] @ u
     return out
-
-
-def _forward(matrix: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``matrix @ u``, through the support columns alone when ``u`` is sparse.
-
-    The gathered columns of a one-byte matrix are cast to float64 whole (at
-    most ``m * n / _SPARSE_U`` entries), as a mixed int8 x float64 product
-    sums in another order; the dense product goes by ``_matvec``.
-    """
-    supp = np.flatnonzero(u)
-    if supp.size * _SPARSE_U > u.size:
-        return _matvec(matrix, u)
-    return matrix[:, supp].astype(np.float64, copy=False) @ u[supp]
 
 
 def _adjoint(matrix: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -247,11 +238,11 @@ def _adjoint(matrix: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def measure(instance: SensingInstance, spec: QuantizerSpec, x: np.ndarray) -> np.ndarray:
-    """Quantized measurements ``y_i = Q(<a_i, x> - tau_i)``."""
+    """Quantized measurements ``y_i = Q(<a_i, x> - tau_i)``; the decoder's residual takes this map too."""
     x = np.asarray(x, dtype=float)
     if x.shape != (instance.n,):
         raise ValueError(f"signal shape {x.shape} does not match n={instance.n}")
-    return quantize_vec(spec, _matvec(instance.matrix, x) - instance.dither)
+    return quantize_vec(spec, _forward(instance.matrix, x) - instance.dither)
 
 
 def corrupt(y: np.ndarray, spec: QuantizerSpec, zeta: float, seed: int) -> np.ndarray:

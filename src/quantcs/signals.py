@@ -26,6 +26,7 @@ __all__ = [
     "project_norm",
     "project_model",
     "gen_signal",
+    "check_l1_ball_draw",
     "l1ball_magnitudes",
     "random_in_model",
 ]
@@ -225,6 +226,21 @@ def l1ball_magnitudes(radius: float, n: int, c: int) -> tuple[float, float]:
     return a, b
 
 
+def check_l1_ball_draw(model: SignalModel) -> None:
+    """Raise ``ValueError`` if ``gen_signal`` cannot draw from this l1-ball model; other models pass."""
+    s = model.structure
+    if not isinstance(s, L1Ball):
+        return
+    if s.n < 2:
+        raise ValueError(f"the l1-ball draw needs n >= 2 (one large entry and at least one small one), got n={s.n}")
+    if s.radius > math.sqrt(s.n):
+        raise ValueError(f"l1 radius {s.radius} exceeds sqrt(n) = {math.sqrt(s.n):.6g}: no unit vector has that l1 norm")
+    if s.radius < 1:
+        raise ValueError(f"l1 radius {s.radius} is below 1: no unit vector has that l1 norm")
+    if not model.alpha <= 1.0 <= model.beta:
+        raise ValueError(f"the l1-ball draw has unit l2 norm, outside the model's [{model.alpha}, {model.beta}]")
+
+
 def gen_signal(model: SignalModel, seed: int) -> np.ndarray:
     """Draw a random member of the model from the seed's "signal" stream.
 
@@ -252,14 +268,8 @@ def gen_signal(model: SignalModel, seed: int) -> np.ndarray:
         M = (U * sv) @ Vt
         x = (M / np.linalg.norm(M)).reshape(-1, order="F")
     else:
-        k = s.radius * s.radius
-        if s.radius > math.sqrt(s.n):
-            raise ValueError(f"l1 radius {s.radius} exceeds sqrt(n) = {math.sqrt(s.n):.6g}: no unit vector has that l1 norm")
-        if s.radius < 1:
-            raise ValueError(f"l1 radius {s.radius} is below 1: no unit vector has that l1 norm")
-        if not model.alpha <= 1.0 <= model.beta:
-            raise ValueError(f"the l1-ball draw has unit l2 norm, outside the model's [{model.alpha}, {model.beta}]")
-        cmax = max(1, math.ceil(0.6 * k))
+        check_l1_ball_draw(model)
+        cmax = max(1, math.ceil(0.6 * (s.radius * s.radius)))
         for _ in range(1000):
             c = int(rng.integers(1, cmax + 1))
             a, b = l1ball_magnitudes(s.radius, s.n, c)

@@ -43,7 +43,7 @@ from .pgd import PgdConfig, gradient, pgd_recover
 from .quantizers import QuantizerSpec, level_index, make_saturated, make_sign, quantize_vec
 from .rng import derive_seed, stream
 from .sensing import _BLOCK_ENTRIES, _CHUNK, _SPARSE_D, _SPARSE_U, MatrixKind, SensingInstance, _adjoint, _block_rows
-from .sensing import _forward, _matvec, measure, sample_instance
+from .sensing import _forward, measure, sample_instance
 from .signals import (
     L1Ball,
     LowRank,
@@ -689,7 +689,7 @@ def gradient_suite() -> list[Check]:
     cases = [(near_s, ys), (-xs, ys), (near_d, yd), (-xd, yd), (xw, ys), (-xw, yd)]
     paths = set()
     for u, y in cases:
-        d = quantize_vec(spec, _forward(copy.matrix, u) - copy.dither) - y
+        d = measure(copy, spec, u) - y
         differ += _forward(inst.matrix, u).tobytes() != _forward(copy.matrix, u).tobytes()
         differ += _adjoint(inst.matrix, d).tobytes() != _adjoint(copy.matrix, d).tobytes()
         differ += gradient(spec, inst, y, u).tobytes() != gradient(spec, copy, y, u).tobytes()
@@ -811,11 +811,11 @@ def puv_suite() -> list[Check]:
                 if not (fresh.matrix.tobytes() == larger.matrix[:m].tobytes() and fresh.dither.tobytes() == larger.dither[:m].tobytes()):
                     bad.append((kind.value, dither, m, n))
     draws = 2 * len(MatrixKind) * len(shapes)
-    # estimate_puv counts in the blocks of _matvec, so its count must be that
-    # of _matvec on the one-shot instance (dropped before the blocks are
-    # drawn), at an odd n and the sample counts below, at and past the block
-    # size; on two BLAS threads, OpenBLAS 0.3.31 kept the Gaussian one-shot
-    # product's bits at n = 7 up to 6.3e5 entries, past the 3.9e5 here
+    # estimate_puv counts measure's disagreements block by block, so its count
+    # must be that of measure on the one-shot instance (dropped before the
+    # blocks are drawn), at an odd n and the sample counts below, at and past
+    # the block size; on two BLAS threads, OpenBLAS 0.3.31 kept the Gaussian
+    # one-shot product's bits at n = 7 up to 6.3e5 entries, past the 3.9e5 here
     n = 7
     rows = _block_rows(n)
     families = [(sign, MatrixKind.GAUSSIAN, 0.0), (sat, MatrixKind.RADEMACHER, delta / 2)]
@@ -824,7 +824,7 @@ def puv_suite() -> list[Check]:
         for samples in (1, rows - 1, rows, rows + 1, 3 * rows + 5):
             seed = int(rng.integers(0, 2**32))
             inst = sample_instance(kind, dither, samples, n, seed)
-            q = [quantize_vec(spec, _matvec(inst.matrix, w) - inst.dither) for w in (u, v)]
+            q = [measure(inst, spec, w) for w in (u, v)]
             one_shot = np.count_nonzero(q[0] != q[1])
             del inst, q
             if estimate_puv(spec, kind, dither, u, v, samples, seed).p_hat != one_shot / samples:

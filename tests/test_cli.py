@@ -35,7 +35,7 @@ def write_plan(tmp_path, plan):
     return str(config)
 
 
-# (id, plan edit, error message): each plan exits 2, before any draw unless the l1-ball draw rejects its radius
+# (id, plan edit, error message): each plan exits 2, before any draw
 MALFORMED_PLANS = [
     ("unknown_family", {"family": "nope"}, "unknown family 'nope'"),
     ("float_trials", {"trials": 2.5}, "trials must be an integer"),
@@ -92,6 +92,11 @@ MALFORMED_PLANS = [
         "small_radius",
         {"model": {"structure": "l1_ball", "n": 12, "radius": 0.5, "alpha": 1.0, "beta": 1.0}},
         "l1 radius 0.5 is below 1",
+    ),
+    (
+        "l1_ball_n_1",
+        {"model": {"structure": "l1_ball", "n": 1, "radius": 1.0, "alpha": 1.0, "beta": 1.0}},
+        "the l1-ball draw needs n >= 2",
     ),
 ]
 
@@ -188,16 +193,18 @@ class TestRun:
         def no_draw(*args, **kwargs):
             raise AssertionError("the plan check must come before any draw")
 
-        if not message.startswith("l1 radius"):  # the l1-ball draw itself checks the radius
-            monkeypatch.setattr(quantcs.harness, "gen_signal", no_draw)
+        monkeypatch.setattr(quantcs.harness, "gen_signal", no_draw)
         config = tmp_path / "plan.json"
         config.write_text(json.dumps({**json.loads(tiny_plan_json()), **edit}))
         argv = {"run": ["run", "--config", str(config), "--out", str(tmp_path / "x.csv")], "recover": ["recover", "--config", str(config)]}
         rc = main(argv[command])
-        (line,) = capsys.readouterr().err.splitlines()
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
         assert rc == 2
         assert line.startswith("error:") and message in line
         assert not (tmp_path / "x.csv").exists()
+        if command == "recover":  # no header before the error
+            assert captured.out == ""
 
     def test_multi_bit_delta_rule_defaults_to_five_over_l(self, tmp_path):
         plan = {
@@ -472,3 +479,10 @@ class TestReadme:
         config.write_text(json.dumps(plan))
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "results.csv")]) == 0
         assert main(["recover", "--config", str(config)]) == 0
+
+    def test_demos_list_names_every_demo(self):
+        # the README's Demos list names exactly the scripts in demos/, each once
+        text = (REPO / "README.md").read_text(encoding="utf-8")
+        section = text.split("\n## Demos\n", 1)[1].split("\n## ", 1)[0]
+        listed = re.findall(r"^- `([^`]+\.py)`", section, flags=re.MULTILINE)
+        assert sorted(listed) == sorted(p.name for p in (REPO / "demos").glob("*.py"))

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import mmap
 import weakref
 
@@ -209,6 +210,26 @@ class TestPlanValidation:
             LowRank(r=1, n1=5, n2=5.0)
         with pytest.raises(ValueError, match="model radius must be a number"):
             L1Ball(radius="3", n=12)
+
+    @pytest.mark.parametrize(
+        "n, radius, message",
+        [
+            (12, 1e10, r"l1 radius 10000000000.0 exceeds sqrt\(n\)"),
+            (10, float(np.nextafter(math.sqrt(10), 10)), r"exceeds sqrt\(n\)"),
+            (12, 0.5, "l1 radius 0.5 is below 1"),
+            (1, 1.0, "the l1-ball draw needs n >= 2"),
+        ],
+    )
+    def test_undrawable_l1_ball_plan_rejected(self, n, radius, message):
+        # the plan refuses an l1-ball model gen_signal cannot draw, before any trial
+        with pytest.raises(ValueError, match=message):
+            tiny_plan(model=SignalModel(L1Ball(radius=radius, n=n), 1.0, 1.0))
+
+    def test_l1_ball_plan_at_radius_sqrt_n_accepted(self):
+        # sqrt(10) * sqrt(10) rounds above 10, yet radius sqrt(10) is drawable
+        plan = tiny_plan(model=SignalModel(L1Ball(radius=math.sqrt(10), n=10), 1.0, 1.0))
+        x, *_ = next(draw_trial(plan, 0))
+        np.testing.assert_allclose(np.abs(x).sum(), math.sqrt(10), atol=1e-12)
 
     def test_numpy_integers_accepted(self):
         plan = tiny_plan(m_grid=tuple(np.array([30, 60])), trials=np.int64(3), master_seed=2**127 - 1)

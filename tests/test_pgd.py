@@ -390,12 +390,54 @@ class TestOneByteMatrix:
             u *= 3.0 / np.linalg.norm(u)  # well past the dither level 1.5
             # the measurements of a point near u mismatch few rows, those of -u many
             y = measure(copy, spec, u + 0.03 * rng.standard_normal(n) / np.sqrt(n) if i % 2 else -u)
-            d = quantize_vec(spec, _forward(copy.matrix, u) - copy.dither) - y
+            d = measure(copy, spec, u) - y
             few_rows.add(np.count_nonzero(d) * _SPARSE_D <= m)
             assert _forward(inst.matrix, u).tobytes() == _forward(copy.matrix, u).tobytes()
             assert _adjoint(inst.matrix, d).tobytes() == _adjoint(copy.matrix, d).tobytes()
             assert gradient(spec, inst, y, u).tobytes() == gradient(spec, copy, y, u).tobytes()
         assert few_rows == {True, False}  # both adjoint paths
+
+
+FINE = make_saturated(5.0 / 8, 8)
+
+
+class TestTruthIsConsistent:
+    # the decoder's residual is measure of its iterate, so the truth has zero
+    # gradient and is a fixed point on every forward path: 3 nonzeros of 300
+    # take the gathered columns, a dense x the one-shot or (int8) blocked product
+    @pytest.mark.parametrize("kind", list(MatrixKind))
+    @pytest.mark.parametrize("spec, dither", [(make_sign(), 1.5), (FINE, FINE.delta / 2)], ids=["sign", "multi_bit"])
+    @pytest.mark.parametrize("sparse", [True, False], ids=["sparse", "dense"])
+    def test_zero_gradient_and_fixed_point_at_truth(self, kind, spec, dither, sparse):
+        m, n = 600, 300
+        assert m * n > _BLOCK_ENTRIES  # the int8 dense product takes several blocks
+        inst = sample_instance(kind, dither, m, n, seed=21)
+        rng = np.random.default_rng(22)
+        x = rng.standard_normal(n)
+        if sparse:
+            x[rng.permutation(n)[3:]] = 0.0
+        x *= 0.8 / np.linalg.norm(x)
+        assert (np.count_nonzero(x) * _SPARSE_U <= n) == sparse
+        y = measure(inst, spec, x)
+        assert not np.any(gradient(spec, inst, y, x))
+        model = SignalModel(Sparse(k=3 if sparse else n, n=n), 0.0, 1.0)
+        res = pgd_recover(PgdConfig(eta=1.0, iterations=5), model, spec, inst, y, x, truth=x)
+        assert res.estimate.tobytes() == x.tobytes()
+        assert not np.any(res.errors)
+
+    @pytest.mark.parametrize("kind", list(MatrixKind))
+    def test_truth_on_every_threshold_is_consistent(self, kind):
+        # a dither equal to the forward product puts every row of the truth on
+        # the sign threshold, where a product summed in another order than
+        # measure's would flip some rows to -1
+        m, n = 600, 300
+        A = sample_instance(kind, 0.0, m, n, seed=23).matrix
+        x = np.zeros(n)
+        x[[7, 150, 299]] = [0.3, -0.5, 0.7]
+        inst = SensingInstance(A, _forward(A, x))
+        y = measure(inst, make_sign(), x)
+        assert np.all(y == 1.0)
+        assert not np.any(gradient(make_sign(), inst, y, x))
 
 
 class TestStoppingRule:

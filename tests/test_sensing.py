@@ -16,7 +16,7 @@ from quantcs import (
     sample_instance,
     stream,
 )
-from quantcs.sensing import _BLOCK_ENTRIES, _CHUNK, _block_rows, _matvec, instance_rows
+from quantcs.sensing import _BLOCK_ENTRIES, _CHUNK, _block_rows, _forward, instance_rows
 
 
 class TestStreams:
@@ -195,20 +195,20 @@ class TestInstanceRows:
     @pytest.mark.parametrize("n", [5, 7, 8])
     def test_block_products_are_the_matvec(self, kind, n):
         # two full blocks and one row: the last row joins the second block, so
-        # the block products and the puv count are _matvec's, bit for bit (a
-        # Gaussian _matvec is one BLAS call, which kept its bits on two
+        # the block products and the puv count are the dense _forward's, bit
+        # for bit (a Gaussian one is one BLAS call, which kept its bits on two
         # OpenBLAS threads at these 2.6e5 entries)
         rows = _block_rows(n)
         samples = 2 * rows + 1
         rng = stream(8, "uv", n)
         u, v = rng.standard_normal((2, n))
         one = sample_instance(kind, 1.5, samples, n, 9)
-        whole = _matvec(one.matrix, u)
+        whole = _forward(one.matrix, u)
         blocks = [b.matrix @ u for b in instance_rows(kind, 1.5, samples, n, 9, rows)]
         assert [b.size for b in blocks] == [rows, rows + 1]
         assert np.concatenate(blocks).tobytes() == whole.tobytes()
         spec = make_saturated(1.0, 4)
-        q = [quantize_vec(spec, p - one.dither) for p in (whole, _matvec(one.matrix, v))]
+        q = [quantize_vec(spec, p - one.dither) for p in (whole, _forward(one.matrix, v))]
         count = np.count_nonzero(q[0] != q[1])
         assert estimate_puv(spec, kind, 1.5, u, v, samples, 9).p_hat == count / samples
 
@@ -237,7 +237,24 @@ class TestMeasure:
         # a one-byte matrix is multiplied in blocks of rows; the bits must be those of its float64 copy
         A = sample_instance(MatrixKind.RADEMACHER, 0.0, m, n, 6).matrix
         x = stream(6, "x").standard_normal(n)
-        assert _matvec(A, x).tobytes() == (A.astype(float) @ x).tobytes()
+        assert _forward(A, x).tobytes() == (A.astype(float) @ x).tobytes()
+
+    @pytest.mark.parametrize(
+        "kind, m, dither",
+        [(MatrixKind.RADEMACHER, 5600, 1.5), (MatrixKind.GAUSSIAN, 1200, 0.0)],
+        ids=["rademacher", "gaussian"],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_sparse_measure_is_the_dense_float64_measure(self, kind, m, dither, seed):
+        # at the benchmark's shapes a 3-sparse signal is measured through its
+        # support columns; no measured value may move from the dense product's
+        n = 500
+        inst = sample_instance(kind, dither, m, n, seed)
+        x = np.zeros(n)
+        rng = stream(seed, "x")
+        x[rng.choice(n, 3, replace=False)] = rng.standard_normal(3)
+        spec = make_sign()
+        assert measure(inst, spec, x).tobytes() == quantize_vec(spec, inst.matrix.astype(float) @ x - inst.dither).tobytes()
 
     def test_one_byte_measure_casts_one_block_at_a_time(self):
         m, n = 5600, 500

@@ -252,6 +252,12 @@ class TestGenSignal:
         with pytest.raises(ValueError, match="is below 1"):
             gen_signal(sphere(L1Ball(radius=radius, n=10)), 0)
 
+    def test_l1ball_in_one_dimension_rejected(self):
+        # radius 1 is the only l1 norm of a unit vector in dimension 1, but the
+        # two-valued draw needs a large entry and at least one small one
+        with pytest.raises(ValueError, match="the l1-ball draw needs n >= 2"):
+            gen_signal(sphere(L1Ball(radius=1.0, n=1)), 0)
+
     @pytest.mark.parametrize("alpha, beta", [(2.0, 2.0), (0.0, 0.5), (0.5, 2.0)])
     def test_l1ball_norm_range_must_hold_one(self, alpha, beta):
         # the l1-ball draw has unit l2 norm whatever the model's norm range, so the range must hold 1
