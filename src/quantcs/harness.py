@@ -20,7 +20,6 @@ import json
 import math
 import mmap
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
@@ -28,7 +27,7 @@ import numpy as np
 
 from .pgd import ERRORS_CAP, PgdConfig, PgdResult, pgd_recover
 from .quantizers import QuantizerSpec, make_saturated, make_sign
-from .rng import derive_seed
+from .rng import SEED_PART_BOUND, derive_seed
 from .sensing import MatrixKind, SensingInstance, corrupt, measure, sample_instance
 from .signals import L1Ball, LowRank, SignalModel, Sparse, check_int, check_l1_ball_draw, check_real, gen_signal, random_in_model
 
@@ -84,6 +83,8 @@ class Family(enum.Enum):
 
 @dataclass(frozen=True)
 class ExperimentPlan:
+    """A family, model and ``m`` grid; it checks what no builder checks, then builds its ``family_setup`` and ``PgdConfig``."""
+
     family: Family
     model: SignalModel
     m_grid: tuple[int, ...]
@@ -102,11 +103,9 @@ class ExperimentPlan:
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("m_grid must be strictly increasing")
         object.__setattr__(self, "m_grid", grid)
-        if check_int(self.trials, "trials") < 1 or check_int(self.iterations, "iterations") < 1:
-            raise ValueError("trials and iterations must be >= 1")
-        if self.iterations > ERRORS_CAP:  # PgdConfig's bound, checked before any draw
-            raise ValueError(f"iterations = {self.iterations} exceeds the cap {ERRORS_CAP}")
-        if not -(2**127) <= check_int(self.master_seed, "master_seed") < 2**127:
+        if check_int(self.trials, "trials") < 1:
+            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if not -SEED_PART_BOUND <= check_int(self.master_seed, "master_seed") < SEED_PART_BOUND:
             raise ValueError(f"master_seed must lie in [-2**127, 2**127), got {self.master_seed}")
         if not 0.0 <= check_real(self.corruption_zeta, "corruption_zeta") <= 1.0:
             raise ValueError(f"corruption_zeta must lie in [0, 1], got {self.corruption_zeta}")
@@ -128,10 +127,8 @@ class ExperimentPlan:
         elif self.family is Family.DITHERED_MULTI_BIT:
             if self.L is None or check_int(self.L, "L") < 2 or self.L % 2 != 0:
                 raise ValueError("dithered_multi_bit needs an even level count L >= 2")
-            if self.L > LEVELS_CAP:
+            if self.L > LEVELS_CAP:  # before make_saturated builds L levels
                 raise ValueError(f"level count L = {self.L} exceeds the cap {LEVELS_CAP}")
-            if self.delta is not None and not (math.isfinite(check_real(self.delta, "delta")) and self.delta > 0):
-                raise ValueError(f"delta must be a positive cell width, got {self.delta}")
             if self.lam is not None:
                 raise ValueError("dithered_multi_bit derives its dither from delta; lambda not allowed")
             if not (a == 0.0 and b == 1.0):
@@ -139,6 +136,7 @@ class ExperimentPlan:
         else:
             raise ValueError(f"unknown family {self.family!r}")
         check_l1_ball_draw(self.model)  # so that no l1-ball plan fails at its first draw
+        PgdConfig(eta=family_setup(self).eta, iterations=self.iterations)
         n = self.model.ambient_dim
         if grid[-1] * n > MATRIX_ENTRIES_CAP:
             raise ValueError(f"sensing matrix m x n = {grid[-1]} x {n} exceeds the cap of {MATRIX_ENTRIES_CAP} entries")
@@ -187,8 +185,8 @@ def family_setup(plan: ExperimentPlan) -> FamilySetup:
         return FamilySetup(make_sign(), MatrixKind.GAUSSIAN, 0.0, math.sqrt(math.pi / 2.0))
     if plan.family is Family.DITHERED_ONE_BIT:
         return FamilySetup(make_sign(), MatrixKind.RADEMACHER, float(plan.lam), float(plan.lam))
-    delta = 5.0 / plan.L if plan.delta is None else float(plan.delta)
-    return FamilySetup(make_saturated(delta, plan.L), MatrixKind.RADEMACHER, delta / 2.0, 1.0)
+    delta = 5.0 / plan.L if plan.delta is None else plan.delta  # make_saturated checks it before it is halved
+    return FamilySetup(make_saturated(delta, plan.L), MatrixKind.RADEMACHER, float(delta) / 2.0, 1.0)
 
 
 def _slope_group(plan: ExperimentPlan) -> tuple[float, str]:
@@ -283,6 +281,7 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> ExperimentResult:
         allocate()
         by_trial = list(map(trial_records, range(plan.trials)))
     else:
+        from concurrent.futures import ThreadPoolExecutor  # loaded only by a run that pools
         with ThreadPoolExecutor(max_workers=threads, initializer=allocate) as pool:
             by_trial = list(pool.map(trial_records, range(plan.trials)))
     records = [r for cell_records in zip(*by_trial) for r in cell_records]

@@ -83,7 +83,7 @@ def make_sign() -> QuantizerSpec:
 
 
 def make_saturated(delta: float, levels: int) -> QuantizerSpec:
-    """Uniform quantizer clipped to an even number ``levels`` of cells.
+    """Uniform quantizer clipped to an even number ``levels`` of cells, its level span ``delta * (levels - 1)`` finite.
 
     Thresholds sit at ``j * delta`` for ``j = 1 - levels/2, ..., levels/2 - 1``
     and the outputs are the cell midpoints, so e.g. ``delta=1, levels=4``
@@ -94,6 +94,8 @@ def make_saturated(delta: float, levels: int) -> QuantizerSpec:
         raise ValueError(f"delta must be a positive finite real, got {delta}")
     if check_int(levels, "levels") < 2 or levels % 2 != 0:
         raise ValueError(f"levels must be an even integer >= 2, got {levels}")
+    if not math.isfinite(delta * (levels - 1)):  # before any array is built, so no numpy overflow warning
+        raise ValueError(f"level span delta * (levels - 1) = {delta} * {levels - 1} must be finite")
     js = np.arange(1 - levels // 2, levels // 2)
     values = delta * (np.arange(levels) - (levels - 1) / 2.0)
     return QuantizerSpec(thresholds=delta * js, level_values=values)

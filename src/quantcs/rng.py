@@ -14,6 +14,7 @@ import hashlib
 import numpy as np
 
 SeedPart = int | str
+SEED_PART_BOUND = 2**127  # an integer seed part lies in [-SEED_PART_BOUND, SEED_PART_BOUND), to pack into 16 bytes
 
 
 def derive_seed(*parts: SeedPart) -> int:
@@ -26,6 +27,8 @@ def derive_seed(*parts: SeedPart) -> int:
     for part in parts:
         if isinstance(part, bool) or not isinstance(part, (int, str, np.integer)):
             raise TypeError(f"seed parts must be int or str, got {type(part).__name__}")
+        if not isinstance(part, str) and not -SEED_PART_BOUND <= int(part) < SEED_PART_BOUND:
+            raise ValueError(f"integer seed parts must lie in [-2**127, 2**127), got {part}")
         data = part.encode("utf-8") if isinstance(part, str) else int(part).to_bytes(16, "little", signed=True)
         h.update(len(data).to_bytes(2, "little"))
         h.update(data)

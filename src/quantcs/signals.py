@@ -211,7 +211,7 @@ def l1ball_magnitudes(radius: float, n: int, c: int) -> tuple[float, float]:
 
     With ``k = radius**2``, the vector with ``c`` entries of magnitude ``a``
     and ``n - c`` of magnitude ``b`` has unit l2 norm and l1 norm ``sqrt(k)``.
-    ``b`` may come out negative for unlucky ``c``; callers resample then.
+    ``b >= 0`` exactly when ``c <= k``, as ``b >= 0`` iff ``(c - k) (n - c) <= 0``.
     At ``radius = sqrt(n)`` the square ``k`` may round above ``n``; ``n - k``
     is then taken as 0, its value at the exact ``sqrt(n)``.
     """
@@ -248,11 +248,11 @@ def gen_signal(model: SignalModel, seed: int) -> np.ndarray:
     sphere. LowRank: rank-``r`` SVD truncation of a Gaussian matrix,
     normalized in Frobenius norm. Both are then scaled by a uniform draw
     from ``[alpha, beta]`` (a no-op on the sphere ``alpha = beta``).
-    L1Ball: the two-valued construction with ``c`` large entries,
-    ``c ~ U{1..ceil(0.6 k)}`` resampled while infeasible, where
-    ``k = radius * radius`` in floating point: radius ``sqrt(10)`` gives
-    ``k = 10.000000000000002`` and ``c`` up to 7, not 6.  It has l1 norm
-    exactly ``radius`` and unit l2 norm, so ``[alpha, beta]`` must hold 1.
+    L1Ball: the two-valued construction with ``c ~ U{1..min(ceil(0.6 k),
+    floor(k), n - 1)}`` large entries, drawn once (each such ``c <= k`` is
+    feasible), where ``k = radius * radius`` in floating point: radius
+    ``sqrt(10)`` gives ``k = 10.000000000000002`` and ``c`` up to 7, not 6.
+    It has l1 norm ``radius`` and unit l2 norm, so ``[alpha, beta]`` must hold 1.
     """
     rng = stream(seed, "signal")
     s = model.structure
@@ -269,14 +269,9 @@ def gen_signal(model: SignalModel, seed: int) -> np.ndarray:
         x = (M / np.linalg.norm(M)).reshape(-1, order="F")
     else:
         check_l1_ball_draw(model)
-        cmax = max(1, math.ceil(0.6 * (s.radius * s.radius)))
-        for _ in range(1000):
-            c = int(rng.integers(1, cmax + 1))
-            a, b = l1ball_magnitudes(s.radius, s.n, c)
-            if b >= 0:
-                break
-        else:
-            raise ValueError("could not draw a feasible two-valued vector; radius too large for n")
+        k = s.radius * s.radius
+        c = int(rng.integers(1, min(math.ceil(0.6 * k), math.floor(k), s.n - 1) + 1))
+        a, b = l1ball_magnitudes(s.radius, s.n, c)
         mags = np.full(s.n, b)
         mags[:c] = a
         return rng.choice(np.array([-1.0, 1.0]), size=s.n) * mags

@@ -98,6 +98,17 @@ MALFORMED_PLANS = [
         {"model": {"structure": "l1_ball", "n": 1, "radius": 1.0, "alpha": 1.0, "beta": 1.0}},
         "the l1-ball draw needs n >= 2",
     ),
+    (
+        # 1e308 is a finite cell width, but the level span 7 * 1e308 is not
+        "huge_delta",
+        {
+            "family": "dithered_multi_bit",
+            "model": {"structure": "sparse", "n": 12, "k": 3, "alpha": 0.0, "beta": 1.0},
+            "L": 8,
+            "delta_rule": {"rule": "fixed", "delta": 1e308},
+        },
+        "level span delta * (levels - 1) = 1e+308 * 7 must be finite",
+    ),
 ]
 
 
@@ -189,6 +200,7 @@ class TestRun:
             for name, edit, message in MALFORMED_PLANS
         ],
     )
+    @pytest.mark.filterwarnings("error")  # a numpy warning is output too, which capsys would not see
     def test_malformed_plan_exits_2(self, tmp_path, capsys, monkeypatch, command, edit, message):
         def no_draw(*args, **kwargs):
             raise AssertionError("the plan check must come before any draw")
@@ -342,13 +354,17 @@ class TestUsageErrors:
         assert captured.out == ""
 
 
-# a fresh interpreter runs main on its arguments and prints whether the referees were loaded
-LOADS_VERIFY = "import sys\nfrom quantcs.cli import main\nassert main(sys.argv[1:]) == 0\nprint('quantcs.verify' in sys.modules)\n"
+# a fresh interpreter runs main on its arguments and prints whether it loaded the referees and the worker pool
+LOADS = (
+    "import sys\nfrom quantcs.cli import main\nassert main(sys.argv[1:]) == 0\n"
+    "print('quantcs.verify' in sys.modules, 'concurrent.futures' in sys.modules)\n"
+)
 
 
 class TestRefereeImport:
     @pytest.mark.parametrize("command, loaded", [("run", False), ("recover", False), ("verify", True)])
     def test_only_verify_loads_the_referees(self, tmp_path, command, loaded):
+        # and no command loads the worker pool, which only a run on several threads uses
         config = tmp_path / "plan.json"
         config.write_text(tiny_plan_json())
         argv = {
@@ -357,9 +373,9 @@ class TestRefereeImport:
             "verify": ["verify", "--suite", "quantizer"],
         }[command]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-c", LOADS_VERIFY, *argv], capture_output=True, text=True, env=env)
+        proc = subprocess.run([sys.executable, "-c", LOADS, *argv], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == str(loaded)
+        assert proc.stdout.splitlines()[-1] == f"{loaded} False"
 
 
 REPO = Path(__file__).resolve().parents[1]

@@ -317,7 +317,7 @@ class TestFamilySetup:
             return ExperimentPlan(Family.DITHERED_MULTI_BIT, SignalModel(Sparse(k=1, n=12), 0.0, 1.0), (30,), L=8, **overrides)
 
         for bad in (0.0, -1.0, np.nan, np.inf):
-            with pytest.raises(ValueError, match="delta must be a positive cell width"):
+            with pytest.raises(ValueError, match="delta must be a positive finite real"):
                 multi_bit(delta=bad)
         with pytest.raises(ValueError, match="takes no L or delta"):
             tiny_plan(family=Family.DITHERED_ONE_BIT, model=SignalModel(Sparse(k=1, n=12), 0.0, 1.0), lam=1.5, delta=0.5)
@@ -419,7 +419,7 @@ class TestRunExperiment:
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was built for a rejected thread count")
 
-        monkeypatch.setattr("quantcs.harness.ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", no_pool)
         for threads, message in [
             (2.5, "threads must be an integer, got 2.5"),
             ("2", "threads must be an integer, got '2'"),
@@ -700,7 +700,7 @@ class TestPlanFromJson:
             ("dithered_multi_bit", {"rule": "fixed"}, "a fixed delta rule needs a delta"),
             ("dithered_multi_bit", {"rule": "fixed", "delta": None}, "a fixed delta rule needs a delta"),
             ("dithered_multi_bit", {"rule": "five_over_l", "delta": 0.5}, "five_over_l takes none"),
-            ("dithered_multi_bit", {"rule": "fixed", "delta": -0.5}, "delta must be a positive cell width"),
+            ("dithered_multi_bit", {"rule": "fixed", "delta": -0.5}, "delta must be a positive finite real"),
             ("dithered_multi_bit", {"rule": "fixed", "delta": "0.5"}, "delta must be a number"),
             ("dithered_multi_bit", ["five_over_l"], "delta_rule must be an object"),
             ("dithered_multi_bit", {"rule": "fixed", "delta": 0.5, "x": 1}, "unknown delta_rule keys"),

@@ -49,9 +49,12 @@ class TestConstructors:
                 (True, 4, "delta must be a number"),
                 (1.0, "4", "levels must be an integer"),
                 (1.0, 4.0, "levels must be an integer"),
+                (1e308, 8, r"level span delta \* \(levels - 1\) = 1e\+308 \* 7 must be finite"),
+                (2.0**1023, 4, "level span"),
             ]:
                 with pytest.raises(ValueError, match=message):
                     make_saturated(delta, levels)
+            assert make_saturated(1e308, 2).level_values.tolist() == [-5e307, 5e307]  # a span of 1e308 is finite
 
     @pytest.mark.parametrize(
         "delta, L",

@@ -16,6 +16,7 @@ from quantcs import (
     sample_instance,
     stream,
 )
+from quantcs.rng import SEED_PART_BOUND
 from quantcs.sensing import _BLOCK_ENTRIES, _CHUNK, _block_rows, _forward, instance_rows
 
 
@@ -34,6 +35,19 @@ class TestStreams:
     def test_bad_part_type(self):
         with pytest.raises(TypeError):
             derive_seed(1.5)
+
+    def test_integer_part_outside_packing_range_rejected(self):
+        # an integer part is packed into 16 signed bytes: the ends of [-2**127, 2**127) hash, the rest raise
+        assert derive_seed(-SEED_PART_BOUND) != derive_seed(SEED_PART_BOUND - 1)
+        assert derive_seed(np.int64(5)) == derive_seed(5)
+        message = r"integer seed parts must lie in \[-2\*\*127, 2\*\*127\)"
+        for call in (
+            lambda: sample_instance(MatrixKind.GAUSSIAN, 0.0, 2, 2, 2**127),
+            lambda: stream(2**200, "x"),
+            lambda: derive_seed(-(2**127) - 1),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 def _read_only(size):

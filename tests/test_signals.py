@@ -240,6 +240,42 @@ class TestGenSignal:
         with pytest.raises(ValueError, match=r"exceeds sqrt\(n\)"):
             gen_signal(sphere(L1Ball(radius=float(np.nextafter(math.sqrt(n), n)), n=n)), 0)
 
+    @pytest.mark.parametrize("radius", [math.sqrt(2), 1.3])
+    def test_l1ball_in_two_dimensions_draws(self, radius):
+        # c is 1 whenever n = 2, so every seed draws a unit vector of l1 norm radius
+        model = sphere(L1Ball(radius=radius, n=2))
+        for seed in range(40):
+            x = gen_signal(model, seed)
+            np.testing.assert_allclose(np.linalg.norm(x), 1.0, atol=1e-12)
+            np.testing.assert_allclose(np.abs(x).sum(), radius, atol=1e-12)
+
+    def test_l1ball_every_c_in_the_draw_range_is_feasible(self):
+        # c is drawn from 1..min(ceil(0.6 k), floor(k), n - 1), and every such c <= k gives b >= 0
+        for n in (2, 3, 4, 5, 7, 10, 20, 100, 300):
+            for radius in [*np.linspace(1.0, math.sqrt(n), 9), 1.3, 1.35, math.sqrt(2), math.sqrt(5), math.sqrt(10)]:
+                if radius > math.sqrt(n):
+                    continue
+                k = radius * radius
+                top = min(math.ceil(0.6 * k), math.floor(k), n - 1)
+                for c in range(1, top + 1):
+                    a, b = l1ball_magnitudes(radius, n, c)
+                    assert b >= 0, (n, radius, c)
+                    mags = np.array([a] * c + [b] * (n - c))
+                    np.testing.assert_allclose(np.linalg.norm(mags), 1.0, atol=1e-12)
+                    np.testing.assert_allclose(mags.sum(), radius, atol=1e-12)
+                if radius < math.sqrt(n):  # at sqrt(n), a and b agree to rounding and c is not read back
+                    for seed in range(10):
+                        mags = np.abs(gen_signal(sphere(L1Ball(radius=radius, n=n)), seed))
+                        assert 1 <= np.count_nonzero(mags == mags.max()) <= top
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_l1ball_one_large_entry_below_radius_sqrt2(self, n):
+        # radius 1.35 has k = 1.8225: ceil(0.6 k) = 2 exceeds k, so the range stops at floor(k) = 1
+        model = sphere(L1Ball(radius=1.35, n=n))
+        for seed in range(20):
+            mags = np.abs(gen_signal(model, seed))
+            assert np.count_nonzero(mags == mags.max()) == 1
+
     @pytest.mark.parametrize("radius", [1e10, 1e200, 3.2])
     def test_l1ball_radius_beyond_sqrt_n_rejected(self, radius):
         # no unit vector in dimension 10 has an l1 norm above sqrt(10)
