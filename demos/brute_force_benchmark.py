@@ -18,7 +18,6 @@ from quantcs import (
     Sparse,
     draw_trial,
     enumerate_net,
-    family_setup,
     hdm_decode,
     run_trial,
 )
@@ -32,7 +31,7 @@ def main():
     print(f"exact net with {len(net)} candidates (covering radius {radius})")
 
     plan = ExperimentPlan(Family.ONE_BIT_GAUSSIAN, model, m_grid, trials=trials, master_seed=23)
-    spec = family_setup(plan).spec
+    spec = plan.setup.spec
     pgd_errs, hdm_errs = np.zeros((2, len(m_grid), trials))
     agree = [0] * len(m_grid)
     for t in range(trials):

@@ -32,7 +32,7 @@ def main():
     result = run_experiment(plan)
 
     emit_csv(plan, result.cells, "scaling_laws.csv")
-    emit_svg_loglog(plan, result.cells, "scaling_laws.svg", title="one-bit sparse error decay")
+    emit_svg_loglog(plan, result.cells, "scaling_laws.svg")
     print("wrote scaling_laws.csv and scaling_laws.svg")
 
     pts = [(c.m, c.mean_err) for c in result.cells]

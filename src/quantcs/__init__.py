@@ -20,7 +20,6 @@ from .harness import (
     draw_trial,
     emit_csv,
     emit_svg_loglog,
-    family_setup,
     fit_slope,
     plan_from_json,
     run_experiment,

@@ -20,7 +20,7 @@ import json
 import math
 import mmap
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -38,7 +38,6 @@ __all__ = [
     "CellStats",
     "ExperimentResult",
     "FamilySetup",
-    "family_setup",
     "draw_trial",
     "run_trial",
     "run_experiment",
@@ -82,8 +81,22 @@ class Family(enum.Enum):
 
 
 @dataclass(frozen=True)
+class FamilySetup:
+    """A family's quantizer, ensemble, dither level and PGD step (``sqrt(pi/2)``, ``lam`` or ``1``, in ``Family`` order)."""
+
+    spec: QuantizerSpec
+    matrix_kind: MatrixKind
+    dither: float
+    eta: float
+
+
+@dataclass(frozen=True)
 class ExperimentPlan:
-    """A family, model and ``m`` grid; it checks what no builder checks, then builds its ``family_setup`` and ``PgdConfig``."""
+    """A family, model and ``m`` grid; it checks what no builder checks and builds its ``FamilySetup`` once.
+
+    Every draw, decode, CSV and plot of the plan reads that ``setup``; it takes
+    no part in ``==``, ``hash`` or ``repr``, and ``dataclasses.replace`` builds it afresh.
+    """
 
     family: Family
     model: SignalModel
@@ -95,6 +108,7 @@ class ExperimentPlan:
     iterations: int = 100
     master_seed: int = 0
     corruption_zeta: float = 0.0
+    setup: FamilySetup = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         grid = tuple(check_int(m, "m_grid entry") for m in self.m_grid)
@@ -109,34 +123,9 @@ class ExperimentPlan:
             raise ValueError(f"master_seed must lie in [-2**127, 2**127), got {self.master_seed}")
         if not 0.0 <= check_real(self.corruption_zeta, "corruption_zeta") <= 1.0:
             raise ValueError(f"corruption_zeta must lie in [0, 1], got {self.corruption_zeta}")
-        a, b = self.model.alpha, self.model.beta
-        if self.family is Family.ONE_BIT_GAUSSIAN:
-            if self.lam is not None or self.L is not None or self.delta is not None:
-                raise ValueError("one_bit_gaussian takes no lambda, L, or delta")
-            if not (a == b == 1.0):
-                raise ValueError("one_bit_gaussian recovers directions only: need alpha = beta = 1")
-        elif self.family is Family.DITHERED_ONE_BIT:
-            if self.lam is None or not (math.isfinite(check_real(self.lam, "lambda")) and self.lam > 0):
-                raise ValueError("dithered_one_bit needs a positive dither level lambda")
-            if not math.isfinite(2.0 * self.lam):  # the dither interval's width, as sample_instance checks it
-                raise ValueError(f"dither level must be a real >= 0 with 2 * level finite, got {self.lam}")
-            if self.L is not None or self.delta is not None:
-                raise ValueError("dithered_one_bit takes no L or delta")
-            if not (a == 0.0 and b == 1.0):
-                raise ValueError("dithered_one_bit expects the unit-ball model: (alpha, beta) = (0, 1)")
-        elif self.family is Family.DITHERED_MULTI_BIT:
-            if self.L is None or check_int(self.L, "L") < 2 or self.L % 2 != 0:
-                raise ValueError("dithered_multi_bit needs an even level count L >= 2")
-            if self.L > LEVELS_CAP:  # before make_saturated builds L levels
-                raise ValueError(f"level count L = {self.L} exceeds the cap {LEVELS_CAP}")
-            if self.lam is not None:
-                raise ValueError("dithered_multi_bit derives its dither from delta; lambda not allowed")
-            if not (a == 0.0 and b == 1.0):
-                raise ValueError("dithered_multi_bit expects the unit-ball model: (alpha, beta) = (0, 1)")
-        else:
-            raise ValueError(f"unknown family {self.family!r}")
+        object.__setattr__(self, "setup", _family(self))
         check_l1_ball_draw(self.model)  # so that no l1-ball plan fails at its first draw
-        PgdConfig(eta=family_setup(self).eta, iterations=self.iterations)
+        PgdConfig(eta=self.setup.eta, iterations=self.iterations)
         n = self.model.ambient_dim
         if grid[-1] * n > MATRIX_ENTRIES_CAP:
             raise ValueError(f"sensing matrix m x n = {grid[-1]} x {n} exceeds the cap of {MATRIX_ENTRIES_CAP} entries")
@@ -146,6 +135,39 @@ class ExperimentPlan:
         errors = len(grid) * self.trials  # a run keeps one final error per cell and trial
         if errors > ERRORS_CAP:
             raise ValueError(f"stored errors {errors} (len(m_grid)*trials) exceed the cap {ERRORS_CAP}")
+
+
+def _family(plan: ExperimentPlan) -> FamilySetup:
+    """Check the keys and (alpha, beta) the plan's family takes, then build its ``FamilySetup``."""
+    a, b = plan.model.alpha, plan.model.beta
+    if plan.family is Family.ONE_BIT_GAUSSIAN:
+        if plan.lam is not None or plan.L is not None or plan.delta is not None:
+            raise ValueError("one_bit_gaussian takes no lambda, L, or delta")
+        if not (a == b == 1.0):
+            raise ValueError("one_bit_gaussian recovers directions only: need alpha = beta = 1")
+        return FamilySetup(make_sign(), MatrixKind.GAUSSIAN, 0.0, math.sqrt(math.pi / 2.0))
+    if plan.family is Family.DITHERED_ONE_BIT:
+        if plan.lam is None or not (math.isfinite(check_real(plan.lam, "lambda")) and plan.lam > 0):
+            raise ValueError("dithered_one_bit needs a positive dither level lambda")
+        if not math.isfinite(2.0 * plan.lam):  # the dither interval's width, as sample_instance checks it
+            raise ValueError(f"dither level must be a real >= 0 with 2 * level finite, got {plan.lam}")
+        if plan.L is not None or plan.delta is not None:
+            raise ValueError("dithered_one_bit takes no L or delta")
+        if not (a == 0.0 and b == 1.0):
+            raise ValueError("dithered_one_bit expects the unit-ball model: (alpha, beta) = (0, 1)")
+        return FamilySetup(make_sign(), MatrixKind.RADEMACHER, float(plan.lam), float(plan.lam))
+    if plan.family is Family.DITHERED_MULTI_BIT:
+        if plan.L is None or check_int(plan.L, "L") < 2 or plan.L % 2 != 0:
+            raise ValueError("dithered_multi_bit needs an even level count L >= 2")
+        if plan.L > LEVELS_CAP:  # before make_saturated builds L levels
+            raise ValueError(f"level count L = {plan.L} exceeds the cap {LEVELS_CAP}")
+        if plan.lam is not None:
+            raise ValueError("dithered_multi_bit derives its dither from delta; lambda not allowed")
+        if not (a == 0.0 and b == 1.0):
+            raise ValueError("dithered_multi_bit expects the unit-ball model: (alpha, beta) = (0, 1)")
+        delta = 5.0 / plan.L if plan.delta is None else plan.delta  # make_saturated checks it before it is halved
+        return FamilySetup(make_saturated(delta, plan.L), MatrixKind.RADEMACHER, float(delta) / 2.0, 1.0)
+    raise ValueError(f"unknown family {plan.family!r}")
 
 
 class TrialRecord(NamedTuple):
@@ -166,34 +188,11 @@ class ExperimentResult(NamedTuple):
     cells: list
 
 
-@dataclass(frozen=True)
-class FamilySetup:
-    """Concrete quantizer, ensemble, dither level, and step size for one family."""
-
-    spec: QuantizerSpec
-    matrix_kind: MatrixKind
-    dither: float
-    eta: float
-
-
-def family_setup(plan: ExperimentPlan) -> FamilySetup:
-    """The quantizer, ensemble, dither level and PGD step size of the plan's family.
-
-    Step sizes: ``sqrt(pi/2)`` one-bit Gaussian, ``lam`` dithered one-bit, ``1`` dithered multi-bit.
-    """
-    if plan.family is Family.ONE_BIT_GAUSSIAN:
-        return FamilySetup(make_sign(), MatrixKind.GAUSSIAN, 0.0, math.sqrt(math.pi / 2.0))
-    if plan.family is Family.DITHERED_ONE_BIT:
-        return FamilySetup(make_sign(), MatrixKind.RADEMACHER, float(plan.lam), float(plan.lam))
-    delta = 5.0 / plan.L if plan.delta is None else plan.delta  # make_saturated checks it before it is halved
-    return FamilySetup(make_saturated(delta, plan.L), MatrixKind.RADEMACHER, float(delta) / 2.0, 1.0)
-
-
 def _slope_group(plan: ExperimentPlan) -> tuple[float, str]:
     """The plan's structure size (``k``, ``r`` or ``radius**2``) and the label of its slope group."""
     s = plan.model.structure
     k_or_r = float(s.k if isinstance(s, Sparse) else s.r if isinstance(s, LowRank) else s.radius * s.radius)
-    return k_or_r, f"{plan.family.value}:k_or_r={k_or_r:.12g}:L={family_setup(plan).spec.levels}"
+    return k_or_r, f"{plan.family.value}:k_or_r={k_or_r:.12g}:L={plan.setup.spec.levels}"
 
 
 def draw_trial(
@@ -203,10 +202,11 @@ def draw_trial(
 
     Every random object comes from ``derive_seed(plan.master_seed, 0, trial)``;
     the ``0`` is the former cell index, kept so that no stream moves.  Every
-    cell sees the same ``x`` and ``start``, and the trial's matrix is drawn
-    once, at the grid's largest ``m``: cell ``c``'s instance is its first
-    ``m_grid[c]`` rows and dithers, bit for bit a fresh draw of ``m_grid[c]``
-    rows from that seed.  ``y`` holds the measurements of ``x``, corrupted
+    cell sees the same ``x`` and ``start``, and the trial's matrix, of
+    ``plan.setup``'s ensemble and dither, is drawn once, at the grid's largest
+    ``m``: cell ``c``'s instance is its first ``m_grid[c]`` rows and dithers,
+    bit for bit a fresh draw of ``m_grid[c]`` rows from that seed.  ``y``
+    holds the measurements of ``x`` by ``plan.setup``'s quantizer, corrupted
     when ``plan.corruption_zeta > 0``.  The decoder's start is a random model
     member on the sphere (``alpha > 0``, one-bit Gaussian) and zero on the
     unit ball (the dithered families).  ``next(draw_trial(plan, t))`` is the
@@ -218,8 +218,7 @@ def draw_trial(
     ``workspace``, the trial's matrix is drawn into it, as the ``out`` of
     ``sample_instance``; it needs room for ``max(m_grid) * n`` entries.
     """
-    setup = family_setup(plan)
-    seed = derive_seed(plan.master_seed, 0, trial)
+    setup, seed = plan.setup, derive_seed(plan.master_seed, 0, trial)
     n = plan.model.ambient_dim
     for cell, m in enumerate(plan.m_grid):
         x = gen_signal(plan.model, seed)
@@ -234,14 +233,13 @@ def draw_trial(
 
 
 def run_trial(plan: ExperimentPlan, x: np.ndarray, instance: SensingInstance, y: np.ndarray, start: np.ndarray) -> PgdResult:
-    """PGD's result on a cell ``draw_trial`` yielded, at the family's step size, with ``errors`` to ``x``.
+    """PGD's result on a cell ``draw_trial`` yielded, at ``plan.setup``'s step size, with ``errors`` to ``x``.
 
     It draws nothing, and the result holds no view of ``instance``, so the
     caller may draw the next trial into the same workspace.
     """
-    setup = family_setup(plan)
-    config = PgdConfig(eta=setup.eta, iterations=plan.iterations)
-    return pgd_recover(config, plan.model, setup.spec, instance, y, start, truth=x)
+    config = PgdConfig(eta=plan.setup.eta, iterations=plan.iterations)
+    return pgd_recover(config, plan.model, plan.setup.spec, instance, y, start, truth=x)
 
 
 def run_experiment(plan: ExperimentPlan, threads: int = 1) -> ExperimentResult:
@@ -267,7 +265,7 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> ExperimentResult:
     if not 1 <= check_int(threads, "threads") <= THREADS_CAP:
         raise ValueError(f"threads must be in [1, {THREADS_CAP}], got {threads}")
     entries = plan.m_grid[-1] * plan.model.ambient_dim  # the grid increases strictly
-    dtype = family_setup(plan).matrix_kind.dtype
+    dtype = plan.setup.matrix_kind.dtype
     local = threading.local()
 
     def allocate():
@@ -332,7 +330,7 @@ def emit_csv(plan: ExperimentPlan, cells: Iterable[CellStats], path: str) -> Non
     output bytes depend only on the plan and the cell values, and identical
     runs produce identical files.
     """
-    setup = family_setup(plan)
+    setup = plan.setup
     k_or_r, group = _slope_group(plan)
     head = [plan.family.value, str(plan.model.ambient_dim), _fmt(k_or_r)]
     fixed = [str(setup.spec.levels), _fmt(setup.spec.delta), _fmt(setup.dither), _fmt(plan.corruption_zeta), str(plan.trials)]
@@ -343,9 +341,7 @@ def emit_csv(plan: ExperimentPlan, cells: Iterable[CellStats], path: str) -> Non
         fh.write("\n".join(lines) + "\n")
 
 
-def emit_svg_loglog(
-    plan: ExperimentPlan, cells: Iterable[CellStats], path: str, title: str = "mean recovery error vs m"
-) -> None:
+def emit_svg_loglog(plan: ExperimentPlan, cells: Iterable[CellStats], path: str) -> None:
     """Render cell aggregates as a log-log SVG scatter joined by one line.
 
     The line is labelled with the plan's slope group; decade gridlines, one
@@ -385,7 +381,7 @@ def emit_svg_loglog(
         f'viewBox="0 0 {width:.0f} {height:.0f}">',
         f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>',
         f'<text x="{width / 2:.2f}" y="20" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="14">{title}</text>',
+        'font-size="14">mean recovery error vs m</text>',
     ]
     axis = (
         f'<line x1="{left:.2f}" y1="{height - bottom:.2f}" x2="{width - right:.2f}" '

@@ -86,7 +86,10 @@ def hdm_decode(net, spec: QuantizerSpec, instance: SensingInstance, y) -> HdmRes
     """Index of the net point whose measurements are Hamming-closest to ``y``.
 
     Ties go to the earliest point in net order, so the result is a pure
-    function of its arguments.
+    function of its arguments.  It quantizes one stacked product, ``net @ A.T - tau``,
+    not ``sensing.measure`` of each point, which may sum in another order (a sparse
+    point's support alone): its distances are ``measure``'s except where a product
+    lies within an ulp of a threshold.
     """
     net = np.asarray(net, dtype=float)
     y = np.asarray(y, dtype=float)

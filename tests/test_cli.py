@@ -1,6 +1,10 @@
+import builtins
 import csv
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import re
 import shutil
 import subprocess
@@ -9,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import quantcs
 import quantcs.cli
 import quantcs.harness
 from quantcs.cli import main
@@ -502,3 +507,19 @@ class TestReadme:
         section = text.split("\n## Demos\n", 1)[1].split("\n## ", 1)[0]
         listed = re.findall(r"^- `([^`]+\.py)`", section, flags=re.MULTILINE)
         assert sorted(listed) == sorted(p.name for p in (REPO / "demos").glob("*.py"))
+
+    def test_named_calls_exist(self):
+        # every backticked call in the README, `name(...)`, names a builtin or an attribute of a quantcs
+        # module, and one written with plain arguments, `name(a, b)`, takes that many positional arguments
+        text = (REPO / "README.md").read_text(encoding="utf-8")
+        names = set(re.findall(r"`(\w+)\(", text))
+        modules = [quantcs] + [importlib.import_module(f"quantcs.{m.name}") for m in pkgutil.iter_modules(quantcs.__path__)]
+        found = {n: getattr(mod, n) for mod in [builtins, *modules] for n in names if hasattr(mod, n)}
+        assert names and sorted(names - set(found)) == []
+        misfits = []
+        for name, args in re.findall(r"`(\w+)\(((?:\w+(?:, \w+)*)?)\)`", text):
+            try:
+                inspect.signature(found[name]).bind(*filter(None, args.split(", ")))
+            except TypeError:
+                misfits.append(f"{name}({args})")
+        assert misfits == []

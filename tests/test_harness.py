@@ -26,9 +26,9 @@ from quantcs import (
     draw_trial,
     emit_csv,
     emit_svg_loglog,
-    family_setup,
     fit_slope,
     gen_signal,
+    make_saturated,
     measure,
     pgd_recover,
     plan_from_json,
@@ -148,7 +148,7 @@ class TestPlanValidation:
             plan((1,), 1, 400_000_000_000)
 
     def test_level_cap(self):
-        # a quantizer stores L levels, so an over-cap L must fail before family_setup builds it
+        # a quantizer stores L levels, so an over-cap L must fail before the plan builds its setup
         def multi_bit(levels):
             return ExperimentPlan(
                 family=Family.DITHERED_MULTI_BIT,
@@ -157,7 +157,7 @@ class TestPlanValidation:
                 L=levels,
             )
 
-        assert family_setup(multi_bit(LEVELS_CAP)).spec.levels == LEVELS_CAP
+        assert multi_bit(LEVELS_CAP).setup.spec.levels == LEVELS_CAP
         for levels in (LEVELS_CAP + 2, 10**12):
             with pytest.raises(ValueError, match="exceeds the cap"):
                 multi_bit(levels)
@@ -238,7 +238,7 @@ class TestPlanValidation:
 
 class TestFamilySetup:
     def test_one_bit_gaussian(self):
-        s = family_setup(tiny_plan())
+        s = tiny_plan().setup
         np.testing.assert_array_equal(s.spec.level_values, [-1.0, 1.0])
         assert s.matrix_kind is MatrixKind.GAUSSIAN
         assert s.dither == 0.0
@@ -251,7 +251,7 @@ class TestFamilySetup:
             m_grid=(30,),
             lam=1.5,
         )
-        s = family_setup(plan)
+        s = plan.setup
         np.testing.assert_array_equal(s.spec.level_values, [-1.0, 1.0])
         assert s.matrix_kind is MatrixKind.RADEMACHER
         assert s.dither == 1.5
@@ -264,12 +264,43 @@ class TestFamilySetup:
             m_grid=(30,),
             L=4,
         )
-        s = family_setup(plan)
+        s = plan.setup
         np.testing.assert_array_equal(s.spec.thresholds, [-1.25, 0.0, 1.25])
         assert s.spec.levels == 4
         assert s.spec.delta == pytest.approx(1.25)  # 5 / L
         assert s.dither == 0.625  # delta / 2
         assert s.eta == 1.0
+
+    def test_multi_bit_quantizer_is_built_once_per_plan(self, monkeypatch, tmp_path):
+        # the plan builds its quantizer when it is made; no run, draw, decode or emitter builds it again
+        plan = tiny_plan(family=Family.DITHERED_MULTI_BIT, model=SignalModel(Sparse(k=3, n=12), 0.0, 1.0), L=4, m_grid=(30, 45, 60))
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return make_saturated(*args)
+
+        monkeypatch.setattr("quantcs.harness.make_saturated", spy)
+        cells = run_experiment(plan).cells
+        emit_csv(plan, cells, str(tmp_path / "x.csv"))
+        emit_svg_loglog(plan, cells, str(tmp_path / "x.svg"))
+        for cell in draw_trial(plan, 0):
+            run_trial(plan, *cell)
+        assert calls == []
+
+    def test_setup_takes_no_part_in_equality_hash_or_repr(self):
+        text = json.dumps(
+            {
+                "family": "dithered_multi_bit",
+                "model": {"structure": "sparse", "n": 12, "k": 3, "alpha": 0.0, "beta": 1.0},
+                "m_grid": [30, 60],
+                "L": 4,
+            }
+        )
+        a, b = plan_from_json(text), plan_from_json(text)
+        assert a == b and hash(a) == hash(b) and a.setup is not b.setup
+        assert "setup" not in repr(a)
+        assert dataclasses.replace(a, L=8).setup.spec.levels == 8
 
     @pytest.mark.parametrize(
         "plan, start",
@@ -292,7 +323,7 @@ class TestFamilySetup:
     def test_start(self, plan, start):
         # a trial starts PGD at a random model member on the sphere and at zero on the ball;
         # draw_trial is this by-hand draw bit for bit, into a given workspace too
-        setup, seed = family_setup(plan), derive_seed(plan.master_seed, 0, 0)
+        setup, seed = plan.setup, derive_seed(plan.master_seed, 0, 0)
         m, n = plan.m_grid[0], plan.model.ambient_dim
         x = gen_signal(plan.model, seed)
         inst = sample_instance(setup.matrix_kind, setup.dither, m, n, seed)
@@ -323,8 +354,8 @@ class TestFamilySetup:
             tiny_plan(family=Family.DITHERED_ONE_BIT, model=SignalModel(Sparse(k=1, n=12), 0.0, 1.0), lam=1.5, delta=0.5)
         with pytest.raises(ValueError, match="takes no lambda, L, or delta"):
             tiny_plan(delta=0.5)
-        assert family_setup(multi_bit(delta=0.5)).spec.delta == 0.5
-        assert family_setup(multi_bit()).spec.delta == 0.625  # 5 / L
+        assert multi_bit(delta=0.5).setup.spec.delta == 0.5
+        assert multi_bit().setup.spec.delta == 0.625  # 5 / L
 
 
 def csv_rows(plan, tmp_path):
@@ -499,7 +530,7 @@ class TestTrialDraws:
 
     @pytest.mark.parametrize("plan", three_cell_plans(), ids=THREE_CELL_IDS)
     def test_draw_trial_is_a_row_prefix(self, plan):
-        setup, n = family_setup(plan), plan.model.ambient_dim
+        setup, n = plan.setup, plan.model.ambient_dim
         for ti in range(2):
             cells = list(draw_trial(plan, ti))
             lx, linst, _, lstart = cells[-1]
@@ -685,7 +716,7 @@ class TestPlanFromJson:
         )
         plan = plan_from_json(text)
         assert plan.L == 8 and plan.delta is None
-        assert family_setup(plan).spec.delta == 0.625  # 5 / L
+        assert plan.setup.spec.delta == 0.625  # 5 / L
         obj = json.loads(text)
         assert plan_from_json(json.dumps({**obj, "delta_rule": {"rule": "fixed", "delta": 0.5}})).delta == 0.5
         assert plan_from_json(json.dumps({**obj, "delta_rule": {"rule": "five_over_l", "delta": None}})).delta is None

@@ -2,8 +2,8 @@
 
 The CLI turns a ValueError into one ``error:`` line and exit 2, so any other
 exception here would end ``quantcs run`` in a traceback.  A plan checks itself
-by building its quantizer and PGD settings, so every plan that parses can be
-set up, and a small one can be drawn and decoded without an error or a warning.
+by building its quantizer and PGD settings, so every plan that parses holds its
+setup, and a small one can be drawn and decoded without an error or a warning.
 """
 
 import json
@@ -16,7 +16,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from quantcs import ExperimentPlan, draw_trial, family_setup, plan_from_json, run_trial  # noqa: E402
+from quantcs import ExperimentPlan, draw_trial, plan_from_json, run_trial  # noqa: E402
 from quantcs.harness import LEVELS_CAP  # noqa: E402
 
 # edge values next to the ranges the constructors check, and values far past them
@@ -82,7 +82,7 @@ def test_plan_parses_or_raises_value_error(key, data):
         plan = plan_from_json(json.dumps(obj))
     except ValueError:
         return
-    setup = family_setup(plan)
+    setup = plan.setup
     assert isinstance(plan, ExperimentPlan)
     assert plan.trials >= 1 and plan.iterations >= 1 and plan.m_grid[0] >= 1
     assert all(type(m) is int for m in plan.m_grid) and list(plan.m_grid) == sorted(set(plan.m_grid))
