@@ -1,34 +1,17 @@
-"""Run a small measurement-sweep experiment and fit the error decay rate.
+"""Run acceptance criterion 01's measurement sweep and fit the error decay rate.
 
-Builds an experiment plan in code (the CLI accepts the same thing as JSON),
-runs the trials, writes the per-cell table to CSV and a log-log plot to SVG,
-and fits the decay exponent of mean error against measurement count. With
-one-bit measurements of sparse signals the fitted slope should land near -1.
+Takes the criterion's plan from ``quantcs.claims`` (the CLI accepts the same
+thing as JSON), runs the trials, writes the per-cell table to CSV and a
+log-log plot to SVG, and fits the decay exponent of mean error against
+measurement count. With one-bit sparse signals the slope should land near -1.
 """
 
-import numpy as np
-
-from quantcs import (
-    ExperimentPlan,
-    Family,
-    SignalModel,
-    Sparse,
-    emit_csv,
-    emit_svg_loglog,
-    fit_slope,
-    run_experiment,
-)
+from quantcs import emit_csv, emit_svg_loglog, fit_slope, run_experiment
+from quantcs.claims import CLAIMS
 
 
 def main():
-    plan = ExperimentPlan(
-        family=Family.ONE_BIT_GAUSSIAN,
-        model=SignalModel(Sparse(k=3, n=500), alpha=1.0, beta=1.0),
-        m_grid=(400, 600, 800, 1000, 1200),
-        trials=50,
-        iterations=100,
-        master_seed=20260814,
-    )
+    (plan,) = next(c for c in CLAIMS if c.id == "01").plans
     result = run_experiment(plan)
 
     emit_csv(plan, result.cells, "scaling_laws.csv")

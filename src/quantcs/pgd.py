@@ -86,7 +86,16 @@ def gradient(spec: QuantizerSpec, instance: SensingInstance, y, u) -> np.ndarray
     y = np.asarray(y, dtype=float)
     if y.shape != (instance.m,):
         raise ValueError(f"measurement shape {y.shape} does not match m={instance.m}")
-    return _adjoint(instance.matrix, measure(instance, spec, u) - y) / instance.m
+    d, m = measure(instance, spec, u) - y, instance.m
+    span = float(spec.level_values[-1]) - float(spec.level_values[0])
+    # for y in the quantizer's levels each entry of A^T d is at most m * span * max|A_ij|,
+    # so below this bound, which leaves 2**23 for max|A_ij|, it cannot overflow; past it,
+    # a sum that did overflow is taken again as A^T (d / m)
+    if m * span <= 2.0**1000:
+        return _adjoint(instance.matrix, d) / m
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = _adjoint(instance.matrix, d) / m
+    return g if np.isfinite(g).all() else _adjoint(instance.matrix, d / m)
 
 
 def pgd_recover(

@@ -173,21 +173,38 @@ def _project_l1_ball(u: np.ndarray, radius: float) -> np.ndarray:
     w = np.sort(np.abs(u))[::-1]
     css = np.cumsum(w) - radius
     js = np.arange(1, u.size + 1)
-    rho = js[w > css / js][-1]
-    theta = css[rho - 1] / rho
-    return np.sign(u) * np.maximum(np.abs(u) - theta, 0.0)
+    qualify = js[w > css / js]
+    if qualify.size:
+        rho = qualify[-1]
+        theta = css[rho - 1] / rho
+        return np.sign(u) * np.maximum(np.abs(u) - theta, 0.0)
+    # none qualifies once w_1 - radius rounds to w_1 (w_1 past about 2**53 radius):
+    # the same sums over the differences w_j - w_1, which do not cancel, give theta - w_1
+    d = w - w[0]
+    css = np.cumsum(d) - radius
+    rho = js[d > css / js][-1]
+    return np.sign(u) * np.maximum(np.abs(u) - w[0] - css[rho - 1] / rho, 0.0)
 
 
 def project_norm(alpha: float, beta: float, u) -> np.ndarray:
     """Rescale ``u`` to the nearest point of the annulus ``[alpha, beta]``.
 
     The zero vector with ``alpha > 0`` has no unique nearest point; the tie
-    is broken deterministically as ``alpha * e_1``.
+    is broken deterministically as ``alpha * e_1``.  A ``u`` whose squared
+    norm overflows (entries past about 1e154) is measured as ``u / max|u|``.
     """
     if not (0.0 <= alpha <= beta) or not math.isfinite(beta) or beta <= 0:
         raise ValueError(f"need 0 <= alpha <= beta with beta > 0, got [{alpha}, {beta}]")
-    u = np.asarray(u, dtype=float)
-    nrm = float(np.linalg.norm(u))
+    u = np.asarray(u, dtype=float, order="C")
+    # the bits of np.linalg.norm(u), but vdot raises no warning when the square overflows
+    nrm = math.sqrt(np.vdot(u, u))
+    if math.isinf(nrm) and math.isfinite(peak := float(np.abs(u).max())):
+        # entries past about 1e154: u's norm is peak times that of v = u / peak
+        v = u / peak
+        nrm = math.sqrt(np.vdot(v, v))
+        if nrm > beta / peak:
+            return v * (beta / nrm)
+        return v * (alpha / nrm) if nrm < alpha / peak else u.copy()
     if nrm == 0.0:
         if alpha == 0.0:
             return u.copy()

@@ -547,6 +547,33 @@ def projection_suite() -> list[Check]:
     once = project_model(model, u)
     twice = project_model(model, once)
     checks.append(Check("idempotent", bool(np.array_equal(once, twice)), "projection is a fixed point of itself"))
+
+    # past about 1e154 a norm's square overflows, and past 2**53 * radius the
+    # l1 threshold w_1 - radius rounds to w_1; at these u the answer is scale-free:
+    # a sphere's projection, and the radius split over the l1 ball's tied top pair
+    u = rng.uniform(-0.5, 0.5, 12)
+    u[:2] = 1.0, -1.0
+    models = (
+        SignalModel(Sparse(k=3, n=12), alpha=1.0, beta=1.0),
+        SignalModel(LowRank(r=1, n1=3, n2=4), alpha=1.0, beta=1.0),
+        SignalModel(L1Ball(radius=0.5, n=12), alpha=0.0, beta=1.0),
+    )
+    bad = [
+        f"{type(model.structure).__name__} at s={s:.3g}"
+        for model in models
+        for s in (2.0**60, 1e200, 1e300)
+        if not (
+            np.allclose(p := project_model(model, s * u), project_model(model, p), rtol=0, atol=1e-12)
+            and np.allclose(p, project_model(model, u), rtol=0, atol=1e-12)
+        )
+    ]
+    checks.append(
+        Check(
+            "huge_inputs_scale_free",
+            not bad,
+            "; ".join(bad) or "project_model(s u) for s up to 1e300 lies in the model and equals project_model(u)",
+        )
+    )
     return checks
 
 

@@ -359,17 +359,18 @@ class TestUsageErrors:
         assert captured.out == ""
 
 
-# a fresh interpreter runs main on its arguments and prints whether it loaded the referees and the worker pool
+# a fresh interpreter runs main on its arguments and prints whether it loaded the referees, the worker pool
+# and the acceptance claims
 LOADS = (
     "import sys\nfrom quantcs.cli import main\nassert main(sys.argv[1:]) == 0\n"
-    "print('quantcs.verify' in sys.modules, 'concurrent.futures' in sys.modules)\n"
+    "print('quantcs.verify' in sys.modules, 'concurrent.futures' in sys.modules, 'quantcs.claims' in sys.modules)\n"
 )
 
 
 class TestRefereeImport:
     @pytest.mark.parametrize("command, loaded", [("run", False), ("recover", False), ("verify", True)])
     def test_only_verify_loads_the_referees(self, tmp_path, command, loaded):
-        # and no command loads the worker pool, which only a run on several threads uses
+        # and no command loads the worker pool, which only a run on several threads uses, or the claims
         config = tmp_path / "plan.json"
         config.write_text(tiny_plan_json())
         argv = {
@@ -380,7 +381,7 @@ class TestRefereeImport:
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run([sys.executable, "-c", LOADS, *argv], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == f"{loaded} False"
+        assert proc.stdout.splitlines()[-1] == f"{loaded} False False"
 
 
 REPO = Path(__file__).resolve().parents[1]
