@@ -20,7 +20,7 @@ import json
 import math
 import mmap
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -293,15 +293,14 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> ExperimentResult:
 
 class SlopeFit(NamedTuple):
     slope: float
-    intercept: float
     r2: float
 
 
 def fit_slope(points: Iterable[tuple[float, float]]) -> SlopeFit:
     """Least-squares slope of ``log10(err)`` against ``log10(m)``.
 
-    Returns ``(slope, intercept, r2)``; a perfectly flat or perfectly linear
-    set of points has ``r2 = 1`` by the zero-residual convention.
+    Returns ``(slope, r2)``; a perfectly flat or perfectly linear set of
+    points has ``r2 = 1`` by the zero-residual convention.
     """
     pts = [(float(m), float(e)) for m, e in points]
     if len(pts) < 2:
@@ -316,7 +315,7 @@ def fit_slope(points: Iterable[tuple[float, float]]) -> SlopeFit:
     resid = ly - (slope * lx + intercept)
     ss_tot = float(((ly - ly.mean()) ** 2).sum())
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - float((resid**2).sum()) / ss_tot
-    return SlopeFit(float(slope), float(intercept), float(r2))
+    return SlopeFit(float(slope), float(r2))
 
 
 def _fmt(value: float) -> str:
@@ -361,14 +360,14 @@ def emit_svg_loglog(plan: ExperimentPlan, cells: Iterable[CellStats], path: str)
         label += f" ({len(cells) - len(shown)} of {len(cells)} cells with mean error 0 omitted)"
     width, height = 640.0, 480.0
     left, right, top, bottom = 70.0, 20.0, 40.0, 55.0
-    xs = np.log10([c.m for c in cells])
-    ys = np.log10([c.mean_err for c in shown]) if shown else np.zeros(1)
-    xmin, xmax = float(xs.min()), float(xs.max())
-    ymin, ymax = float(ys.min()), float(ys.max())
-    xpad = 0.05 * max(xmax - xmin, 0.2)
-    ypad = 0.05 * max(ymax - ymin, 0.2)
-    xmin, xmax = xmin - xpad, xmax + xpad
-    ymin, ymax = ymin - ypad, ymax + ypad
+
+    def padded(vs: np.ndarray) -> tuple[float, float]:
+        lo, hi = float(vs.min()), float(vs.max())
+        pad = 0.05 * max(hi - lo, 0.2)
+        return lo - pad, hi + pad
+
+    xmin, xmax = padded(np.log10([c.m for c in cells]))
+    ymin, ymax = padded(np.log10([c.mean_err for c in shown]) if shown else np.zeros(1))
 
     def sx(v: float) -> float:
         return left + (v - xmin) / (xmax - xmin) * (width - left - right)
@@ -376,19 +375,11 @@ def emit_svg_loglog(plan: ExperimentPlan, cells: Iterable[CellStats], path: str)
     def sy(v: float) -> float:
         return height - bottom - (v - ymin) / (ymax - ymin) * (height - top - bottom)
 
-    out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
-        f'viewBox="0 0 {width:.0f} {height:.0f}">',
-        f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>',
-        f'<text x="{width / 2:.2f}" y="20" text-anchor="middle" font-family="sans-serif" '
-        'font-size="14">mean recovery error vs m</text>',
-    ]
-    axis = (
-        f'<line x1="{left:.2f}" y1="{height - bottom:.2f}" x2="{width - right:.2f}" '
-        f'y2="{height - bottom:.2f}" stroke="black"/>'
-        f'<line x1="{left:.2f}" y1="{top:.2f}" x2="{left:.2f}" y2="{height - bottom:.2f}" stroke="black"/>'
-    )
-    out.append(axis)
+    def line(x1: float, y1: float, x2: float, y2: float, stroke: str) -> str:
+        return f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" stroke="{stroke}"/>'
+
+    def text(x: str, y: str, anchor: str, size: int, body: str, extra: str = "") -> str:
+        return f'<text x="{x}" y="{y}" text-anchor="{anchor}" font-family="sans-serif" font-size="{size}"{extra}>{body}</text>'
 
     def ticks(lo: float, hi: float) -> list[float]:
         decades = [float(t) for t in range(math.ceil(lo), math.floor(hi) + 1)]
@@ -396,29 +387,23 @@ def emit_svg_loglog(plan: ExperimentPlan, cells: Iterable[CellStats], path: str)
             return decades
         return [lo + f * (hi - lo) for f in (0.1, 0.5, 0.9)]
 
+    px = "{:.2f}".format  # text takes its coordinates as written: the title's y and the y label's x are "20" and "16"
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
+        f'viewBox="0 0 {width:.0f} {height:.0f}">',
+        f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>',
+        text(px(width / 2), "20", "middle", 14, "mean recovery error vs m"),
+        line(left, height - bottom, width - right, height - bottom, "black") + line(left, top, left, height - bottom, "black"),
+    ]
     for t in ticks(xmin, xmax):
-        x = sx(t)
-        out.append(f'<line x1="{x:.2f}" y1="{height - bottom:.2f}" x2="{x:.2f}" y2="{top:.2f}" stroke="#dddddd"/>')
-        out.append(
-            f'<text x="{x:.2f}" y="{height - bottom + 18:.2f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{10 ** t:.3g}</text>'
-        )
+        out.append(line(sx(t), height - bottom, sx(t), top, "#dddddd"))
+        out.append(text(px(sx(t)), px(height - bottom + 18), "middle", 11, f"{10 ** t:.3g}"))
     for t in ticks(ymin, ymax):
-        yy = sy(t)
-        out.append(f'<line x1="{left:.2f}" y1="{yy:.2f}" x2="{width - right:.2f}" y2="{yy:.2f}" stroke="#dddddd"/>')
-        out.append(
-            f'<text x="{left - 8:.2f}" y="{yy + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{10 ** t:.3g}</text>'
-        )
-    out.append(
-        f'<text x="{(left + width - right) / 2:.2f}" y="{height - 12:.2f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">measurements m (log scale)</text>'
-    )
-    out.append(
-        f'<text x="16" y="{(top + height - bottom) / 2:.2f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 16 {(top + height - bottom) / 2:.2f})">mean error (log scale)</text>'
-    )
+        out.append(line(left, sy(t), width - right, sy(t), "#dddddd"))
+        out.append(text(px(left - 8), px(sy(t) + 4), "end", 11, f"{10 ** t:.3g}"))
+    mid = px((top + height - bottom) / 2)
+    out.append(text(px((left + width - right) / 2), px(height - 12), "middle", 12, "measurements m (log scale)"))
+    out.append(text("16", mid, "middle", 12, "mean error (log scale)", f' transform="rotate(-90 16 {mid})"'))
     color = "#1f77b4"
     if shown:
         coords = " ".join(f"{sx(math.log10(c.m)):.2f},{sy(math.log10(c.mean_err)):.2f}" for c in shown)
@@ -428,10 +413,7 @@ def emit_svg_loglog(plan: ExperimentPlan, cells: Iterable[CellStats], path: str)
             f'<circle cx="{sx(math.log10(c.m)):.2f}" cy="{sy(math.log10(c.mean_err)):.2f}" '
             f'r="3" fill="{color}"/>'
         )
-    out.append(
-        f'<text x="{width - right - 4:.2f}" y="{top + 14:.2f}" text-anchor="end" '
-        f'font-family="sans-serif" font-size="11" fill="{color}">{label}</text>'
-    )
+    out.append(text(px(width - right - 4), px(top + 14), "end", 11, label, f' fill="{color}"'))
     out.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(out) + "\n")
@@ -446,25 +428,21 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) 
         raise ValueError(f"{where} is missing required keys: {sorted(missing)}")
 
 
+# each plan-file structure name and its class; the model's keys are the class's fields, "alpha" and "beta"
+_MODEL_KINDS = {"sparse": Sparse, "low_rank": LowRank, "l1_ball": L1Ball}
+
+
 def _model_from_json(obj: dict) -> SignalModel:
     if not isinstance(obj, dict):
         raise ValueError("model must be an object")
     kind = obj.get("structure")
-    if kind == "sparse":
-        keys = {"structure", "n", "k", "alpha", "beta"}
-        _require_keys(obj, keys, keys, "model")
-        structure = Sparse(k=obj["k"], n=obj["n"])
-    elif kind == "low_rank":
-        keys = {"structure", "n1", "n2", "r", "alpha", "beta"}
-        _require_keys(obj, keys, keys, "model")
-        structure = LowRank(r=obj["r"], n1=obj["n1"], n2=obj["n2"])
-    elif kind == "l1_ball":
-        keys = {"structure", "n", "radius", "alpha", "beta"}
-        _require_keys(obj, keys, keys, "model")
-        structure = L1Ball(radius=obj["radius"], n=obj["n"])
-    else:
+    cls = _MODEL_KINDS.get(kind) if isinstance(kind, str) else None  # a list or object name is unhashable
+    if cls is None:
         raise ValueError(f"unknown structure {kind!r}")
-    return SignalModel(structure=structure, alpha=obj["alpha"], beta=obj["beta"])
+    names = [f.name for f in fields(cls)]
+    keys = {"structure", "alpha", "beta", *names}
+    _require_keys(obj, keys, keys, "model")
+    return SignalModel(structure=cls(**{name: obj[name] for name in names}), alpha=obj["alpha"], beta=obj["beta"])
 
 
 def plan_from_json(text: str) -> ExperimentPlan:

@@ -90,12 +90,10 @@ def gradient(spec: QuantizerSpec, instance: SensingInstance, y, u) -> np.ndarray
     span = float(spec.level_values[-1]) - float(spec.level_values[0])
     # for y in the quantizer's levels each entry of A^T d is at most m * span * max|A_ij|,
     # so below this bound, which leaves 2**23 for max|A_ij|, it cannot overflow; past it,
-    # a sum that did overflow is taken again as A^T (d / m)
-    if m * span <= 2.0**1000:
-        return _adjoint(instance.matrix, d) / m
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = _adjoint(instance.matrix, d) / m
-    return g if np.isfinite(g).all() else _adjoint(instance.matrix, d / m)
+    # the residuals are divided by m before the sum
+    if m * span > 2.0**1000:
+        return _adjoint(instance.matrix, d / m)
+    return _adjoint(instance.matrix, d) / m
 
 
 def pgd_recover(

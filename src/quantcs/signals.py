@@ -141,7 +141,10 @@ def project_structure(model: SignalModel, u) -> np.ndarray:
 
     Sparse: keep the ``k`` largest-magnitude entries, ties broken toward the
     lowest index. LowRank: truncate the SVD of the (column-major) reshaped
-    matrix to rank ``r``. L1Ball: exact sort-based projection.
+    matrix to rank ``r``; a ``u`` with an entry past ``2**500``, where the
+    SVD's sums may overflow, is truncated as ``u / 2**e`` (exact in binary,
+    ``2**e`` the power of two just above ``max|u|``) and scaled back.
+    L1Ball: exact sort-based projection.
     """
     u = _check_dim(model, u)
     s = model.structure
@@ -158,6 +161,9 @@ def project_structure(model: SignalModel, u) -> np.ndarray:
     if isinstance(s, LowRank):
         if s.r >= min(s.n1, s.n2):
             return u.copy()
+        if (peak := float(np.abs(u).max())) > 2.0**500:
+            e = math.frexp(peak)[1]
+            return np.ldexp(project_structure(model, np.ldexp(u, -e)), e)
         M = u.reshape((s.n1, s.n2), order="F")
         U, sv, Vt = np.linalg.svd(M, full_matrices=False)
         sv = sv.copy()
@@ -167,23 +173,30 @@ def project_structure(model: SignalModel, u) -> np.ndarray:
 
 
 def _project_l1_ball(u: np.ndarray, radius: float) -> np.ndarray:
-    """Sort-based projection onto ``{||p||_1 <= radius}``."""
-    if np.abs(u).sum() <= radius:
+    """Sort-based projection onto ``{||p||_1 <= radius}``.
+
+    With ``w`` the magnitudes in decreasing order and ``c_j = (w_1 + ... + w_j
+    - radius) / j``, the threshold is ``theta = c_rho`` for the last ``rho``
+    with ``w_rho > c_rho``.  Once ``w_1 - radius`` rounds to ``w_1`` (``w_1``
+    past about ``2**53 radius``), the same sums run over the differences
+    ``w_j - w_1`` above ``-radius``, and give ``theta - w_1`` without
+    cancelling or overflowing: ``theta >= w_1 - radius``, so no other entry
+    survives.  A ``u`` with an entry past ``radius`` lies outside the ball,
+    and its l1 norm, which may overflow, is not summed.
+    """
+    a = np.abs(u)
+    if a.max() <= radius and a.sum() <= radius:  # ||u||_1 >= max|u_i|, so a large entry skips the sum
         return u.copy()
-    w = np.sort(np.abs(u))[::-1]
+    w = np.sort(a)[::-1]
+    shift = 0.0
+    if w[0] - radius == w[0]:
+        shift = w[0]
+        w = w - shift
+        w = w[w > -radius]
+    js = np.arange(1, w.size + 1)
     css = np.cumsum(w) - radius
-    js = np.arange(1, u.size + 1)
-    qualify = js[w > css / js]
-    if qualify.size:
-        rho = qualify[-1]
-        theta = css[rho - 1] / rho
-        return np.sign(u) * np.maximum(np.abs(u) - theta, 0.0)
-    # none qualifies once w_1 - radius rounds to w_1 (w_1 past about 2**53 radius):
-    # the same sums over the differences w_j - w_1, which do not cancel, give theta - w_1
-    d = w - w[0]
-    css = np.cumsum(d) - radius
-    rho = js[d > css / js][-1]
-    return np.sign(u) * np.maximum(np.abs(u) - w[0] - css[rho - 1] / rho, 0.0)
+    rho = js[w > css / js][-1]
+    return np.sign(u) * np.maximum(a - shift - css[rho - 1] / rho, 0.0)
 
 
 def project_norm(alpha: float, beta: float, u) -> np.ndarray:

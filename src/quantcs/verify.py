@@ -561,7 +561,7 @@ def projection_suite() -> list[Check]:
     bad = [
         f"{type(model.structure).__name__} at s={s:.3g}"
         for model in models
-        for s in (2.0**60, 1e200, 1e300)
+        for s in (2.0**60, 1e200, 1e300, 1e308)
         if not (
             np.allclose(p := project_model(model, s * u), project_model(model, p), rtol=0, atol=1e-12)
             and np.allclose(p, project_model(model, u), rtol=0, atol=1e-12)
@@ -571,7 +571,7 @@ def projection_suite() -> list[Check]:
         Check(
             "huge_inputs_scale_free",
             not bad,
-            "; ".join(bad) or "project_model(s u) for s up to 1e300 lies in the model and equals project_model(u)",
+            "; ".join(bad) or "project_model(s u) for s up to 1e308 lies in the model and equals project_model(u)",
         )
     )
     return checks

@@ -1,5 +1,6 @@
 import builtins
 import csv
+import hashlib
 import importlib
 import inspect
 import json
@@ -78,6 +79,11 @@ MALFORMED_PLANS = [
         f"iterations = 400000000000 exceeds the cap {ERRORS_CAP}",
     ),
     ("one_bit_delta_rule", {"delta_rule": {"rule": "five_over_l"}}, "one_bit_gaussian takes no delta rule"),
+    # structure names that are not strings, two of them unhashable
+    ("list_structure", {"model": {"structure": ["sparse"], "n": 12, "k": 3, "alpha": 1.0, "beta": 1.0}}, "unknown structure ['sparse']"),
+    ("object_structure", {"model": {"structure": {"sparse": 1}, "n": 12, "k": 3, "alpha": 1.0, "beta": 1.0}}, "unknown structure {'sparse': 1}"),
+    ("number_structure", {"model": {"structure": 3, "n": 12, "k": 3, "alpha": 1.0, "beta": 1.0}}, "unknown structure 3"),
+    ("null_structure", {"model": {"structure": None, "n": 12, "k": 3, "alpha": 1.0, "beta": 1.0}}, "unknown structure None"),
     (
         "huge_lambda",
         {"family": "dithered_one_bit", "model": {"structure": "sparse", "n": 12, "k": 3, "alpha": 0.0, "beta": 1.0}, "lambda": 1e308},
@@ -489,6 +495,65 @@ class TestBlasThreads:
             assert proc.returncode == 0, proc.stderr
             csv_bytes.append(out.read_bytes())
         assert csv_bytes[0] == csv_bytes[1]
+
+
+# sha256 of the CSV that `quantcs run` writes for each plan step of perfbench/workloads.py, by master seed, at
+# OPENBLAS_NUM_THREADS=1: a change that moves a trial's random stream or a decode's bits moves these, and must
+# update them and say so
+WORKLOAD_CSVS = {
+    0: {
+        "dithered_one_bit": "09d0c250c3f09634f4d852bf38a0658834cbf45fb973ed3a96c26dd13ee8b61f",
+        "one_bit_gaussian": "2b675faf92b3c07a55dc226b1b9dc0acca9932e7ac60b5804c2efefcccbb6873",
+        "corrupted": "4e613779dd2fa24554118150e9b3cb842a0d8c18398968aea4a872c8b5af33cf",
+        "l1_ball": "8ee3a30e0dd7de69276dcde5f6ac53686dbff6515aec86a791651f8434575512",
+        "low_rank_r1": "48081f438b1b3f6789229c0cbee90cfa3acfe4b690c552e291f5fcfa97f33593",
+        "low_rank_r2": "cce3fc7ca22ce1ed283571a62e2c8614ce72407a34220676a01ce4501b70aa99",
+        "multi_bit_L4": "fc7c7117da565b577e02b2b610529eeabe9fd58f4515ba8aa3739450ebb78a18",
+        "multi_bit_L8": "e4e1ecbf66b072c712ec77542f71918436239978c9317e95599266d90d01bc75",
+        "multi_bit_L32": "2248e35e36f56783cf96d15ad1cb50bc6780db14a19d1cb08487be1f46645db0",
+    },
+    1: {
+        "dithered_one_bit": "6eea7474df0b3a1fd5903a8321fc4e20377f2d6337b7302a19a2aeccd8623847",
+        "one_bit_gaussian": "2029b2ca7175977fe1fccb7727716eedc683aaa83d0b0bb58339ad7af855d912",
+        "corrupted": "36c5fc1facc4aea203e785e10f594e7c87719db08165abc36351bd2d425027fc",
+        "l1_ball": "96043041247d37a96a4a16c99fa020c482154a6c1090350019fd83db14ed456e",
+        "low_rank_r1": "37a627b5611386bfdbdef243388f2b0de99470235597e2118ea572e48cb8d781",
+        "low_rank_r2": "fe86500d6b6503961af283a73dffce7cfde37e8464c72810fd7763e70d2a964c",
+        "multi_bit_L4": "e94978d5ee0b509d0d95a003bad4695e47149148dfb5200a41234fba331f534a",
+        "multi_bit_L8": "912f5569335453a5304e7d5061f5d162d206a887f43ffa784d210a10f32c3164",
+        "multi_bit_L32": "489c06e2ef037faa4bfaa37243084729212eb9b703aedada6c51284101f60240",
+    },
+}
+# runs each plan step of perfbench/workloads.py through quantcs.cli.main at each seed in argv[2:], writing its CSV
+# into the directory argv[1]; it imports the workloads' plans and nothing else of the benchmark
+WRITE_WORKLOAD_CSVS = """
+import json, sys
+from pathlib import Path
+from perfbench.workloads import WORKLOADS
+from quantcs.cli import main
+out = Path(sys.argv[1])
+for seed in map(int, sys.argv[2:]):
+    for step in (s for w in WORKLOADS.values() for s in w.steps if s.plan is not None):
+        config = out / f"{step.key}_{seed}.json"
+        config.write_text(json.dumps(step.plan_json(seed)))
+        assert main(["run", "--config", str(config), "--out", str(out / f"{step.key}_{seed}.csv")]) == 0
+"""
+
+
+class TestWorkloadOutputs:
+    def test_workload_csvs_are_pinned(self, tmp_path):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), str(REPO), env.get("PYTHONPATH")]))
+        seeds = [str(seed) for seed in WORKLOAD_CSVS]
+        proc = subprocess.run(
+            [sys.executable, "-c", WRITE_WORKLOAD_CSVS, str(tmp_path), *seeds], capture_output=True, text=True, env=env, timeout=600
+        )
+        assert proc.returncode == 0, proc.stderr
+        got = {}
+        for path in tmp_path.glob("*.csv"):
+            key, seed = path.stem.rsplit("_", 1)
+            got.setdefault(int(seed), {})[key] = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert got == WORKLOAD_CSVS
 
 
 class TestReadme:

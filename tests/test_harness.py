@@ -601,18 +601,18 @@ class TestTrialDraws:
 class TestFitSlope:
     def test_exact_inverse_law(self):
         pts = [(m, 100.0 / m) for m in (100, 200, 400, 800)]
-        slope, _, r2 = fit_slope(pts)
+        slope, r2 = fit_slope(pts)
         assert slope == pytest.approx(-1.0, abs=1e-12)
         assert r2 == pytest.approx(1.0)
 
     def test_exact_cube_root_law(self):
         pts = [(m, 5.0 * m ** (-1.0 / 3.0)) for m in (100, 300, 900)]
-        slope, _, r2 = fit_slope(pts)
+        slope, r2 = fit_slope(pts)
         assert slope == pytest.approx(-1.0 / 3.0, abs=1e-12)
         assert r2 == pytest.approx(1.0)
 
     def test_constant_errors(self):
-        slope, _, r2 = fit_slope([(100, 0.25), (200, 0.25), (400, 0.25)])
+        slope, r2 = fit_slope([(100, 0.25), (200, 0.25), (400, 0.25)])
         assert slope == pytest.approx(0.0, abs=1e-12)
         assert r2 == 1.0  # zero-residual convention
 
@@ -680,6 +680,27 @@ class TestEmission:
         assert text.count("<polyline ") == 1 and text.count("<circle ") == 2
         assert ">one_bit_gaussian:k_or_r=3:L=2 (1 of 3 cells with mean error 0 omitted)</text>" in text
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize(
+        "cells, pin",
+        [
+            (
+                [CellStats(m, 3.0 / m**0.5, 0.001) for m in (10, 20, 40, 80, 160, 320, 5000)],
+                "a0a36cdd4a6dce1795f328761702461c164a32e8b40ff7cf729454eab1a5ec6a",
+            ),
+            (
+                [CellStats(30, 0.2, 0.01), CellStats(60, 0.0, 0.0), CellStats(120, 0.05, 0.002)],
+                "ac82825273fd5662284f70ab52ecd4902c763c46d09aac9f74f46e1119647bc4",
+            ),
+            ([CellStats(50, 0.25, 0.0)], "c9b9fcb85a40e137dd0e2199bc79ec8aa1f9aa807ec3054d2e89a1e867ed24d2"),
+        ],
+        ids=["all_positive", "some_zero", "one_cell"],
+    )
+    def test_svg_bytes_are_pinned(self, tmp_path, cells, pin):
+        # decade ticks on x with three fallback ticks on y, a cell left out, and a single point
+        path = tmp_path / "x.svg"
+        emit_svg_loglog(tiny_plan(), cells, str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == pin
 
     def test_svg_rejects_empty(self, tmp_path):
         with pytest.raises(ValueError):

@@ -132,13 +132,40 @@ def small_plans(draw):
     return obj
 
 
+# one-cell plans whose every measurement is flipped, so PGD's first step is the dither level (or the level
+# span) times a sign pattern: the l1-ball threshold w_1 - radius rounds to w_1, a norm squares entries past
+# 1e154, and A^T d sums m residuals of up to the level span
+HUGE_STEPS = {
+    "l1_ball_lambda_2**60": ("dithered_one_bit", {"structure": "l1_ball", "n": 2, "radius": 1.0}, {"lambda": 2.0**60}, [1]),
+    "sparse_lambda_1e200": ("dithered_one_bit", {"structure": "sparse", "n": 12, "k": 3}, {"lambda": 1e200}, [1]),
+    "multi_bit_span_1e308": ("dithered_multi_bit", BALL, {"L": 2, "delta_rule": {"rule": "fixed", "delta": 1e308}}, [60]),
+    # an l1-ball iterate whose l1 norm overflows, and a low-rank one whose SVD's sums do
+    "l1_ball_lambda_4e307": ("dithered_one_bit", {"structure": "l1_ball", "n": 20, "radius": 2.0}, {"lambda": 4e307}, [1]),
+    "low_rank_span_1e308": (
+        "dithered_multi_bit",
+        {"structure": "low_rank", "n1": 3, "n2": 4, "r": 1},
+        {"L": 2, "delta_rule": {"rule": "fixed", "delta": 1e308}},
+        [1],
+    ),
+}
+
+
+def huge_step_plan(family, model, extra, m_grid):
+    """The JSON object of a ``HUGE_STEPS`` case: one trial of one iteration, every bit flipped."""
+    obj = {"family": family, "model": {**model, "alpha": 0.0, "beta": 1.0}, "m_grid": m_grid, "corruption_zeta": 1.0}
+    return {**obj, **extra, "trials": 1, "iterations": 1}
+
+
 @hypothesis.settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @hypothesis.given(obj=small_plans())
 @hypothesis.example(obj={"family": "one_bit_gaussian", "model": N2_L1_BALL, "m_grid": [5, 9], "trials": 1, "iterations": 1})
 @hypothesis.example(obj={**HUGE_DELTA, "m_grid": [30], "trials": 1, "iterations": 1})
+@hypothesis.example(obj=huge_step_plan(*HUGE_STEPS["l1_ball_lambda_4e307"]))
+@hypothesis.example(obj=huge_step_plan(*HUGE_STEPS["low_rank_span_1e308"]))
 def test_plan_that_constructs_can_be_drawn_and_decoded(obj):
-    # pinned: an l1-ball plan at n = 2, where c can only be 1, and a multi-bit plan
-    # whose cell width is finite but whose level span is not
+    # pinned: an l1-ball plan at n = 2, where c can only be 1, a multi-bit plan
+    # whose cell width is finite but whose level span is not, and the l1-ball and
+    # low-rank HUGE_STEPS plans, whose projections take iterates near the float maximum
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
@@ -150,20 +177,9 @@ def test_plan_that_constructs_can_be_drawn_and_decoded(obj):
             assert result.errors.shape == (1,) and np.isfinite(result.errors[0])
 
 
-# one-cell plans whose every measurement is flipped, so PGD's first step is the dither level (or the level
-# span) times a sign pattern: the l1-ball threshold w_1 - radius rounds to w_1, a norm squares entries past
-# 1e154, and A^T d sums m residuals of up to the level span
-HUGE_STEPS = {
-    "l1_ball_lambda_2**60": ("dithered_one_bit", {"structure": "l1_ball", "n": 2, "radius": 1.0}, {"lambda": 2.0**60}, [1]),
-    "sparse_lambda_1e200": ("dithered_one_bit", {"structure": "sparse", "n": 12, "k": 3}, {"lambda": 1e200}, [1]),
-    "multi_bit_span_1e308": ("dithered_multi_bit", BALL, {"L": 2, "delta_rule": {"rule": "fixed", "delta": 1e308}}, [60]),
-}
-
-
 @pytest.mark.parametrize("family, model, extra, m_grid", HUGE_STEPS.values(), ids=HUGE_STEPS.keys())
 def test_huge_step_decodes(family, model, extra, m_grid):
-    obj = {"family": family, "model": {**model, "alpha": 0.0, "beta": 1.0}, "m_grid": m_grid, "corruption_zeta": 1.0, **extra}
-    plan = plan_from_json(json.dumps({**obj, "trials": 1, "iterations": 1}))
+    plan = plan_from_json(json.dumps(huge_step_plan(family, model, extra, m_grid)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert np.isfinite(run_trial(plan, *next(draw_trial(plan, 0))).errors).all()
