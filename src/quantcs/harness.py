@@ -28,7 +28,7 @@ import numpy as np
 from .pgd import ERRORS_CAP, PgdConfig, PgdResult, pgd_recover
 from .quantizers import QuantizerSpec, make_saturated, make_sign
 from .rng import SEED_PART_BOUND, derive_seed
-from .sensing import MatrixKind, SensingInstance, corrupt, measure, sample_instance
+from .sensing import MatrixKind, SensingInstance, check_dither, corrupt, measure, sample_instance
 from .signals import L1Ball, LowRank, SignalModel, Sparse, check_int, check_l1_ball_draw, check_real, gen_signal, random_in_model
 
 __all__ = [
@@ -149,8 +149,7 @@ def _family(plan: ExperimentPlan) -> FamilySetup:
     if plan.family is Family.DITHERED_ONE_BIT:
         if plan.lam is None or not (math.isfinite(check_real(plan.lam, "lambda")) and plan.lam > 0):
             raise ValueError("dithered_one_bit needs a positive dither level lambda")
-        if not math.isfinite(2.0 * plan.lam):  # the dither interval's width, as sample_instance checks it
-            raise ValueError(f"dither level must be a real >= 0 with 2 * level finite, got {plan.lam}")
+        check_dither(plan.lam)
         if plan.L is not None or plan.delta is not None:
             raise ValueError("dithered_one_bit takes no L or delta")
         if not (a == 0.0 and b == 1.0):
@@ -445,11 +444,18 @@ def _model_from_json(obj: dict) -> SignalModel:
     return SignalModel(structure=cls(**{name: obj[name] for name in names}), alpha=obj["alpha"], beta=obj["beta"])
 
 
+# a plan file's key for each field of ExperimentPlan it sets: the field's name, but for these two
+_RENAMED = {"lam": "lambda", "delta": "delta_rule"}
+_PLAN_KEYS = {_RENAMED.get(f.name, f.name): f.name for f in fields(ExperimentPlan) if f.init}
+
+
 def plan_from_json(text: str) -> ExperimentPlan:
     """Parse a plan from its JSON form; the constructors check the values.
 
-    The optional ``delta_rule`` of a multi-bit plan is ``{"rule": "five_over_l"}``
-    (the default, delta = 5 / L) or ``{"rule": "fixed", "delta": d}``.
+    The plan file's keys are ``ExperimentPlan``'s fields, with ``lam`` named
+    ``lambda`` and ``delta`` given by ``delta_rule``.  The optional
+    ``delta_rule`` of a multi-bit plan is ``{"rule": "five_over_l"}`` (the
+    default, delta = 5 / L) or ``{"rule": "fixed", "delta": d}``.
     """
     try:
         obj = json.loads(text)
@@ -457,19 +463,7 @@ def plan_from_json(text: str) -> ExperimentPlan:
         raise ValueError("plan JSON is nested too deeply") from None
     if not isinstance(obj, dict):
         raise ValueError("plan must be a JSON object")
-    allowed = {
-        "family",
-        "model",
-        "m_grid",
-        "L",
-        "delta_rule",
-        "lambda",
-        "trials",
-        "iterations",
-        "master_seed",
-        "corruption_zeta",
-    }
-    _require_keys(obj, allowed, {"family", "model", "m_grid"}, "plan")
+    _require_keys(obj, set(_PLAN_KEYS), {"family", "model", "m_grid"}, "plan")
     try:
         family = Family(obj["family"])
     except ValueError:
@@ -489,13 +483,6 @@ def plan_from_json(text: str) -> ExperimentPlan:
             raise ValueError(f"unknown delta rule {rule!r}")
         if (rule == "fixed") != (delta is not None):
             raise ValueError("a fixed delta rule needs a delta, and five_over_l takes none")
-    kwargs = {key: obj[key] for key in ("trials", "iterations", "master_seed", "corruption_zeta") if key in obj}
-    return ExperimentPlan(
-        family=family,
-        model=_model_from_json(obj["model"]),
-        m_grid=tuple(obj["m_grid"]),
-        L=obj.get("L"),
-        delta=delta,
-        lam=obj.get("lambda"),
-        **kwargs,
-    )
+    args = {_PLAN_KEYS[key]: value for key, value in obj.items()}
+    args.update(family=family, model=_model_from_json(obj["model"]), m_grid=tuple(obj["m_grid"]), delta=delta)
+    return ExperimentPlan(**args)

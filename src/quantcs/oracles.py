@@ -17,8 +17,8 @@ from itertools import combinations
 import numpy as np
 
 from .quantizers import QuantizerSpec, quantize_vec
-from .sensing import MatrixKind, SensingInstance, _block_rows, instance_rows, measure
-from .signals import SignalModel, Sparse, UnsupportedModelError, check_int, check_real
+from .sensing import MatrixKind, SensingInstance, _block_rows, check_measurements, instance_rows, measure
+from .signals import SignalModel, Sparse, UnsupportedModelError, check_int, check_positive
 
 __all__ = [
     "NET_ENTRIES_CAP",
@@ -56,9 +56,7 @@ def enumerate_net(model: SignalModel, r: float) -> np.ndarray:
     ``r`` from the grid.  Any other model raises ``UnsupportedModelError``,
     and a net above ``NET_ENTRIES_CAP`` entries raises ``ValueError``.
     """
-    r = check_real(r, "net radius")
-    if not (math.isfinite(r) and r > 0):
-        raise ValueError(f"net radius must be a positive finite real, got {r}")
+    r = check_positive(r, "net radius")
     s = model.structure
     if not (isinstance(s, Sparse) and s.k <= 2 and model.alpha == model.beta):
         raise UnsupportedModelError("exact nets exist only for sparse spheres with k <= 2")
@@ -92,9 +90,7 @@ def hdm_decode(net, spec: QuantizerSpec, instance: SensingInstance, y) -> HdmRes
     lies within an ulp of a threshold.
     """
     net = np.asarray(net, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if y.shape != (instance.m,):
-        raise ValueError(f"measurement shape {y.shape} does not match m={instance.m}")
+    y = check_measurements(instance, y)
     if net.ndim != 2 or net.shape[0] == 0 or net.shape[1] != instance.n:
         raise ValueError(f"net of shape {net.shape} is not (N, n) with N >= 1 and n={instance.n}")
     q = quantize_vec(spec, net @ instance.matrix.T - instance.dither[None, :])

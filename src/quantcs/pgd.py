@@ -30,14 +30,13 @@ step size and start in ``quantcs.harness``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .quantizers import QuantizerSpec
-from .sensing import SensingInstance, _adjoint, measure
-from .signals import SignalModel, check_int, check_real, project_model
+from .sensing import SensingInstance, _adjoint, check_measurements, measure
+from .signals import SignalModel, check_int, check_positive, project_model
 
 __all__ = [
     "ERRORS_CAP",
@@ -61,8 +60,7 @@ class PgdConfig:
     iterations: int = 100
 
     def __post_init__(self):
-        if not (math.isfinite(check_real(self.eta, "step size eta")) and self.eta > 0):
-            raise ValueError(f"step size eta must be a positive finite real, got {self.eta}")
+        check_positive(self.eta, "step size eta")
         if check_int(self.iterations, "iterations") < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         if self.iterations > ERRORS_CAP:
@@ -83,9 +81,7 @@ class PgdResult:
 
 def gradient(spec: QuantizerSpec, instance: SensingInstance, y, u) -> np.ndarray:
     """Subgradient ``(1/m) A^T (measure(u) - y)`` of the one-sided loss: zero at every ``u`` consistent with ``y``."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (instance.m,):
-        raise ValueError(f"measurement shape {y.shape} does not match m={instance.m}")
+    y = check_measurements(instance, y)
     d, m = measure(instance, spec, u) - y, instance.m
     span = float(spec.level_values[-1]) - float(spec.level_values[0])
     # for y in the quantizer's levels each entry of A^T d is at most m * span * max|A_ij|,

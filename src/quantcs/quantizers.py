@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import check_int, check_real
+from .signals import check_int, check_positive
 
 __all__ = [
     "QuantizerSpec",
@@ -89,9 +89,7 @@ def make_saturated(delta: float, levels: int) -> QuantizerSpec:
     and the outputs are the cell midpoints, so e.g. ``delta=1, levels=4``
     gives thresholds ``{-1, 0, 1}`` and values ``{-1.5, -0.5, 0.5, 1.5}``.
     """
-    delta = check_real(delta, "delta")
-    if not (math.isfinite(delta) and delta > 0):
-        raise ValueError(f"delta must be a positive finite real, got {delta}")
+    delta = check_positive(delta, "delta")
     if check_int(levels, "levels") < 2 or levels % 2 != 0:
         raise ValueError(f"levels must be an even integer >= 2, got {levels}")
     if not math.isfinite(delta * (levels - 1)):  # before any array is built, so no numpy overflow warning

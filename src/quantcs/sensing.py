@@ -91,6 +91,20 @@ class SensingInstance:
         return self.matrix.shape[1]
 
 
+def check_dither(level) -> None:
+    """Raise unless ``level`` is a real >= 0 whose dither interval ``[-level, level]`` has a finite width."""
+    if not (np.isfinite(2.0 * check_real(level, "dither level")) and level >= 0):
+        raise ValueError(f"dither level must be a real >= 0 with 2 * level finite, got {level}")
+
+
+def check_measurements(instance: SensingInstance, y) -> np.ndarray:
+    """``y`` as a float array if it holds one measurement per row of ``instance``."""
+    y = np.asarray(y, dtype=float)
+    if y.shape != (instance.m,):
+        raise ValueError(f"measurement shape {y.shape} does not match m={instance.m}")
+    return y
+
+
 def sample_instance(
     matrix_kind: MatrixKind, dither: float, m: int, n: int, seed: int, out: np.ndarray | None = None
 ) -> SensingInstance:
@@ -125,8 +139,7 @@ def instance_rows(
     """
     if check_int(m, "m") < 1 or check_int(n, "n") < 1:
         raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
-    if not (np.isfinite(2.0 * check_real(dither, "dither level")) and dither >= 0):
-        raise ValueError(f"dither level must be a real >= 0 with 2 * level finite, got {dither}")
+    check_dither(dither)
     if not isinstance(matrix_kind, MatrixKind):
         raise ValueError(f"unknown matrix kind {matrix_kind!r}")
     if check_int(rows, "rows") < 1 or (rows < m and rows % 2):

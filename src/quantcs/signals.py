@@ -53,6 +53,21 @@ def check_real(value, what: str) -> float:
         raise ValueError(f"{what} must be a number within the float range") from None
 
 
+def check_positive(value, what: str) -> float:
+    """``value`` as a float if it is a positive finite real; ``check_real`` rejects what is no number."""
+    real = check_real(value, what)
+    if not (math.isfinite(real) and real > 0):
+        raise ValueError(f"{what} must be a positive finite real, got {real}")
+    return real
+
+
+def _check_annulus(alpha, beta) -> None:
+    """Raise unless ``alpha`` and ``beta`` are reals with ``0 <= alpha <= beta`` and ``beta`` positive and finite."""
+    a, b = check_real(alpha, "model alpha"), check_real(beta, "model beta")
+    if not (0.0 <= a <= b) or not math.isfinite(b) or b <= 0:
+        raise ValueError(f"need 0 <= alpha <= beta with beta > 0, got ({alpha}, {beta})")
+
+
 @dataclass(frozen=True)
 class Sparse:
     """Vectors with at most ``k`` nonzero entries in dimension ``n``."""
@@ -98,8 +113,7 @@ class L1Ball:
     n: int
 
     def __post_init__(self):
-        if not (math.isfinite(check_real(self.radius, "model radius")) and self.radius > 0):
-            raise ValueError(f"radius must be a positive finite real, got {self.radius}")
+        check_positive(self.radius, "model radius")
         if check_int(self.n, "model n") < 1:
             raise ValueError(f"need n >= 1, got n={self.n}")
 
@@ -120,9 +134,7 @@ class SignalModel:
     beta: float
 
     def __post_init__(self):
-        alpha, beta = check_real(self.alpha, "model alpha"), check_real(self.beta, "model beta")
-        if not (0.0 <= alpha <= beta) or not math.isfinite(beta) or beta <= 0:
-            raise ValueError(f"need 0 <= alpha <= beta with beta > 0, got ({self.alpha}, {self.beta})")
+        _check_annulus(self.alpha, self.beta)
 
     @property
     def ambient_dim(self) -> int:
@@ -146,30 +158,35 @@ def project_structure(model: SignalModel, u) -> np.ndarray:
     ``2**e`` the power of two just above ``max|u|``) and scaled back.
     L1Ball: exact sort-based projection.
     """
-    u = _check_dim(model, u)
+    p, e = _project_structure(model, _check_dim(model, u))
+    return np.ldexp(p, e) if e else p
+
+
+def _project_structure(model: SignalModel, u: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(p, e)``: ``p * 2**e``, maybe past the float range, is the projection; ``e`` is 0 unless a low-rank ``u`` passes 2**500."""
     s = model.structure
     if isinstance(s, Sparse):
         if s.k >= s.n:
-            return u.copy()
+            return u.copy(), 0
         # stable sort on -|u|: equal magnitudes keep their original order,
         # which is exactly the lowest-index tie break
         order = np.argsort(-np.abs(u), kind="stable")
         out = np.zeros_like(u)
         keep = order[: s.k]
         out[keep] = u[keep]
-        return out
+        return out, 0
     if isinstance(s, LowRank):
         if s.r >= min(s.n1, s.n2):
-            return u.copy()
+            return u.copy(), 0
         if (peak := float(np.abs(u).max())) > 2.0**500:
             e = math.frexp(peak)[1]
-            return np.ldexp(project_structure(model, np.ldexp(u, -e)), e)
+            return _project_structure(model, np.ldexp(u, -e))[0], e
         M = u.reshape((s.n1, s.n2), order="F")
         U, sv, Vt = np.linalg.svd(M, full_matrices=False)
         sv = sv.copy()
         sv[s.r :] = 0.0
-        return ((U * sv) @ Vt).reshape(-1, order="F")
-    return _project_l1_ball(u, s.radius)
+        return ((U * sv) @ Vt).reshape(-1, order="F"), 0
+    return _project_l1_ball(u, s.radius), 0
 
 
 def _project_l1_ball(u: np.ndarray, radius: float) -> np.ndarray:
@@ -202,38 +219,43 @@ def _project_l1_ball(u: np.ndarray, radius: float) -> np.ndarray:
 def project_norm(alpha: float, beta: float, u) -> np.ndarray:
     """Rescale ``u`` to the nearest point of the annulus ``[alpha, beta]``.
 
-    The zero vector with ``alpha > 0`` has no unique nearest point; the tie
-    is broken deterministically as ``alpha * e_1``.  A ``u`` whose squared
-    norm overflows (entries past about 1e154) is measured as ``u / max|u|``.
+    The bounds are checked as ``SignalModel``'s are.  The zero vector with
+    ``alpha > 0`` has no unique nearest point; the tie is broken
+    deterministically as ``alpha * e_1``.  A ``u`` whose squared norm
+    overflows (entries past about 1e154) is measured as ``u / 2**e``, ``2**e`` just above ``max|u|``.
     """
-    if not (0.0 <= alpha <= beta) or not math.isfinite(beta) or beta <= 0:
-        raise ValueError(f"need 0 <= alpha <= beta with beta > 0, got [{alpha}, {beta}]")
-    u = np.asarray(u, dtype=float, order="C")
+    _check_annulus(alpha, beta)
+    return _project_norm(alpha, beta, np.asarray(u, dtype=float, order="C"))
+
+
+def _project_norm(alpha: float, beta: float, u: np.ndarray, e: int = 0) -> np.ndarray:
+    """``project_norm`` of ``u * 2**e``, formed only if it lies in the annulus.
+
+    Where ``e > 0``, ``||u|| >= 1/2`` (``u``, or the matrix whose truncation it is, has an entry
+    of at least 1/2), so a bound that ``2**-e`` rounds into the subnormals lies far below it.
+    """
     # the bits of np.linalg.norm(u), but vdot raises no warning when the square overflows
     nrm = math.sqrt(np.vdot(u, u))
     if math.isinf(nrm) and math.isfinite(peak := float(np.abs(u).max())):
-        # entries past about 1e154: u's norm is peak times that of v = u / peak
-        v = u / peak
-        nrm = math.sqrt(np.vdot(v, v))
-        if nrm > beta / peak:
-            return v * (beta / nrm)
-        return v * (alpha / nrm) if nrm < alpha / peak else u.copy()
+        s = math.frexp(peak)[1]
+        return _project_norm(alpha, beta, np.ldexp(u, -s), e + s)
     if nrm == 0.0:
         if alpha == 0.0:
             return u.copy()
         out = np.zeros_like(u)
         out[0] = alpha
         return out
-    if nrm < alpha:
+    lo, hi = (math.ldexp(alpha, -e), math.ldexp(beta, -e)) if e else (alpha, beta)
+    if nrm < lo:
         return u * (alpha / nrm)
-    if nrm > beta:
+    if nrm > hi:
         return u * (beta / nrm)
-    return u.copy()
+    return np.ldexp(u, e) if e else u.copy()
 
 
 def project_model(model: SignalModel, u) -> np.ndarray:
-    """The two-stage projection used by the recovery iteration."""
-    return project_norm(model.alpha, model.beta, project_structure(model, u))
+    """The two-stage projection used by the recovery iteration; ``K`` is a cone, so the annulus stage takes ``(p, e)``."""
+    return _project_norm(model.alpha, model.beta, *_project_structure(model, _check_dim(model, u)))
 
 
 def l1ball_magnitudes(radius: float, n: int, c: int) -> tuple[float, float]:

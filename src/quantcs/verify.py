@@ -43,7 +43,7 @@ from .pgd import PgdConfig, gradient, pgd_recover
 from .quantizers import QuantizerSpec, level_index, make_saturated, make_sign, quantize_vec
 from .rng import derive_seed, stream
 from .sensing import _BLOCK_ENTRIES, _CHUNK, _SPARSE_D, _SPARSE_U, MatrixKind, SensingInstance, _adjoint, _block_rows
-from .sensing import _forward, measure, sample_instance
+from .sensing import _forward, check_measurements, measure, sample_instance
 from .signals import (
     L1Ball,
     LowRank,
@@ -51,7 +51,7 @@ from .signals import (
     Sparse,
     UnsupportedModelError,
     _check_dim,
-    check_real,
+    check_positive,
     gen_signal,
     project_model,
     project_norm,
@@ -101,11 +101,9 @@ def _margins(spec, instance, y, u):
     a stack ``(n, p)`` of them, giving one row of ``z`` per iterate, ``(p, m)``.
     """
     u = np.asarray(u, dtype=float)
-    y = np.asarray(y, dtype=float)
     if u.ndim not in (1, 2) or u.shape[0] != instance.n:
         raise ValueError(f"iterate shape {u.shape} does not match n={instance.n}")
-    if y.shape != (instance.m,):
-        raise ValueError(f"measurement shape {y.shape} does not match m={instance.m}")
+    y = check_measurements(instance, y)
     z = (instance.matrix @ u).T - instance.dither
     idx = level_index(spec, y)
     return z, np.where(idx[:, None] > np.arange(spec.thresholds.size)[None, :], 1.0, -1.0)
@@ -172,8 +170,7 @@ def restricted_dual_norm(model: SignalModel, z, phi: float) -> float:
     ``phi`` times the l2 norm of the ``2r`` largest singular values of the
     reshaped ``z``. The l1 ball has no such closed form here.
     """
-    if not (math.isfinite(check_real(phi, "phi")) and phi > 0):
-        raise ValueError(f"phi must be a positive finite real, got {phi}")
+    check_positive(phi, "phi")
     z = _check_dim(model, z)
     s = model.structure
     if isinstance(s, Sparse):
@@ -200,9 +197,7 @@ def raic_residual(model, spec, instance, eta: float, phi: float, u, v) -> float 
     ``A V - tau`` take about 1 MB each whatever ``p`` is.  Their quantized
     difference ``D`` overwrites the first, an eighth of its rows at a time.
     """
-    eta = check_real(eta, "step size eta")
-    if not (math.isfinite(eta) and eta > 0):
-        raise ValueError(f"step size eta must be a positive finite real, got {eta}")
+    eta = check_positive(eta, "step size eta")
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape or u.ndim not in (1, 2) or u.shape[0] != instance.n:

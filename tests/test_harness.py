@@ -725,6 +725,45 @@ class TestPlanFromJson:
         assert plan.lam == 1.5 and plan.m_grid == (30, 60)
         assert plan.model.structure == Sparse(k=1, n=12)
 
+    def test_plan_file_with_every_key_is_the_plan_of_those_values(self):
+        model = {"structure": "sparse", "n": 12, "k": 3, "alpha": 0.0, "beta": 1.0}
+        text = json.dumps(
+            {
+                "family": "dithered_multi_bit",
+                "model": model,
+                "m_grid": [30, 60],
+                "L": 4,
+                "delta_rule": {"rule": "fixed", "delta": 0.75},
+                "lambda": None,
+                "trials": 3,
+                "iterations": 7,
+                "master_seed": -11,
+                "corruption_zeta": 0.05,
+            }
+        )
+        want = ExperimentPlan(
+            family=Family.DITHERED_MULTI_BIT,
+            model=SignalModel(Sparse(k=3, n=12), 0.0, 1.0),
+            m_grid=(30, 60),
+            L=4,
+            delta=0.75,
+            lam=None,
+            trials=3,
+            iterations=7,
+            master_seed=-11,
+            corruption_zeta=0.05,
+        )
+        assert plan_from_json(text) == want
+
+    def test_accepted_keys_are_pinned(self):
+        # the keys are ExperimentPlan's init fields, lam and delta renamed: a new field
+        # fails here until it joins the pinned set
+        keys = {"family", "model", "m_grid", "L", "delta_rule", "lambda", "trials", "iterations", "master_seed", "corruption_zeta"}
+        for key in keys | {f.name for f in dataclasses.fields(ExperimentPlan)}:
+            want = "plan is missing required keys" if key in keys else "unknown plan keys"
+            with pytest.raises(ValueError, match=want):
+                plan_from_json(json.dumps({key: None}))
+
     def test_multi_bit_delta_rule(self):
         text = json.dumps(
             {

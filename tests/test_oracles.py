@@ -91,6 +91,8 @@ class TestEnumerateNet:
         for r in (0.0, -0.1, float("nan"), float("inf"), "0.1", True):
             with pytest.raises(ValueError):
                 enumerate_net(sphere_sparse(1, 3), r=r)
+        with pytest.raises(ValueError, match=r"^net radius must be a positive finite real, got -0\.2$"):
+            enumerate_net(sphere_sparse(1, 3), r=-0.2)
 
 
 class TestHdmDecode:
@@ -121,6 +123,8 @@ class TestHdmDecode:
         inst = sample_instance(MatrixKind.GAUSSIAN, 0.0, 10, 6, seed=3)
         with pytest.raises(ValueError):
             hdm_decode(net, make_sign(), inst, np.ones(9))
+        with pytest.raises(ValueError, match=r"^measurement shape \(10, 1\) does not match m=10$"):
+            hdm_decode(net, make_sign(), inst, np.ones((10, 1)))
         inst5 = sample_instance(MatrixKind.GAUSSIAN, 0.0, 10, 5, seed=3)
         with pytest.raises(ValueError):
             hdm_decode(net, make_sign(), inst5, np.ones(10))

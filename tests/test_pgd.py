@@ -225,6 +225,8 @@ class TestGradient:
             one_sided_l1_loss(spec, inst, y, stack[:5])
         with pytest.raises(ValueError):
             one_sided_l1_loss(spec, inst, y, stack[..., None])
+        with pytest.raises(ValueError, match=r"^measurement shape \(19,\) does not match m=20$"):
+            one_sided_l1_loss(spec, inst, y[:19], stack)
 
 
 class TestPgdRecover:

@@ -147,6 +147,13 @@ HUGE_STEPS = {
         {"L": 2, "delta_rule": {"rule": "fixed", "delta": 1e308}},
         [1],
     ),
+    # a low-rank iterate whose rank-1 truncation lies past the float range
+    "low_rank_span_1.79e308": (
+        "dithered_multi_bit",
+        {"structure": "low_rank", "n1": 4, "n2": 4, "r": 1},
+        {"L": 2, "delta_rule": {"rule": "fixed", "delta": 1.79e308}},
+        [1],
+    ),
 }
 
 
@@ -162,6 +169,7 @@ def huge_step_plan(family, model, extra, m_grid):
 @hypothesis.example(obj={**HUGE_DELTA, "m_grid": [30], "trials": 1, "iterations": 1})
 @hypothesis.example(obj=huge_step_plan(*HUGE_STEPS["l1_ball_lambda_4e307"]))
 @hypothesis.example(obj=huge_step_plan(*HUGE_STEPS["low_rank_span_1e308"]))
+@hypothesis.example(obj=huge_step_plan(*HUGE_STEPS["low_rank_span_1.79e308"]))
 def test_plan_that_constructs_can_be_drawn_and_decoded(obj):
     # pinned: an l1-ball plan at n = 2, where c can only be 1, a multi-bit plan
     # whose cell width is finite but whose level span is not, and the l1-ball and

@@ -164,6 +164,10 @@ class TestNormProjection:
             project_norm(-0.1, 1.0, np.ones(2))
         with pytest.raises(ValueError):
             project_norm(2.0, 1.0, np.ones(2))
+        with pytest.raises(ValueError, match="model alpha must be a number"):
+            project_norm("a", 1.0, np.ones(2))
+        with pytest.raises(ValueError, match="model beta must be a number"):
+            project_norm(0.0, True, np.ones(2))
 
     def test_cone_composition_matches_bruteforce(self):
         for _ in range(100):
@@ -345,3 +349,5 @@ class TestRestrictedDualNorm:
         for phi in (True, "1", None, float("nan"), -1.0):
             with pytest.raises(ValueError, match="phi"):
                 restricted_dual_norm(sphere(Sparse(k=1, n=3)), np.zeros(3), phi)
+        with pytest.raises(ValueError, match=r"^phi must be a positive finite real, got -2\.0$"):
+            restricted_dual_norm(sphere(Sparse(k=1, n=3)), np.zeros(3), -2.0)
