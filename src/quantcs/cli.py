@@ -17,12 +17,11 @@ import sys
 
 from .harness import (
     THREADS_CAP,
-    draw_trial,
+    decode_trial,
     emit_csv,
     emit_svg_loglog,
     plan_from_json,
     run_experiment,
-    run_trial,
 )
 
 __all__ = ["main"]
@@ -61,8 +60,8 @@ def _cmd_run(args) -> int:
 def _cmd_recover(args) -> int:
     plan = _read_plan(args.config)
     print("m,iter,error")
-    for m, cell in zip(plan.m_grid, draw_trial(plan, 0)):
-        for t, err in enumerate(run_trial(plan, *cell).errors, start=1):
+    for m, result in zip(plan.m_grid, decode_trial(plan, 0)):
+        for t, err in enumerate(result.errors, start=1):
             print(f"{m},{t},{err:.12g}")
     return 0
 

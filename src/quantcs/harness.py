@@ -8,9 +8,15 @@ every random object inside it comes from its own purpose-tagged stream.
 Every cell of the trial sees the same signal and start, and the trial's
 sensing matrix is drawn once, at the grid's largest ``m``: cell ``c``
 decodes its first ``m_grid[c]`` rows and dithers, which are bit for bit a
-fresh ``m_grid[c]``-row draw from the same seed.  So a cell's numbers depend
-on its ``m``, the trial count and the seed alone, not on the rest of the
-grid, and results are bit-identical across reruns and thread counts.
+fresh ``m_grid[c]``-row draw from the same seed.  The cells of a trial of a
+``Sparse`` plan decode one by one; those of a multi-cell l1-ball or low-rank
+plan decode together (``pgd.pgd_recover_prefixes``), each block of the
+trial's matrix read once per iteration for all of them.  So a cell's numbers
+depend on its ``m``, the trial count and the seed alone, not on the rest of
+the grid (on one BLAS thread, for those decoded together: a cell decoded
+alone takes one-shot products, whose last bits may move with the BLAS
+thread count), and results are bit-identical across reruns and worker
+thread counts.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .pgd import ERRORS_CAP, PgdConfig, PgdResult, pgd_recover
+from .pgd import ERRORS_CAP, PgdConfig, PgdResult, pgd_recover, pgd_recover_prefixes
 from .quantizers import QuantizerSpec, make_saturated, make_sign
 from .rng import SEED_PART_BOUND, derive_seed
 from .sensing import MatrixKind, SensingInstance, check_dither, corrupt, measure, sample_instance
@@ -40,6 +46,7 @@ __all__ = [
     "FamilySetup",
     "draw_trial",
     "run_trial",
+    "decode_trial",
     "run_experiment",
     "SlopeFit",
     "fit_slope",
@@ -212,8 +219,10 @@ def draw_trial(
     trial's first cell.
 
     The generator is lazy and draws the signal and start again for each cell,
-    the same vectors every time, so that each cell's decode follows its own
-    ``gen_signal`` call, where ``perfbench/spans.py`` opens a trial.  With
+    the same vectors every time, so that each cell of a ``Sparse`` plan,
+    decoded alone, follows its own ``gen_signal`` call, where
+    ``perfbench/spans.py`` opens a trial; the cells of a multi-cell l1-ball
+    or low-rank plan are all drawn before they decode together.  With
     ``workspace``, the trial's matrix is drawn into it, as the ``out`` of
     ``sample_instance``; it needs room for ``max(m_grid) * n`` entries.
     """
@@ -241,15 +250,41 @@ def run_trial(plan: ExperimentPlan, x: np.ndarray, instance: SensingInstance, y:
     return pgd_recover(config, plan.model, plan.setup.spec, instance, y, start, truth=x)
 
 
+def decode_trial(plan: ExperimentPlan, trial: int, workspace: np.ndarray | None = None) -> Iterator[PgdResult]:
+    """PGD's result on each cell of trial ``trial``, in grid order, as ``run_experiment`` decodes it.
+
+    The cells are ``draw_trial(plan, trial, workspace)``'s.  A ``Sparse``
+    plan's cells, whose k-sparse iterates take the column gather, or a
+    one-cell plan's, are each ``run_trial``, drawn and decoded one after
+    another.  A multi-cell l1-ball or low-rank plan's cells are drawn first
+    and then decoded together by ``pgd.pgd_recover_prefixes``, so that each
+    block of the trial's matrix is read once per iteration for all of them;
+    on one BLAS thread each result is that cell's ``run_trial``, bit for bit.
+    """
+    cells = draw_trial(plan, trial, workspace)
+    if isinstance(plan.model.structure, Sparse) or len(plan.m_grid) == 1:
+        yield from (run_trial(plan, *cell) for cell in cells)
+        return
+    cells = list(cells)
+    config = PgdConfig(eta=plan.setup.eta, iterations=plan.iterations)
+    trial_instance = cells[-1][1]  # the largest m's: the whole draw
+    yield from pgd_recover_prefixes(
+        config, plan.model, plan.setup.spec, trial_instance, [(inst.m, y, start, x) for x, inst, y, start in cells]
+    )
+
+
 def run_experiment(plan: ExperimentPlan, threads: int = 1) -> ExperimentResult:
     """Run every trial of the plan, decoding each of its cells, and aggregate per cell.
 
-    A task is one trial: it decodes every cell ``draw_trial`` yields, each a
-    row prefix of the trial's one matrix draw at the grid's largest ``m``, so
-    a run draws ``trials`` matrices, not ``len(m_grid) * trials``.  Trials
-    are independent and may run on several threads; records come back
-    sorted by (cell, trial) and all randomness is keyed by indices, so the
-    output is bit-identical for any ``threads``.
+    A task is one trial: ``decode_trial`` decodes every cell ``draw_trial``
+    yields, each a row prefix of the trial's one matrix draw at the grid's
+    largest ``m``, so a run draws ``trials`` matrices, not
+    ``len(m_grid) * trials``.  A ``Sparse`` plan's cells decode one by one;
+    a multi-cell l1-ball or low-rank plan's decode together, sharing each
+    block of the matrix per iteration.  Trials are independent and may run
+    on several threads; records come back sorted by (cell, trial) and all
+    randomness is keyed by indices, so the output is bit-identical for any
+    ``threads``.
 
     Each worker (the caller when ``threads`` is 1, else each pool thread)
     maps one buffer of ``max(m_grid) * n`` entries of the plan's matrix dtype
@@ -271,8 +306,8 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> ExperimentResult:
         local.workspace = np.frombuffer(mmap.mmap(-1, entries * dtype.itemsize), dtype=dtype)
 
     def trial_records(trial: int) -> list[TrialRecord]:
-        cells = draw_trial(plan, trial, local.workspace)
-        return [TrialRecord(inst.m, float(run_trial(plan, x, inst, y, start).errors[-1])) for x, inst, y, start in cells]
+        results = decode_trial(plan, trial, local.workspace)
+        return [TrialRecord(m, float(res.errors[-1])) for m, res in zip(plan.m_grid, results)]
 
     if threads == 1:
         allocate()

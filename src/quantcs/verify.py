@@ -25,7 +25,7 @@ one, and certify each stack with one call.
 
 Each suite holds one chunk or one check's arrays at a time: it drops a
 check's large arrays once the check is counted.  Their ``tracemalloc`` peaks
-are about 5.8 MB (quantizer), 1.3 MB (projection), 4.4 MB (gradient), 5.6 MB
+are about 5.8 MB (quantizer), 1.3 MB (projection), 4.7 MB (gradient), 5.6 MB
 (puv), 0.1 MB (hdm) and 6.6 MB (raic: its 5000 x 100 matrix and two column
 chunks); the acceptance tests hold each to 7.5 MB.
 """
@@ -39,11 +39,12 @@ from itertools import combinations
 import numpy as np
 
 from .oracles import enumerate_net, estimate_puv, geodesic_puv, hdm_decode
-from .pgd import PgdConfig, gradient, pgd_recover
+from .pgd import PgdConfig, gradient, pgd_recover, pgd_recover_prefixes
 from .quantizers import QuantizerSpec, level_index, make_saturated, make_sign, quantize_vec
 from .rng import derive_seed, stream
-from .sensing import _BLOCK_ENTRIES, _CHUNK, _SPARSE_D, _SPARSE_U, MatrixKind, SensingInstance, _adjoint, _block_rows
-from .sensing import _forward, check_measurements, measure, sample_instance
+from .sensing import _BLOCK_ENTRIES, _CHUNK, _SHARED_BLOCK_ENTRIES, _SPARSE_D, _SPARSE_U, MatrixKind, SensingInstance, _adjoint
+from .sensing import _block_rows
+from .sensing import _forward, _forward_prefixes, check_measurements, measure, sample_instance
 from .signals import (
     L1Ball,
     LowRank,
@@ -722,6 +723,51 @@ def gradient_suite() -> list[Check]:
             differ == 0 and len(paths) == 4 and inst.matrix.dtype == np.int8,
             f"{differ} of {2 + 3 * len(cases)} measure, product and gradient calls differ, bitwise, between the int8 matrix "
             f"and its float64 copy; {len(paths)} of 4 product paths, {-(-m // _block_rows(n))} blocks per dense forward product",
+        )
+    )
+    del inst, copy
+
+    # the cells of a trial decoded together (pgd_recover_prefixes) must each give
+    # pgd_recover's estimate and errors on its row prefix, bit for bit, on a Gaussian
+    # and a one-byte l1-ball trial, and the shared-block products (_forward_prefixes)
+    # of every prefix with every cell's estimate must be _forward's (a product's last
+    # bit seldom moves a quantized value, so the products are compared too).  The
+    # grid's last m is one row past a shared block, so its last row joins the block
+    # before it; 61 is no multiple of 4; the smallest cells reach a fixed point or a
+    # cycle and stop early, which the full loop's period confirms.  This holds on one
+    # BLAS thread: pgd_recover's one-shot float64 product may move in the last bit
+    # with the thread count, where the shared blocks do not; on two threads OpenBLAS
+    # 0.3.31 kept the one-shot bits at these 2.6e5 entries
+    rng = stream(SEED, "verify", "gradient", "lockstep")
+    spec, n = make_sign(), 100
+    grid = (9, 61, _block_rows(n, _SHARED_BLOCK_ENTRIES) + 1)
+    differ, stops = 0, 0
+    for kind, alpha, dither, step in ((MatrixKind.GAUSSIAN, 1.0, 0.0, eta), (MatrixKind.RADEMACHER, 0.0, 1.5, 1.5)):
+        model = SignalModel(L1Ball(radius=math.sqrt(10), n=n), alpha, 1.0)
+        s = int(rng.integers(0, 2**32))
+        inst = sample_instance(kind, dither, grid[-1], n, s)
+        x = gen_signal(model, s)
+        start = random_in_model(model, s) if alpha > 0 else np.zeros(n)
+        config = PgdConfig(eta=step, iterations=20)
+        prefixes = [SensingInstance(inst.matrix[:m], inst.dither[:m]) for m in grid]
+        cells = [(m, measure(prefix, spec, x), start, x) for m, prefix in zip(grid, prefixes)]
+        together = pgd_recover_prefixes(config, model, spec, inst, cells)
+        for (m, y, _, _), prefix, res in zip(cells, prefixes, together):
+            alone = pgd_recover(config, model, spec, prefix, y, start, x)
+            differ += res.estimate.tobytes() != alone.estimate.tobytes() or res.errors.tobytes() != alone.errors.tobytes()
+            if m < grid[-1]:
+                stops += pgd_full_loop(config, model, spec, prefix, y, start, x)[2] > 0
+        pairs = [(m, res.estimate) for m in grid for res in together]
+        products = _forward_prefixes(inst.matrix, pairs)
+        differ += sum(z.tobytes() != _forward(inst.matrix[:m], u).tobytes() for (m, u), z in zip(pairs, products))
+        del inst, prefixes, cells, pairs, products
+    checks.append(
+        Check(
+            "lockstep_cells_match_alone",
+            differ == 0 and stops > 0,
+            f"{differ} of {2 * len(grid) * (1 + len(grid))} decodes and products of cells decoded together differ from "
+            f"pgd_recover and _forward alone, bitwise; m = {', '.join(map(str, grid))} on Gaussian and int8 matrices, "
+            f"{stops} of 4 smaller cells stop early",
         )
     )
     return checks

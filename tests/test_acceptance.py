@@ -157,6 +157,7 @@ VERIFY_CHECKS = [
     "gradient.zero_loss_at_truth",
     "gradient.stopped_run_matches_full_loop",
     "gradient.one_byte_matrix_matches_float64",
+    "gradient.lockstep_cells_match_alone",
     "puv.geodesic_matches_monte_carlo",
     "puv.two_sided_norm_bound",
     "puv.dithered_one_bit_bound",

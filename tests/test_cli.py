@@ -451,10 +451,19 @@ class TestEntryPoint:
         assert "all checks passed" in proc.stdout
 
 
-# The low_rank_r2 plan of perfbench/workloads.py, and a dithered one-bit plan whose
-# zero start mismatches half of m >= 3200 rows, so that gradient takes its dense
-# adjoint on a matrix big enough for OpenBLAS to split over threads.
+# The low_rank_r2 plan of perfbench/workloads.py; its l1_ball plan with 2 trials, whose
+# five cells of each trial decode together over shared row blocks of one matrix; and a
+# dithered one-bit plan whose zero start mismatches half of m >= 3200 rows, so that
+# gradient takes its dense adjoint on a matrix big enough for OpenBLAS to split over threads.
 BLAS_THREAD_PLANS = {
+    "l1_ball": {
+        "family": "one_bit_gaussian",
+        "model": {"structure": "l1_ball", "n": 300, "radius": 10**0.5, "alpha": 1.0, "beta": 1.0},
+        "m_grid": [800, 1200, 1600, 2000, 2400],
+        "trials": 2,
+        "iterations": 100,
+        "master_seed": 0,
+    },
     "low_rank_r2": {
         "family": "one_bit_gaussian",
         "model": {"structure": "low_rank", "n1": 25, "n2": 25, "r": 2, "alpha": 1.0, "beta": 1.0},

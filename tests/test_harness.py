@@ -4,7 +4,11 @@ import hashlib
 import json
 import math
 import mmap
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,7 +41,11 @@ from quantcs import (
     run_trial,
     sample_instance,
 )
-from quantcs.harness import ERRORS_CAP, LEVELS_CAP, MATRIX_ENTRIES_CAP, PLAN_COST_CAP, THREADS_CAP
+from quantcs.harness import ERRORS_CAP, LEVELS_CAP, MATRIX_ENTRIES_CAP, PLAN_COST_CAP, THREADS_CAP, decode_trial
+from quantcs.pgd import pgd_recover_prefixes
+from quantcs.sensing import _SHARED_BLOCK_ENTRIES, _block_rows
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def tiny_plan(**overrides):
@@ -562,6 +570,31 @@ class TestTrialDraws:
         run_experiment(plan)
         assert events == ["gen", "draw", "decode", "gen", "decode", "gen", "decode"] * plan.trials
 
+    def test_dense_cells_decode_together_after_their_draws(self, monkeypatch):
+        # a multi-cell l1-ball or low-rank trial draws every cell, then decodes them in one call;
+        # a one-cell plan decodes its cell alone
+        events = []
+
+        def spy(name, real):
+            def call(*args, **kwargs):
+                events.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(f"quantcs.harness.{real.__name__}", call)
+
+        spy("gen", gen_signal)
+        spy("draw", sample_instance)
+        spy("alone", pgd_recover)
+        spy("together", pgd_recover_prefixes)
+        for model in (SignalModel(L1Ball(radius=2.0, n=12), 1.0, 1.0), SignalModel(LowRank(n1=3, n2=4, r=1), 1.0, 1.0)):
+            plan = tiny_plan(model=model, m_grid=(30, 45, 60))
+            run_experiment(plan)
+            assert events == ["gen", "draw", "gen", "gen", "together"] * plan.trials
+            events.clear()
+            run_experiment(dataclasses.replace(plan, m_grid=(45,)))
+            assert events == ["gen", "draw", "alone"] * plan.trials
+            events.clear()
+
     @pytest.mark.parametrize(
         "plan, pins",
         [
@@ -838,3 +871,118 @@ class TestPlanFromJson:
             plan_from_json('{"family": "one_bit_gaussian"}')
         with pytest.raises(ValueError):
             plan_from_json('{"family": "no_such_family", "model": {}, "m_grid": [30]}')
+
+
+# rows per block that a trial's cells decoded together share, at n = 300
+SHARED_ROWS = _block_rows(300, _SHARED_BLOCK_ENTRIES)
+
+
+def dense_plan(family, model, m_grid, **extra):
+    plan = {"family": family, "model": model, "m_grid": list(m_grid), "trials": 2, "iterations": 30, "master_seed": 5}
+    return {**plan, **extra}
+
+
+# multi-cell l1-ball and low-rank plans; each of the first three grids holds an m that is not a multiple of 4 and
+# an m one row past a block boundary, whose last row joins the block before it, and its largest m covers two
+# shared blocks and a one-row tail
+DENSE_GRIDS = {
+    "l1_ball_one_bit_gaussian": dense_plan(
+        "one_bit_gaussian",
+        {"structure": "l1_ball", "n": 300, "radius": math.sqrt(10), "alpha": 1.0, "beta": 1.0},
+        (61, SHARED_ROWS + 1, 2 * SHARED_ROWS + 1),
+    ),
+    "low_rank_one_bit_gaussian": dense_plan(
+        "one_bit_gaussian",
+        {"structure": "low_rank", "n1": 15, "n2": 20, "r": 2, "alpha": 1.0, "beta": 1.0},
+        (61, SHARED_ROWS + 1, 2 * SHARED_ROWS + 1),
+    ),
+    "l1_ball_dithered_one_bit": dense_plan(
+        "dithered_one_bit",
+        {"structure": "l1_ball", "n": 300, "radius": math.sqrt(10), "alpha": 0.0, "beta": 1.0},
+        (61, SHARED_ROWS + 1, 2 * SHARED_ROWS + 1),
+        **{"lambda": 1.5},
+    ),
+    # trial 1: the cell m = 20 reaches a fixed point and m = 60 a cycle of period 2, while m = 8 runs on
+    "low_rank_stops_early": dense_plan(
+        "one_bit_gaussian",
+        {"structure": "low_rank", "n1": 5, "n2": 6, "r": 1, "alpha": 1.0, "beta": 1.0},
+        (8, 20, 60),
+        trials=4,
+        iterations=60,
+        master_seed=3,
+    ),
+}
+
+# for each plan file in argv[1:], prints as one JSON line: the cells and records of runs of the grid and of
+# each cell alone, at 1 and 3 worker threads; the SHA-256 of the estimate and errors of each cell of each trial,
+# from decode_trial and from run_trial; and the period of each such decode's first repeat (0: none)
+DENSE_DECODES = """
+import dataclasses, hashlib, json, sys
+from quantcs.harness import decode_trial, draw_trial, plan_from_json, run_experiment, run_trial
+from quantcs.pgd import PgdConfig
+from quantcs.verify import pgd_full_loop
+
+def digest(res):
+    return hashlib.sha256(res.estimate.tobytes() + res.errors.tobytes()).hexdigest()
+
+for path in sys.argv[1:]:
+    plan = plan_from_json(open(path).read())
+    out = {"grid": {}, "alone": {}, "together": [], "run_trial": [], "periods": []}
+    for threads in (1, 3):
+        out["grid"][threads] = run_experiment(plan, threads=threads)
+        out["alone"][threads] = [run_experiment(dataclasses.replace(plan, m_grid=(m,)), threads=threads) for m in plan.m_grid]
+    config = PgdConfig(eta=plan.setup.eta, iterations=plan.iterations)
+    for trial in range(plan.trials):
+        out["together"].append([digest(res) for res in decode_trial(plan, trial)])
+        cells = list(draw_trial(plan, trial))
+        out["run_trial"].append([digest(run_trial(plan, *cell)) for cell in cells])
+        out["periods"].append(
+            [pgd_full_loop(config, plan.model, plan.setup.spec, inst, y, start, x)[2] for x, inst, y, start in cells]
+        )
+    print(json.dumps(out))
+"""
+
+
+@pytest.fixture(scope="module")
+def dense_decodes(tmp_path_factory):
+    """``DENSE_DECODES``' report on each plan of ``DENSE_GRIDS``, run at OPENBLAS_NUM_THREADS=1.
+
+    A cell decoded alone takes ``sensing._forward``'s one-shot product, whose last bits may move with the BLAS
+    thread count; the cells of a trial decoded together keep the bits of that product on one BLAS thread.
+    """
+    work = tmp_path_factory.mktemp("dense")
+    paths = []
+    for name, plan in DENSE_GRIDS.items():
+        paths.append(work / f"{name}.json")
+        paths[-1].write_text(json.dumps(plan))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", DENSE_DECODES, *map(str, paths)], capture_output=True, text=True, env=env, timeout=600
+    )
+    assert proc.returncode == 0, proc.stderr
+    return dict(zip(DENSE_GRIDS, map(json.loads, proc.stdout.splitlines()), strict=True))
+
+
+class TestDenseTrials:
+    """The cells of a multi-cell l1-ball or low-rank trial decode together, each as if alone."""
+
+    @pytest.mark.parametrize("name", sorted(DENSE_GRIDS))
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    def test_cells_do_not_depend_on_the_grid(self, dense_decodes, name, threads):
+        report, trials = dense_decodes[name], DENSE_GRIDS[name]["trials"]
+        records, cells = report["grid"][threads]
+        for ci, (alone_records, alone_cells) in enumerate(report["alone"][threads]):
+            assert cells[ci] == alone_cells[0]
+            assert records[ci * trials : (ci + 1) * trials] == alone_records
+
+    @pytest.mark.parametrize("name", sorted(DENSE_GRIDS))
+    def test_each_cell_is_its_run_trial(self, dense_decodes, name):
+        # estimate and errors, bit for bit
+        report = dense_decodes[name]
+        assert report["together"] == report["run_trial"]
+
+    def test_a_cell_stops_early_while_others_run_on(self, dense_decodes):
+        # periods of the first repeat, by cell, of trial 1: a fixed point, a cycle, and no repeat
+        assert dense_decodes["low_rank_stops_early"]["periods"][1] == [0, 1, 2]
+

@@ -17,7 +17,7 @@ from quantcs import (
     stream,
 )
 from quantcs.rng import SEED_PART_BOUND
-from quantcs.sensing import _BLOCK_ENTRIES, _CHUNK, _block_rows, _forward, instance_rows
+from quantcs.sensing import _BLOCK_ENTRIES, _CHUNK, _SHARED_BLOCK_ENTRIES, _block_rows, _forward, _forward_prefixes, instance_rows
 
 
 class TestStreams:
@@ -225,6 +225,41 @@ class TestInstanceRows:
         q = [quantize_vec(spec, p - one.dither) for p in (whole, _forward(one.matrix, v))]
         count = np.count_nonzero(q[0] != q[1])
         assert estimate_puv(spec, kind, 1.5, u, v, samples, 9).p_hat == count / samples
+
+
+class TestForwardPrefixes:
+    """The products of several iterates with row prefixes of one matrix, sharing its blocks of rows."""
+
+    @pytest.mark.parametrize("kind", list(MatrixKind))
+    @pytest.mark.parametrize("n", [7, 300])
+    def test_each_product_is_the_prefix_forward(self, kind, n):
+        # prefixes of 1 row, of no multiple of 4 rows, ending one row short of a
+        # shared block, and one row past it (that row joins the block before it),
+        # each twice, with a dense u and with a sparse one (zero at n = 7), all
+        # in one call; the bits must be those of _forward on each prefix (a
+        # Gaussian one is one BLAS call, which kept its bits on two OpenBLAS
+        # threads at these 2.6e5 entries)
+        rows = _block_rows(n, _SHARED_BLOCK_ENTRIES)
+        grid = [1, 61, rows - 1, rows + 1]
+        A = sample_instance(kind, 0.0, grid[-1], n, 3).matrix
+        rng = stream(3, "u", n)
+        sparse = np.zeros(n)
+        sparse[rng.choice(n, n // 20, replace=False)] = rng.standard_normal(n // 20)
+        cells = [(m, u) for m in grid for u in (rng.standard_normal(n), sparse)]
+        got = _forward_prefixes(A, cells)
+        assert [z.tobytes() for z in got] == [_forward(A[:m], u).tobytes() for m, u in cells]
+
+    def test_one_byte_prefixes_cast_one_block_at_a_time(self):
+        m, n = 5600, 500
+        A = sample_instance(MatrixKind.RADEMACHER, 0.0, m, n, 0).matrix
+        us = stream(1, "u").standard_normal((3, n))
+        tracemalloc.start()
+        try:
+            _forward_prefixes(A, [(m // 3, us[0]), (m // 2, us[1]), (m, us[2])])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * _SHARED_BLOCK_ENTRIES + 5 * 8 * m  # one cast block and the products, not 8 m n bytes
 
 
 def _fixed_instance(matrix, dither):
