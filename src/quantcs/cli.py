@@ -102,8 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help=f"worker threads, 1 to {THREADS_CAP} (output is identical for any value; "
-        "more than one pays only with OPENBLAS_NUM_THREADS=1)",
+        help=f"worker threads, 1 to {THREADS_CAP} (output is identical for any value, at any OPENBLAS_NUM_THREADS)",
     )
     p_run.set_defaults(func=_cmd_run)
 

@@ -13,10 +13,8 @@ fresh ``m_grid[c]``-row draw from the same seed.  The cells of a trial of a
 plan decode together (``pgd.pgd_recover_prefixes``), each block of the
 trial's matrix read once per iteration for all of them.  So a cell's numbers
 depend on its ``m``, the trial count and the seed alone, not on the rest of
-the grid (on one BLAS thread, for those decoded together: a cell decoded
-alone takes one-shot products, whose last bits may move with the BLAS
-thread count), and results are bit-identical across reruns and worker
-thread counts.
+the grid, and results are bit-identical across reruns, worker thread counts
+and BLAS thread counts.
 """
 
 from __future__ import annotations
@@ -258,8 +256,9 @@ def decode_trial(plan: ExperimentPlan, trial: int, workspace: np.ndarray | None 
     one-cell plan's, are each ``run_trial``, drawn and decoded one after
     another.  A multi-cell l1-ball or low-rank plan's cells are drawn first
     and then decoded together by ``pgd.pgd_recover_prefixes``, so that each
-    block of the trial's matrix is read once per iteration for all of them;
-    on one BLAS thread each result is that cell's ``run_trial``, bit for bit.
+    block of the trial's matrix is read once per iteration for all of them.
+    Each result is that cell's ``run_trial``, bit for bit, and its bits do
+    not depend on the BLAS thread count.
     """
     cells = draw_trial(plan, trial, workspace)
     if isinstance(plan.model.structure, Sparse) or len(plan.m_grid) == 1:

@@ -116,10 +116,9 @@ def estimate_puv(
     binomial standard error.  The rows come in the blocks of ``_row_blocks(samples,
     _block_rows(n))``, drawn into one buffer, and the disagreements of
     ``measure(block, spec, u)`` and ``measure(block, spec, v)`` are summed per
-    block.  On one BLAS thread the count is ``measure``'s on the one-shot
-    instance, bit for bit.  On two OpenBLAS threads, 15 of about 4.2e6 block
-    rows have had a product whose last bit differs from the one-shot ``A @ u``,
-    so there the counts agree only while no such row falls on a threshold.
+    block.  The count is ``measure``'s on the one-shot instance, bit for bit,
+    at every BLAS thread count: both take their products in blocks of a
+    multiple of 4 rows, too small for OpenBLAS to split over its threads.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)

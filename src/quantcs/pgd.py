@@ -25,8 +25,8 @@ for bit, and the check keeps two extra iterates in memory.
 ``pgd_recover`` decodes one measurement vector, its forward products from
 ``measure``.  ``pgd_recover_prefixes`` decodes several at once, each against
 a row prefix of one instance, as the cells of a harness trial do: all of
-them take each iteration together, and ``sensing._forward_prefixes`` reads
-each block of the shared rows once per iteration for all of them.  One loop,
+them take each iteration together, and ``sensing._forward`` reads each block
+of the shared rows once per iteration for all of them.  One loop,
 ``_descend``, steps, stops and replays for both.
 
 This module is the solver alone: the measurement map and the matrix products
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quantizers import QuantizerSpec, quantize_vec
-from .sensing import SensingInstance, _adjoint, _forward_prefixes, check_measurements, measure
+from .sensing import SensingInstance, _adjoint, _forward, check_measurements, measure
 from .signals import SignalModel, check_int, check_positive, project_model
 
 __all__ = [
@@ -192,9 +192,8 @@ def pgd_recover(
     all ``config.iterations`` steps bit for bit; the extra memory is two
     iterates.  ``start`` is copied, and must have shape ``(n,)``.
 
-    Each step's products are ``gradient``'s, on this instance alone: the
-    forward one is ``sensing._forward``'s, whose one-shot float64 product may
-    move in the last bit with the BLAS thread count.
+    Each step's products are ``gradient``'s, on this instance alone, and
+    have the same bits at every BLAS thread count.
     """
     _check_dim(model, instance)
     run = _Descent(instance, np.asarray(y, dtype=float), start, truth, config.iterations)
@@ -216,13 +215,12 @@ def pgd_recover_prefixes(
 
     Every cell takes each iteration together with the others still running,
     and the forward products of an iteration come from one pass of
-    ``sensing._forward_prefixes`` over the rows they share; a cell that stops
-    early (a fixed point or a cycle) takes its replay steps with the rest and
-    then drops out.  Each step is ``pgd_recover``'s step on that cell's
-    prefix, so on one BLAS thread every result equals, bit for bit, that of
-    ``pgd_recover(config, model, spec, prefix, y, start, truth)``; on more
-    threads it keeps its bits, where ``pgd_recover``'s may move in the last
-    bit.  ``truth`` may be None, as in ``pgd_recover``.
+    ``sensing._forward`` over the rows they share; a cell that stops early (a
+    fixed point or a cycle) takes its replay steps with the rest and then
+    drops out.  Each step is ``pgd_recover``'s step on that cell's prefix, so
+    every result equals, bit for bit, that of
+    ``pgd_recover(config, model, spec, prefix, y, start, truth)``.  ``truth``
+    may be None, as in ``pgd_recover``.
     """
     _check_dim(model, instance)
     runs = []
@@ -233,7 +231,7 @@ def pgd_recover_prefixes(
         runs.append(_Descent(prefix, check_measurements(prefix, y), start, truth, config.iterations))
 
     def step(live):
-        products = _forward_prefixes(instance.matrix, [(r.instance.m, r.x) for r in live])
+        products = _forward(instance.matrix, [(r.instance.m, r.x) for r in live])
         out = []
         for r, z in zip(live, products):
             d = quantize_vec(spec, z - r.instance.dither) - r.y

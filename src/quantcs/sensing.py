@@ -18,18 +18,19 @@ written chunk by chunk into the one ``m x n`` buffer, so the draw allocates
 no ``m x n`` temporary.  A Gaussian matrix is float64; ``MatrixKind.dtype``
 names each kind's entry type.
 
-``_forward``, the one forward product of one matrix, casts a one-byte
-matrix to float64 one block at a time, and ``instance_rows`` yields an
-instance in blocks, both by one rule, ``_row_blocks``; ``sample_instance`` is
-the one-block case of ``instance_rows``, and a caller may hand in the buffer,
-so that repeated draws reuse one allocation.  ``measure`` takes ``A x`` from
-``_forward``, and a lone decoder's residual is ``measure`` of its iterate;
-``_adjoint`` (gathered rows, or row slices) keeps its own blocks of
-``_BLOCK_ENTRIES // n`` rows.  ``_forward_prefixes`` takes the products of
-several iterates with row prefixes of one matrix, as the decodes of a
-trial's cells step together: it reads each shared block of rows once for all
-of them, a one-byte block cast once, and gives each product the bits of
-``_forward`` on one BLAS thread.
+``_forward``, the one forward product, takes ``A u`` for one iterate or for
+several iterates with row prefixes of one matrix, in blocks of rows that it
+casts from one byte to float64 one at a time; ``instance_rows`` yields an
+instance in blocks; both split rows by one rule, ``_row_blocks``.
+``sample_instance`` is the one-block case of ``instance_rows``, and a caller
+may hand in the buffer, so that repeated draws reuse one allocation.
+``measure`` takes ``A x`` from ``_forward``'s one-cell case, and a lone
+decoder's residual is ``measure`` of its iterate; the cells of a trial
+decoded together take their products from its many-cell case, which reads
+each shared block of rows once for all of them.  Every dense product is
+taken in blocks too small for OpenBLAS to split over its threads, so it
+has the same bits at every BLAS thread count.  ``_adjoint`` (gathered rows,
+or row slices) keeps its own blocks of ``_BLOCK_ENTRIES // n`` rows.
 """
 
 from __future__ import annotations
@@ -47,19 +48,19 @@ from .signals import check_int, check_real
 # Entries per chunk of the Rademacher draw: even, so that no chunk leaves a
 # half word behind in the stream.
 _CHUNK = 2**14
-# Entries per block of the products taken in blocks (``_forward``,
-# ``_adjoint``, ``oracles.estimate_puv``): 1 MB of float64.
+# Entries per block of ``_adjoint``'s products and of ``oracles.estimate_puv``'s
+# draws: 1 MB of float64.
 _BLOCK_ENTRIES = 2**17
-# Entries per block that ``_forward_prefixes`` shares among its products: 2 MB
-# of float64.  On a 2-core VM with 2 MB of L2 per core and one BLAS thread, a
-# 40-trial l1-ball plan on a 300-column, 800..2400-row grid ran 1 MB blocks 23%
-# faster than one product per prefix on one worker but 25% slower on two; 2 MB
+# Entries per block of every forward product (``_forward``): 2 MB of float64.
+# On a 2-core VM with 2 MB of L2 per core and one BLAS thread, a 40-trial
+# l1-ball plan on a 300-column, 800..2400-row grid ran 1 MB blocks 23% faster
+# than one product per prefix on one worker but 25% slower on two; 2 MB
 # blocks, 14% faster on one worker and level on two (medians of three runs).
 # Blocks this small stay below OpenBLAS 0.3.31's threshold for splitting a
-# product over its threads (about 4.6e5 entries), so at its default thread
-# count a serial run gives up the split that one-shot products of large
-# prefixes get.
-_SHARED_BLOCK_ENTRIES = 2**18
+# product over its threads (about 4.6e5 entries), so every product keeps its
+# bits at any BLAS thread count, and at OpenBLAS's default thread count a
+# serial run gives up the split that one-shot products of large matrices got.
+_FORWARD_BLOCK_ENTRIES = 2**18
 # Gather the support columns of u when at most 1/_SPARSE_U of u is nonzero, and
 # the nonzero rows of d when at most 1/_SPARSE_D of d is; at 4800 x 500 on one
 # BLAS thread the gathers beat the dense products below about 5% and 30%.
@@ -230,48 +231,27 @@ def _gathered(matrix: np.ndarray, u: np.ndarray) -> np.ndarray | None:
     return matrix[:, supp].astype(np.float64, copy=False) @ u[supp]
 
 
-def _forward(matrix: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``matrix @ u`` for a float64 vector ``u``: the forward product of one matrix, behind ``measure``.
+def _forward(matrix: np.ndarray, cells: list[tuple[int, np.ndarray]]) -> list[np.ndarray]:
+    """``[matrix[:m] @ u for m, u in cells]`` for float64 vectors ``u``: the forward product, behind ``measure``.
 
     A ``u`` with at most ``1/_SPARSE_U`` nonzeros takes its support columns
-    (``_gathered``).  Otherwise a float64 matrix takes one product, and a
-    one-byte one is cast in the blocks of ``_row_blocks(m, _block_rows(n))``,
-    about ``_BLOCK_ENTRIES`` floats each: the bits of the float64 copy's
-    one-shot product on one BLAS thread and on two (OpenBLAS 0.3.31, 300
-    shapes up to 700 columns), where that product on two threads differed
-    in the last bit for 24 shapes.  A lone decode (``pgd.pgd_recover``)
-    takes its products here; the cells of a trial decoded together take
-    theirs from ``_forward_prefixes``, which shares blocks among them.
-    """
-    out = _gathered(matrix, u)
-    if out is not None:
-        return out
-    if matrix.dtype == np.float64:
-        return matrix @ u
-    m, n = matrix.shape
-    out = np.empty(m)
-    for block in _row_blocks(m, _block_rows(n)):
-        out[block] = matrix[block] @ u
-    return out
-
-
-def _forward_prefixes(matrix: np.ndarray, cells: list[tuple[int, np.ndarray]]) -> list[np.ndarray]:
-    """``[matrix[:m] @ u for m, u in cells]``, each block of rows read once for every product that covers it.
-
-    A ``u`` with at most ``1/_SPARSE_U`` nonzeros takes its support columns
-    (``_gathered``), as in ``_forward``.  Every other ``u`` takes the blocks
-    of ``_row_blocks(m, _block_rows(n, _SHARED_BLOCK_ENTRIES))``: every
-    prefix cuts ``matrix`` at the same multiples of those rows, so a block
-    that several prefixes cover is taken once from memory (a one-byte block
-    cast to float64 once) and multiplied by each of their ``u`` while it is in
+    (``_gathered``).  Every other ``u`` takes the blocks of
+    ``_row_blocks(m, _block_rows(n, _FORWARD_BLOCK_ENTRIES))``: every prefix
+    cuts ``matrix`` at the same multiples of those rows, so a block that
+    several prefixes cover is taken once from memory (a one-byte block cast
+    to float64 once) and multiplied by each of their ``u`` while it is in
     cache; a prefix's last, shorter block is a leading part of the same rows.
-    On one BLAS thread each product has the bits of ``_forward(matrix[:m], u)``,
-    and on one and two threads the same bits (OpenBLAS 0.3.31, 150 shapes up
-    to 3,800 x 700), where ``_forward``'s one-shot float64 product on two
-    threads differed in the last bit for 60 of them.
+    A row's product has the same bits whichever prefix covers it, and at one
+    and two BLAS threads the bits of the one-shot float64 product on one
+    (OpenBLAS 0.3.31, 300 Gaussian shapes up to 3,700 x 700, where the
+    one-shot product on two threads differed in the last bit for 109).
+    Each block is multiplied by ``np.dot``, which gives ``@``'s bits: with
+    numpy 2.4, two worker threads' ``@`` products of 416 x 625 blocks took
+    about twice as long as one thread's, as if run one at a time, where
+    their ``np.dot`` products ran side by side.
     """
     n = matrix.shape[1]
-    rows = _block_rows(n, _SHARED_BLOCK_ENTRIES)
+    rows = _block_rows(n, _FORWARD_BLOCK_ENTRIES)
     out, wanted = [], {}  # wanted: first row of a block -> [(its last row + 1, cell)]
     for i, (m, u) in enumerate(cells):
         z = _gathered(matrix[:m], u)
@@ -283,7 +263,7 @@ def _forward_prefixes(matrix: np.ndarray, cells: list[tuple[int, np.ndarray]]) -
     for start in sorted(wanted):
         block = matrix[start : max(stop for stop, _ in wanted[start])].astype(np.float64, copy=False)
         for stop, i in wanted[start]:
-            out[i][start:stop] = block[: stop - start] @ cells[i][1]
+            out[i][start:stop] = np.dot(block[: stop - start], cells[i][1])
         del block  # so that the next block's cast does not coexist with this one
     return out
 
@@ -316,7 +296,7 @@ def measure(instance: SensingInstance, spec: QuantizerSpec, x: np.ndarray) -> np
     x = np.asarray(x, dtype=float)
     if x.shape != (instance.n,):
         raise ValueError(f"signal shape {x.shape} does not match n={instance.n}")
-    return quantize_vec(spec, _forward(instance.matrix, x) - instance.dither)
+    return quantize_vec(spec, _forward(instance.matrix, [(instance.m, x)])[0] - instance.dither)
 
 
 def corrupt(y: np.ndarray, spec: QuantizerSpec, zeta: float, seed: int) -> np.ndarray:

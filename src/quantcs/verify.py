@@ -42,9 +42,9 @@ from .oracles import enumerate_net, estimate_puv, geodesic_puv, hdm_decode
 from .pgd import PgdConfig, gradient, pgd_recover, pgd_recover_prefixes
 from .quantizers import QuantizerSpec, level_index, make_saturated, make_sign, quantize_vec
 from .rng import derive_seed, stream
-from .sensing import _BLOCK_ENTRIES, _CHUNK, _SHARED_BLOCK_ENTRIES, _SPARSE_D, _SPARSE_U, MatrixKind, SensingInstance, _adjoint
+from .sensing import _BLOCK_ENTRIES, _CHUNK, _FORWARD_BLOCK_ENTRIES, _SPARSE_D, _SPARSE_U, MatrixKind, SensingInstance, _adjoint
 from .sensing import _block_rows
-from .sensing import _forward, _forward_prefixes, check_measurements, measure, sample_instance
+from .sensing import _forward, check_measurements, measure, sample_instance
 from .signals import (
     L1Ball,
     LowRank,
@@ -150,8 +150,7 @@ def clipped_gradient(spec, instance, u, v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if u.shape != (instance.n,) or v.shape != (instance.n,):
         raise ValueError("u and v must both have shape (n,)")
-    zu = _forward(instance.matrix, u) - instance.dither
-    zv = _forward(instance.matrix, v) - instance.dither
+    zu, zv = (z - instance.dither for z in _forward(instance.matrix, [(instance.m, u), (instance.m, v)]))
     changed = quantize_vec(spec, zu) != quantize_vec(spec, zv)
     d = spec.delta * np.sign(zu - zv) * changed
     return _adjoint(instance.matrix, d) / instance.m
@@ -694,8 +693,8 @@ def gradient_suite() -> list[Check]:
     # a one-byte Rademacher matrix is cast to float64 block by block; measure,
     # gradient and its two products on every path must give the bits of its
     # float64 copy (a product's last bit seldom moves a quantized value, so
-    # the products are compared too).  m * n exceeds _BLOCK_ENTRIES, so the
-    # dense forward product takes several blocks; a 12-sparse iterate takes
+    # the products are compared too).  m * n exceeds _FORWARD_BLOCK_ENTRIES, so
+    # the dense forward product takes several blocks; a 12-sparse iterate takes
     # the gathered forward product past 3 columns, where numpy's mixed
     # int8 x float64 product would sum in another order
     rng = stream(SEED, "verify", "gradient", "one_byte")
@@ -713,7 +712,7 @@ def gradient_suite() -> list[Check]:
     paths = set()
     for u, y in cases:
         d = measure(copy, spec, u) - y
-        differ += _forward(inst.matrix, u).tobytes() != _forward(copy.matrix, u).tobytes()
+        differ += _forward(inst.matrix, [(m, u)])[0].tobytes() != _forward(copy.matrix, [(m, u)])[0].tobytes()
         differ += _adjoint(inst.matrix, d).tobytes() != _adjoint(copy.matrix, d).tobytes()
         differ += gradient(spec, inst, y, u).tobytes() != gradient(spec, copy, y, u).tobytes()
         paths.add((np.count_nonzero(u) * _SPARSE_U <= n, np.count_nonzero(d) * _SPARSE_D <= m))
@@ -722,25 +721,23 @@ def gradient_suite() -> list[Check]:
             "one_byte_matrix_matches_float64",
             differ == 0 and len(paths) == 4 and inst.matrix.dtype == np.int8,
             f"{differ} of {2 + 3 * len(cases)} measure, product and gradient calls differ, bitwise, between the int8 matrix "
-            f"and its float64 copy; {len(paths)} of 4 product paths, {-(-m // _block_rows(n))} blocks per dense forward product",
+            f"and its float64 copy; {len(paths)} of 4 product paths, {-(-m // _block_rows(n, _FORWARD_BLOCK_ENTRIES))} blocks per dense forward product",
         )
     )
     del inst, copy
 
     # the cells of a trial decoded together (pgd_recover_prefixes) must each give
     # pgd_recover's estimate and errors on its row prefix, bit for bit, on a Gaussian
-    # and a one-byte l1-ball trial, and the shared-block products (_forward_prefixes)
-    # of every prefix with every cell's estimate must be _forward's (a product's last
-    # bit seldom moves a quantized value, so the products are compared too).  The
-    # grid's last m is one row past a shared block, so its last row joins the block
-    # before it; 61 is no multiple of 4; the smallest cells reach a fixed point or a
-    # cycle and stop early, which the full loop's period confirms.  This holds on one
-    # BLAS thread: pgd_recover's one-shot float64 product may move in the last bit
-    # with the thread count, where the shared blocks do not; on two threads OpenBLAS
-    # 0.3.31 kept the one-shot bits at these 2.6e5 entries
+    # and a one-byte l1-ball trial, and the shared-block products of every prefix with
+    # every cell's estimate, in one _forward call, must be those of _forward on each
+    # prefix alone (a product's last bit seldom moves a quantized value, so the
+    # products are compared too).  The grid's last m is one row past a block, so its
+    # last row joins the block before it; 61 is no multiple of 4; the smallest cells
+    # reach a fixed point or a cycle and stop early, which the full loop's period
+    # confirms
     rng = stream(SEED, "verify", "gradient", "lockstep")
     spec, n = make_sign(), 100
-    grid = (9, 61, _block_rows(n, _SHARED_BLOCK_ENTRIES) + 1)
+    grid = (9, 61, _block_rows(n, _FORWARD_BLOCK_ENTRIES) + 1)
     differ, stops = 0, 0
     for kind, alpha, dither, step in ((MatrixKind.GAUSSIAN, 1.0, 0.0, eta), (MatrixKind.RADEMACHER, 0.0, 1.5, 1.5)):
         model = SignalModel(L1Ball(radius=math.sqrt(10), n=n), alpha, 1.0)
@@ -758,8 +755,8 @@ def gradient_suite() -> list[Check]:
             if m < grid[-1]:
                 stops += pgd_full_loop(config, model, spec, prefix, y, start, x)[2] > 0
         pairs = [(m, res.estimate) for m in grid for res in together]
-        products = _forward_prefixes(inst.matrix, pairs)
-        differ += sum(z.tobytes() != _forward(inst.matrix[:m], u).tobytes() for (m, u), z in zip(pairs, products))
+        products = _forward(inst.matrix, pairs)
+        differ += sum(z.tobytes() != _forward(inst.matrix, [(m, u)])[0].tobytes() for (m, u), z in zip(pairs, products))
         del inst, prefixes, cells, pairs, products
     checks.append(
         Check(
@@ -882,8 +879,7 @@ def puv_suite() -> list[Check]:
     # estimate_puv counts measure's disagreements block by block, so its count
     # must be that of measure on the one-shot instance (dropped before the
     # blocks are drawn), at an odd n and the sample counts below, at and past
-    # the block size; on two BLAS threads, OpenBLAS 0.3.31 kept the Gaussian
-    # one-shot product's bits at n = 7 up to 6.3e5 entries, past the 3.9e5 here
+    # the block size
     n = 7
     rows = _block_rows(n)
     families = [(sign, MatrixKind.GAUSSIAN, 0.0), (sat, MatrixKind.RADEMACHER, delta / 2)]

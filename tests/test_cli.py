@@ -484,6 +484,28 @@ BLAS_THREAD_PLANS = {
 }
 
 
+# prints the SHA-256 of the forward product of a dense vector with a 3701 x 700 Gaussian draw at seeds 3, 4 and 5,
+# and with a one-byte draw of that shape: a one-shot float64 product this large is split over OpenBLAS's threads
+FORWARD_DIGESTS = """
+import hashlib
+from quantcs.rng import stream
+from quantcs.sensing import MatrixKind, _forward, sample_instance
+m, n = 3701, 700
+for kind, seed in [(MatrixKind.GAUSSIAN, 3), (MatrixKind.GAUSSIAN, 4), (MatrixKind.GAUSSIAN, 5), (MatrixKind.RADEMACHER, 3)]:
+    u = stream(seed, "u").standard_normal(n)
+    print(hashlib.sha256(_forward(sample_instance(kind, 0.0, m, n, seed).matrix, [(m, u)])[0].tobytes()).hexdigest())
+"""
+
+
+def run_at_blas_threads(threads, args):
+    """``python args`` with ``src`` on the path, at ``OPENBLAS_NUM_THREADS=threads``; raises unless it exits 0."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 class TestBlasThreads:
     @pytest.mark.parametrize("name", sorted(BLAS_THREAD_PLANS))
     def test_csv_identical_at_one_and_two_threads(self, tmp_path, name):
@@ -492,18 +514,13 @@ class TestBlasThreads:
         csv_bytes = []
         for threads in ("1", "2"):
             out = tmp_path / f"cells_{threads}.csv"
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
-            proc = subprocess.run(
-                [sys.executable, "-m", "quantcs", "run", "--config", str(config), "--out", str(out)],
-                capture_output=True,
-                text=True,
-                env=env,
-                timeout=600,
-            )
-            assert proc.returncode == 0, proc.stderr
+            run_at_blas_threads(threads, ["-m", "quantcs", "run", "--config", str(config), "--out", str(out)])
             csv_bytes.append(out.read_bytes())
         assert csv_bytes[0] == csv_bytes[1]
+
+    def test_forward_products_identical_at_one_and_two_threads(self):
+        digests = [run_at_blas_threads(threads, ["-c", FORWARD_DIGESTS]).split() for threads in ("1", "2")]
+        assert len(digests[0]) == 4 and digests[0] == digests[1]
 
 
 # sha256 of the CSV that `quantcs run` writes for each plan step of perfbench/workloads.py, by master seed, at

@@ -4,11 +4,7 @@ import hashlib
 import json
 import math
 import mmap
-import os
-import subprocess
-import sys
 import weakref
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,9 +39,8 @@ from quantcs import (
 )
 from quantcs.harness import ERRORS_CAP, LEVELS_CAP, MATRIX_ENTRIES_CAP, PLAN_COST_CAP, THREADS_CAP, decode_trial
 from quantcs.pgd import pgd_recover_prefixes
-from quantcs.sensing import _SHARED_BLOCK_ENTRIES, _block_rows
-
-REPO = Path(__file__).resolve().parent.parent
+from quantcs.sensing import _FORWARD_BLOCK_ENTRIES, _block_rows
+from quantcs.verify import pgd_full_loop
 
 
 def tiny_plan(**overrides):
@@ -874,7 +869,7 @@ class TestPlanFromJson:
 
 
 # rows per block that a trial's cells decoded together share, at n = 300
-SHARED_ROWS = _block_rows(300, _SHARED_BLOCK_ENTRIES)
+SHARED_ROWS = _block_rows(300, _FORWARD_BLOCK_ENTRIES)
 
 
 def dense_plan(family, model, m_grid, **extra):
@@ -913,62 +908,39 @@ DENSE_GRIDS = {
     ),
 }
 
-# for each plan file in argv[1:], prints as one JSON line: the cells and records of runs of the grid and of
-# each cell alone, at 1 and 3 worker threads; the SHA-256 of the estimate and errors of each cell of each trial,
-# from decode_trial and from run_trial; and the period of each such decode's first repeat (0: none)
-DENSE_DECODES = """
-import dataclasses, hashlib, json, sys
-from quantcs.harness import decode_trial, draw_trial, plan_from_json, run_experiment, run_trial
-from quantcs.pgd import PgdConfig
-from quantcs.verify import pgd_full_loop
-
-def digest(res):
-    return hashlib.sha256(res.estimate.tobytes() + res.errors.tobytes()).hexdigest()
-
-for path in sys.argv[1:]:
-    plan = plan_from_json(open(path).read())
-    out = {"grid": {}, "alone": {}, "together": [], "run_trial": [], "periods": []}
-    for threads in (1, 3):
-        out["grid"][threads] = run_experiment(plan, threads=threads)
-        out["alone"][threads] = [run_experiment(dataclasses.replace(plan, m_grid=(m,)), threads=threads) for m in plan.m_grid]
-    config = PgdConfig(eta=plan.setup.eta, iterations=plan.iterations)
-    for trial in range(plan.trials):
-        out["together"].append([digest(res) for res in decode_trial(plan, trial)])
-        cells = list(draw_trial(plan, trial))
-        out["run_trial"].append([digest(run_trial(plan, *cell)) for cell in cells])
-        out["periods"].append(
-            [pgd_full_loop(config, plan.model, plan.setup.spec, inst, y, start, x)[2] for x, inst, y, start in cells]
-        )
-    print(json.dumps(out))
-"""
-
-
 @pytest.fixture(scope="module")
-def dense_decodes(tmp_path_factory):
-    """``DENSE_DECODES``' report on each plan of ``DENSE_GRIDS``, run at OPENBLAS_NUM_THREADS=1.
+def dense_decodes():
+    """For each plan of ``DENSE_GRIDS``: the results of runs of the grid and of each cell alone, at 1 and 3 worker
+    threads; the estimate and errors of each cell of each trial, from decode_trial and from run_trial; and the period
+    of each such decode's first repeat (0: none)."""
 
-    A cell decoded alone takes ``sensing._forward``'s one-shot product, whose last bits may move with the BLAS
-    thread count; the cells of a trial decoded together keep the bits of that product on one BLAS thread.
-    """
-    work = tmp_path_factory.mktemp("dense")
-    paths = []
-    for name, plan in DENSE_GRIDS.items():
-        paths.append(work / f"{name}.json")
-        paths[-1].write_text(json.dumps(plan))
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", DENSE_DECODES, *map(str, paths)], capture_output=True, text=True, env=env, timeout=600
-    )
-    assert proc.returncode == 0, proc.stderr
-    return dict(zip(DENSE_GRIDS, map(json.loads, proc.stdout.splitlines()), strict=True))
+    def bits(res):
+        return res.estimate.tobytes(), res.errors.tobytes()
+
+    reports = {}
+    for name, spec in DENSE_GRIDS.items():
+        plan = plan_from_json(json.dumps(spec))
+        out = {"grid": {}, "alone": {}, "together": [], "run_trial": [], "periods": []}
+        for threads in (1, 3):
+            out["grid"][threads] = run_experiment(plan, threads=threads)
+            out["alone"][threads] = [run_experiment(dataclasses.replace(plan, m_grid=(m,)), threads=threads) for m in plan.m_grid]
+        config = PgdConfig(eta=plan.setup.eta, iterations=plan.iterations)
+        for trial in range(plan.trials):
+            out["together"].append([bits(res) for res in decode_trial(plan, trial)])
+            cells = list(draw_trial(plan, trial))
+            out["run_trial"].append([bits(run_trial(plan, *cell)) for cell in cells])
+            out["periods"].append(
+                [pgd_full_loop(config, plan.model, plan.setup.spec, inst, y, start, x)[2] for x, inst, y, start in cells]
+            )
+        reports[name] = out
+    return reports
 
 
 class TestDenseTrials:
     """The cells of a multi-cell l1-ball or low-rank trial decode together, each as if alone."""
 
     @pytest.mark.parametrize("name", sorted(DENSE_GRIDS))
-    @pytest.mark.parametrize("threads", ["1", "3"])
+    @pytest.mark.parametrize("threads", [1, 3])
     def test_cells_do_not_depend_on_the_grid(self, dense_decodes, name, threads):
         report, trials = dense_decodes[name], DENSE_GRIDS[name]["trials"]
         records, cells = report["grid"][threads]

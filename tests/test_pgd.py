@@ -21,7 +21,7 @@ from quantcs import (
 import quantcs.pgd
 from quantcs.pgd import ERRORS_CAP
 from quantcs.quantizers import quantize_vec
-from quantcs.sensing import _BLOCK_ENTRIES, _SPARSE_D, _SPARSE_U, MatrixKind, SensingInstance, _adjoint, _forward
+from quantcs.sensing import _BLOCK_ENTRIES, _FORWARD_BLOCK_ENTRIES, _SPARSE_D, _SPARSE_U, MatrixKind, SensingInstance, _adjoint, _forward
 from quantcs.verify import (
     clipped_gradient,
     fd_gradient,
@@ -349,16 +349,17 @@ class TestOneByteMatrix:
     def test_trial_matches_float64_copy(self, name):
         # a Rademacher matrix is stored as int8 and cast to float64 block by
         # block in every product: a run must give the bits of a run on its
-        # float64 copy.  The l1-ball iterates are dense, so the forward
-        # product takes the blocked path (m * n above _BLOCK_ENTRIES)
+        # float64 copy.  The adjoint takes several blocks (m * n above
+        # _BLOCK_ENTRIES), and the l1-ball iterates are dense, so the forward
+        # product takes several too (m * n above _FORWARD_BLOCK_ENTRIES)
         fine = make_saturated(5.0 / 8, 8)
         model, spec, dither, m, iterations = {
             "dithered_one_bit": (SignalModel(Sparse(k=3, n=500), 0.0, 1.0), make_sign(), 1.5, 800, 100),
             "dithered_multi_bit": (SignalModel(Sparse(k=3, n=500), 0.0, 1.0), fine, fine.delta / 2, 400, 100),
-            "dithered_l1_ball": (SignalModel(L1Ball(radius=np.sqrt(10), n=300), 0.0, 1.0), make_sign(), 1.5, 600, 30),
+            "dithered_l1_ball": (SignalModel(L1Ball(radius=np.sqrt(10), n=300), 0.0, 1.0), make_sign(), 1.5, 1000, 30),
         }[name]
         n = model.ambient_dim
-        assert m * n > _BLOCK_ENTRIES
+        assert m * n > _BLOCK_ENTRIES and (name != "dithered_l1_ball" or m * n > _FORWARD_BLOCK_ENTRIES)
         inst = sample_instance(MatrixKind.RADEMACHER, dither, m, n, seed=8)
         copy = SensingInstance(inst.matrix.astype(float), inst.dither)
         assert inst.matrix.dtype == np.int8
@@ -394,7 +395,7 @@ class TestOneByteMatrix:
             y = measure(copy, spec, u + 0.03 * rng.standard_normal(n) / np.sqrt(n) if i % 2 else -u)
             d = measure(copy, spec, u) - y
             few_rows.add(np.count_nonzero(d) * _SPARSE_D <= m)
-            assert _forward(inst.matrix, u).tobytes() == _forward(copy.matrix, u).tobytes()
+            assert _forward(inst.matrix, [(m, u)])[0].tobytes() == _forward(copy.matrix, [(m, u)])[0].tobytes()
             assert _adjoint(inst.matrix, d).tobytes() == _adjoint(copy.matrix, d).tobytes()
             assert gradient(spec, inst, y, u).tobytes() == gradient(spec, copy, y, u).tobytes()
         assert few_rows == {True, False}  # both adjoint paths
@@ -406,13 +407,13 @@ FINE = make_saturated(5.0 / 8, 8)
 class TestTruthIsConsistent:
     # the decoder's residual is measure of its iterate, so the truth has zero
     # gradient and is a fixed point on every forward path: 3 nonzeros of 300
-    # take the gathered columns, a dense x the one-shot or (int8) blocked product
+    # take the gathered columns, a dense x the blocked product
     @pytest.mark.parametrize("kind", list(MatrixKind))
     @pytest.mark.parametrize("spec, dither", [(make_sign(), 1.5), (FINE, FINE.delta / 2)], ids=["sign", "multi_bit"])
     @pytest.mark.parametrize("sparse", [True, False], ids=["sparse", "dense"])
     def test_zero_gradient_and_fixed_point_at_truth(self, kind, spec, dither, sparse):
-        m, n = 600, 300
-        assert m * n > _BLOCK_ENTRIES  # the int8 dense product takes several blocks
+        m, n = 1000, 300
+        assert m * n > _FORWARD_BLOCK_ENTRIES  # the dense forward product takes several blocks
         inst = sample_instance(kind, dither, m, n, seed=21)
         rng = np.random.default_rng(22)
         x = rng.standard_normal(n)
@@ -436,7 +437,7 @@ class TestTruthIsConsistent:
         A = sample_instance(kind, 0.0, m, n, seed=23).matrix
         x = np.zeros(n)
         x[[7, 150, 299]] = [0.3, -0.5, 0.7]
-        inst = SensingInstance(A, _forward(A, x))
+        inst = SensingInstance(A, _forward(A, [(m, x)])[0])
         y = measure(inst, make_sign(), x)
         assert np.all(y == 1.0)
         assert not np.any(gradient(make_sign(), inst, y, x))

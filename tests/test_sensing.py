@@ -17,7 +17,7 @@ from quantcs import (
     stream,
 )
 from quantcs.rng import SEED_PART_BOUND
-from quantcs.sensing import _BLOCK_ENTRIES, _CHUNK, _SHARED_BLOCK_ENTRIES, _block_rows, _forward, _forward_prefixes, instance_rows
+from quantcs.sensing import _CHUNK, _FORWARD_BLOCK_ENTRIES, _block_rows, _forward, instance_rows
 
 
 class TestStreams:
@@ -210,19 +210,18 @@ class TestInstanceRows:
     def test_block_products_are_the_matvec(self, kind, n):
         # two full blocks and one row: the last row joins the second block, so
         # the block products and the puv count are the dense _forward's, bit
-        # for bit (a Gaussian one is one BLAS call, which kept its bits on two
-        # OpenBLAS threads at these 2.6e5 entries)
+        # for bit
         rows = _block_rows(n)
         samples = 2 * rows + 1
         rng = stream(8, "uv", n)
         u, v = rng.standard_normal((2, n))
         one = sample_instance(kind, 1.5, samples, n, 9)
-        whole = _forward(one.matrix, u)
+        whole = _forward(one.matrix, [(samples, u)])[0]
         blocks = [b.matrix @ u for b in instance_rows(kind, 1.5, samples, n, 9, rows)]
         assert [b.size for b in blocks] == [rows, rows + 1]
         assert np.concatenate(blocks).tobytes() == whole.tobytes()
         spec = make_saturated(1.0, 4)
-        q = [quantize_vec(spec, p - one.dither) for p in (whole, _forward(one.matrix, v))]
+        q = [quantize_vec(spec, p - one.dither) for p in (whole, _forward(one.matrix, [(samples, v)])[0])]
         count = np.count_nonzero(q[0] != q[1])
         assert estimate_puv(spec, kind, 1.5, u, v, samples, 9).p_hat == count / samples
 
@@ -236,18 +235,16 @@ class TestForwardPrefixes:
         # prefixes of 1 row, of no multiple of 4 rows, ending one row short of a
         # shared block, and one row past it (that row joins the block before it),
         # each twice, with a dense u and with a sparse one (zero at n = 7), all
-        # in one call; the bits must be those of _forward on each prefix (a
-        # Gaussian one is one BLAS call, which kept its bits on two OpenBLAS
-        # threads at these 2.6e5 entries)
-        rows = _block_rows(n, _SHARED_BLOCK_ENTRIES)
+        # in one call; the bits must be those of _forward on each prefix alone
+        rows = _block_rows(n, _FORWARD_BLOCK_ENTRIES)
         grid = [1, 61, rows - 1, rows + 1]
         A = sample_instance(kind, 0.0, grid[-1], n, 3).matrix
         rng = stream(3, "u", n)
         sparse = np.zeros(n)
         sparse[rng.choice(n, n // 20, replace=False)] = rng.standard_normal(n // 20)
         cells = [(m, u) for m in grid for u in (rng.standard_normal(n), sparse)]
-        got = _forward_prefixes(A, cells)
-        assert [z.tobytes() for z in got] == [_forward(A[:m], u).tobytes() for m, u in cells]
+        got = _forward(A, cells)
+        assert [z.tobytes() for z in got] == [_forward(A, [(m, u)])[0].tobytes() for m, u in cells]
 
     def test_one_byte_prefixes_cast_one_block_at_a_time(self):
         m, n = 5600, 500
@@ -255,11 +252,11 @@ class TestForwardPrefixes:
         us = stream(1, "u").standard_normal((3, n))
         tracemalloc.start()
         try:
-            _forward_prefixes(A, [(m // 3, us[0]), (m // 2, us[1]), (m, us[2])])
+            _forward(A, [(m // 3, us[0]), (m // 2, us[1]), (m, us[2])])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * _SHARED_BLOCK_ENTRIES + 5 * 8 * m  # one cast block and the products, not 8 m n bytes
+        assert peak < 8 * _FORWARD_BLOCK_ENTRIES + 5 * 8 * m  # one cast block and the products, not 8 m n bytes
 
 
 def _fixed_instance(matrix, dither):
@@ -281,12 +278,15 @@ class TestMeasure:
         y = measure(inst, make_saturated(1.0, 8), np.array([1.0, 1.0]))
         np.testing.assert_array_equal(y, [0.5, 2.5])
 
-    @pytest.mark.parametrize("m,n", [(1, 1), (5, 3), (_block_rows(300) + 1, 300), (2 * _block_rows(300) + 2, 300), (5601, 500)])
+    @pytest.mark.parametrize(
+        "m,n",
+        [(1, 1), (5, 3), (_block_rows(300) + 1, 300), (2 * _block_rows(300) + 2, 300), (_block_rows(300, _FORWARD_BLOCK_ENTRIES) + 1, 300), (5601, 500)],
+    )
     def test_one_byte_product_is_the_float64_product(self, m, n):
         # a one-byte matrix is multiplied in blocks of rows; the bits must be those of its float64 copy
         A = sample_instance(MatrixKind.RADEMACHER, 0.0, m, n, 6).matrix
         x = stream(6, "x").standard_normal(n)
-        assert _forward(A, x).tobytes() == (A.astype(float) @ x).tobytes()
+        assert _forward(A, [(m, x)])[0].tobytes() == (A.astype(float) @ x).tobytes()
 
     @pytest.mark.parametrize(
         "kind, m, dither",
@@ -315,7 +315,7 @@ class TestMeasure:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * _BLOCK_ENTRIES + 5 * 8 * m  # one cast block and a few m-vectors, not 8 m n bytes
+        assert peak < 8 * _FORWARD_BLOCK_ENTRIES + 5 * 8 * m  # one cast block and a few m-vectors, not 8 m n bytes
 
     def test_shape_mismatch(self):
         inst = sample_instance(MatrixKind.GAUSSIAN, 0.0, 4, 3, 0)
